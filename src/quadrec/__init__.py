@@ -1,7 +1,7 @@
 """Quadratic residue symbols, Pell units, and the quartic edge invariant.
 
 The package computes Legendre/Jacobi/quartic symbols, fundamental units of
-real quadratic fields and their residue characters, certified square
+real quadratic fields and their residue characters, exact square
 detection in multiquadratic fields, GF(2) cycle spaces of prime graphs, and
 the invariant that predicts unit symbols from quartic residue data, plus
 sweep drivers that compare every prediction against an independent oracle.
@@ -33,11 +33,8 @@ from .pell import (
     unit_symbol,
 )
 from .mquad import (
-    Interval,
     MQElement,
     MQField,
-    UndecidedError,
-    embed,
     field_containing,
     find_d,
     is_square,

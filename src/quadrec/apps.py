@@ -4,7 +4,7 @@ criterion.
 
 Every function here cross-validates a closed-form prediction against
 independent exact computation (continued-fraction units on one side,
-certified square detection or quartic symbols on the other).  Hypotheses
+exact square detection or quartic symbols on the other).  Hypotheses
 are always recomputed; a result object with ok/consistent False is a loud
 verification failure, not a soft warning.
 """
@@ -67,7 +67,7 @@ def unit_family(moduli, cache=None) -> UnitFamily:
 
 @dataclass(frozen=True)
 class SquareCheck:
-    """Outcome of one certified squareness verification."""
+    """Outcome of one exact squareness verification."""
 
     description: str
     field: MQField
@@ -83,7 +83,7 @@ class SquareCheck:
         return f"{self.description}: {verdict} in {self.field}"
 
 
-def theorem_sq_check(family: UnitFamily, cache=None, **square_opts) -> SquareCheck:
+def theorem_sq_check(family: UnitFamily, cache=None) -> SquareCheck:
     """If every norm is -1 and the product of the moduli is a perfect
     square, the product of the units must be a square in the field
     generated by the square roots of the individual primes."""
@@ -98,12 +98,12 @@ def theorem_sq_check(family: UnitFamily, cache=None, **square_opts) -> SquareChe
     element = field.rational(1)
     for m in family.moduli:
         element = element * unit_element(fundamental_unit(m, cache=cache), field)
-    root = is_square(element, **square_opts)
+    root = is_square(element)
     label = "*".join(f"eps_{m}" for m in family.moduli)
     return SquareCheck(label, field, element, root)
 
 
-def positive_norm_square_check(m: int, cache=None, **square_opts) -> SquareCheck:
+def positive_norm_square_check(m: int, cache=None) -> SquareCheck:
     """A unit of norm +1 must be a square in the field generated by the
     square roots of its primes, widened by sqrt(2) when m = 3 mod 4."""
     unit = fundamental_unit(m, cache=cache)
@@ -114,7 +114,7 @@ def positive_norm_square_check(m: int, cache=None, **square_opts) -> SquareCheck
         gens.add(2)
     field = field_containing(sorted(gens))
     element = unit_element(unit, field)
-    root = is_square(element, **square_opts)
+    root = is_square(element)
     return SquareCheck(f"eps_{m}", field, element, root)
 
 
@@ -137,7 +137,7 @@ class CandmResult:
         return self.parity_even == (self.invariant.value == 0)
 
 
-def candm_check(pairs, P, cache=None, **square_opts) -> CandmResult:
+def candm_check(pairs, P, cache=None) -> CandmResult:
     """Theorem: the prime set of d meets P evenly exactly when the
     bipartite invariant sum vanishes.
 
@@ -183,7 +183,7 @@ def candm_check(pairs, P, cache=None, **square_opts) -> CandmResult:
     for m, n in pairs:
         element = element * unit_element(fundamental_unit(m * n, cache=cache), field)
     allowed = prime_divisors(total)
-    d = find_d(element, allowed, **square_opts)
+    d = find_d(element, allowed)
     inter = tuple(sorted(set(prime_divisors(d)) & P))
     return CandmResult(pairs, tuple(sorted(P)), report, d, inter)
 
@@ -203,7 +203,7 @@ class CandpResult:
         return len(self.intersection) % 2 == 0
 
 
-def candp_check(m: int, n: int, cache=None, **square_opts) -> CandpResult:
+def candp_check(m: int, n: int, cache=None) -> CandpResult:
     """Positive-norm analogue: P is built from the non-residue divisors
     (plus 2 in the one stated congruence case) and the theorem asserts
     |D cap P| is always even."""
@@ -225,7 +225,7 @@ def candp_check(m: int, n: int, cache=None, **square_opts) -> CandpResult:
     allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
     field = MQField((m * n,))
     element = unit_element(fundamental_unit(m * n, cache=cache), field)
-    d = find_d(element, allowed, **square_opts)
+    d = find_d(element, allowed)
     inter = tuple(sorted(set(prime_divisors(d)) & P))
     return CandpResult(m, n, tuple(sorted(P)), d, inter)
 
@@ -268,9 +268,9 @@ class QIndex:
         assert self.value in (1, 2, 4), f"unit index {self.value} out of range"
 
 
-def kuroda_q(d1: int, d2: int, d3: int, cache=None, **square_opts) -> QIndex:
+def kuroda_q(d1: int, d2: int, d3: int, cache=None) -> QIndex:
     """Unit index of Q(sqrt(d1), sqrt(d2)) over the units of its three
-    quadratic subfields, computed by exhaustive certified square tests of
+    quadratic subfields, computed by exact square tests of
     the seven nontrivial unit products (both signs, the totally positive
     one first)."""
     ds = (d1, d2, d3)
@@ -291,8 +291,7 @@ def kuroda_q(d1: int, d2: int, d3: int, cache=None, **square_opts) -> QIndex:
         for u, k in zip(units, exps):
             if k:
                 element = element * u
-        if is_square(element, **square_opts) is not None \
-                or is_square(-element, **square_opts) is not None:
+        if is_square(element) is not None or is_square(-element) is not None:
             witnesses.add(exps)
     return QIndex(len(witnesses) + 1, frozenset(witnesses))
 
@@ -312,8 +311,7 @@ class KurodaExampleResult:
         return self.formula_value == self.computed.value
 
 
-def kuroda_example_check(p: int, q: int, r: int, cache=None,
-                         **square_opts) -> KurodaExampleResult:
+def kuroda_example_check(p: int, q: int, r: int, cache=None) -> KurodaExampleResult:
     """For Q(sqrt(p), sqrt(qr)) with (p/q) = +1 and (q/r) = -1: the index
     is 1 exactly when the unit of pqr has norm -1 and the paired quartic
     product is -1, else 2.  Both sides computed independently."""
@@ -328,7 +326,7 @@ def kuroda_example_check(p: int, q: int, r: int, cache=None,
     norm = fundamental_unit(p * q * r, cache=cache).norm
     quartic_product = quartic(p, q) * quartic(q, p)
     formula = 1 if (norm == -1 and quartic_product == -1) else 2
-    computed = kuroda_q(p, q * r, p * q * r, cache=cache, **square_opts)
+    computed = kuroda_q(p, q * r, p * q * r, cache=cache)
     return KurodaExampleResult(p, q, r, formula, computed)
 
 

@@ -303,6 +303,30 @@ def squarefree_kernel(n: int) -> int:
     return k
 
 
+def gf2_reduce(vec: int, basis, tag: int = 0) -> tuple[int, int]:
+    """Reduce the GF(2) bit vector `vec` against the (vector, tag) rows of
+    `basis`, as built by gf2_echelon; each row used is XORed in, and so is
+    its tag into `tag`.  Returns (residue, tag); residue 0 means vec lies in
+    the span, with the tags saying which combination of rows gives it."""
+    for bvec, btag in basis:
+        if vec ^ bvec < vec:
+            vec ^= bvec
+            tag ^= btag
+    return vec, tag
+
+
+def gf2_echelon(rows) -> list[tuple[int, int]]:
+    """Echelon basis of the span of (vector, tag) rows over GF(2): each row
+    is reduced against the basis so far and kept if anything is left, its
+    tag recording which input rows combine into it."""
+    basis: list[tuple[int, int]] = []
+    for vec, tag in rows:
+        vec, tag = gf2_reduce(vec, basis, tag)
+        if vec:
+            basis.append((vec, tag))
+    return basis
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False

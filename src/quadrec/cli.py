@@ -4,6 +4,8 @@ Three subcommands: ``symbol`` evaluates a single residue or unit symbol,
 ``verify`` runs the prediction-vs-oracle sweeps, ``invariant`` evaluates the
 quartic invariant of an edge set.  Exit codes: 0 clean, 1 usage, 2 domain
 error, 3 at least one sweep failure, 4 undecided instances but no failures.
+Only the triangles check can leave an instance undecided (its auxiliary
+prime search has a bound); square detection always decides.
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random graphs for the duality check")
     p_ver.add_argument("--cache", metavar="PATH", default=None,
                        help="fundamental unit cache file")
-    p_ver.add_argument("--precision", type=_positive_int, default=64,
-                       help="starting interval precision in bits")
     p_ver.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes")
     p_ver.add_argument("--format", choices=["human", "json-lines", "csv"],
@@ -129,8 +129,8 @@ def _write_report(out, fmt: str, records, counts) -> None:
 def cmd_verify(args) -> int:
     checks = tuple(args.check) if args.check else tuple(sorted(CHECK_DEFAULT_BOUNDS))
     config = SweepConfig(checks=checks, bound=args.bound, samples=args.samples,
-                         cache_path=args.cache, precision_start=args.precision,
-                         output_format=args.format, jobs=args.jobs, seed=args.seed)
+                         cache_path=args.cache, output_format=args.format,
+                         jobs=args.jobs, seed=args.seed)
     cache = UnitCache(args.cache) if args.cache else None
     records = []
     for name in checks:

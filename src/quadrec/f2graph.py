@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import DomainError, primes_in_v, require_v_prime, v_symbol
+from .arith import DomainError, gf2_echelon, primes_in_v, require_v_prime, v_symbol
 
 Edge = tuple[int, int]
 EdgeVector = frozenset  # of Edge
@@ -90,17 +90,6 @@ def _from_mask(mask: int, edges_sorted) -> EdgeVector:
     return frozenset(e for i, e in enumerate(edges_sorted) if mask >> i & 1)
 
 
-def _reduce_masks(masks) -> list[int]:
-    basis: list[int] = []
-    for m in masks:
-        for b in basis:
-            if m ^ b < m:
-                m ^= b
-        if m:
-            basis.append(m)
-    return basis
-
-
 def _spanning_forest(vertices, edges):
     """(tree edges, non-tree edges, component count), edges taken ascending."""
     parent = {v: v for v in vertices}
@@ -139,7 +128,7 @@ def boundary_space(vertices, edges) -> list[EdgeVector]:
     stars = []
     for v in vs:
         stars.append(_to_mask([e for e in es if v in e], index))
-    basis = _reduce_masks(stars)
+    basis = [m for m, _ in gf2_echelon((star, 0) for star in stars)]
     _, extra, components = _spanning_forest(vs, es)
     assert len(basis) == len(vs) - components
     assert len(basis) + len(extra) == len(es)

@@ -1,13 +1,26 @@
-"""Exact arithmetic in real multiquadratic fields Q(sqrt(d1), ..., sqrt(dt)).
+"""Exact arithmetic in real multiquadratic fields Q(sqrt(g1), ..., sqrt(gt)).
 
-Elements are rational-coefficient vectors over the sqrt-radicand basis
+Elements are rational-coefficient vectors over the radicand basis
 {sqrt(r_S)}, S a subset of the generators, where r_S is the squarefree
-kernel of the product of the chosen generators.  Everything observable is
-exact: multiplication works on Fractions, embeddings are certified rational
-intervals (directed-rounding fixed point underneath), and is_square answers
-only after an exact verification (squares) or a completed certification
-(non-squares); precision exhaustion raises UndecidedError instead of
-guessing.
+kernel of the product of the chosen generators.  Everything is exact,
+square detection included.
+
+is_square takes square roots by recursion through quadratic subextensions
+(Bauch, Bernstein, de Valence, Lange, van Vredendaal, "Short generators
+without quantum computers: the case of multiquadratics", EUROCRYPT 2017).
+Write K = K'(sqrt(d)), d the last generator, and x = a + b*sqrt(d) with a, b
+in K'.  If b = 0, x is a square in K exactly when a or a/d is a square in
+K'.  Otherwise x = (u + v*sqrt(d))^2 forces the norm a^2 - d*b^2 =
+(u^2 - d*v^2)^2 to be a square c^2 in K', and then one of (a + c)/2,
+(a - c)/2 is u^2 (the other is d*v^2, never a square in K'); conversely any
+u != 0 with u^2 = (a +- c)/2 gives the root u + b/(2u)*sqrt(d).  At Q an
+integer square root decides.  Every step is an equivalence, so None is a
+proof that x is not a square, not a search that ran out.
+
+The recursion works on one integer vector and one common denominator over
+the product basis sqrt(g_S) = prod_{i in S} sqrt(g_i).  There, splitting
+off the last generator is cutting the vector in half, and
+sqrt(g_S) * sqrt(g_T) = (prod_{i in S & T} g_i) * sqrt(g_(S ^ T)).
 """
 
 from __future__ import annotations
@@ -19,54 +32,13 @@ from math import gcd, isqrt, lcm
 
 from .arith import (
     DomainError,
+    gf2_echelon,
+    gf2_reduce,
     is_prime,
     is_squarefree,
-    legendre,
     prime_divisors,
-    sqrt_mod,
     squarefree_kernel,
 )
-
-MAX_SEARCH_GENERATORS = 4  # 2^(2^4 - 1) = 32768 sign patterns
-DEFAULT_MAX_BITS = 4096
-
-
-class UndecidedError(RuntimeError):
-    """Raised when the precision ceiling is hit before certification."""
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A certified enclosure [lo, hi] with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        assert self.lo <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __contains__(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
-
-
-def _reduce_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """GF(2) echelon form of (vector, tag) rows; tags track combinations."""
-    basis: list[tuple[int, int]] = []
-    for vec, tag in rows:
-        for bvec, btag in basis:
-            if vec ^ bvec < vec:
-                vec ^= bvec
-                tag ^= btag
-        if vec:
-            basis.append((vec, tag))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -104,8 +76,8 @@ class MQField:
         return vec
 
     def _gen_rows(self) -> list[tuple[int, int]]:
-        return _reduce_rows([(self._prime_vector(d), 1 << i)
-                             for i, d in enumerate(self.gens)])
+        return gf2_echelon((self._prime_vector(d), 1 << i)
+                           for i, d in enumerate(self.gens))
 
     @property
     def degree(self) -> int:
@@ -140,14 +112,22 @@ class MQField:
             table.append(tuple(row))
         return tuple(table)
 
+    @cached_property
+    def _product_basis(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(w, k): w[S] is the product of the generators in S, so that
+        sqrt(g_S)*sqrt(g_T) = w[S & T]*sqrt(g_(S ^ T)), and
+        sqrt(w[S]) = k[S]*sqrt(r_S) links the product and radicand bases."""
+        w = [1] * self.degree
+        for mask in range(1, self.degree):
+            low = mask & -mask
+            w[mask] = w[mask ^ low] * self.gens[low.bit_length() - 1]
+        k = [isqrt(p // r) for p, r in zip(w, self.radicands)]
+        return tuple(w), tuple(k)
+
     def subset_with_kernel(self, m: int) -> int:
         """The generator-subset mask whose radicand is m (error if none)."""
-        target = self._prime_vector(squarefree_kernel(m))
-        combo = 0
-        for bvec, btag in self._gen_rows():
-            if target ^ bvec < target:
-                target ^= bvec
-                combo ^= btag
+        target, combo = gf2_reduce(self._prime_vector(squarefree_kernel(m)),
+                                   self._gen_rows())
         if target != 0:
             raise DomainError(f"sqrt({m}) does not lie in {self}")
         return combo
@@ -168,9 +148,7 @@ class MQField:
                 inside |= 1 << index[p]
             else:
                 outside *= p
-        for bvec, _ in self._gen_rows():
-            if inside ^ bvec < inside:
-                inside ^= bvec
+        inside, _ = gf2_reduce(inside, self._gen_rows())
         return outside, inside
 
     def element(self, coeffs) -> "MQElement":
@@ -206,18 +184,13 @@ def field_containing(radicands) -> MQField:
             vals.append(k)
     vals = sorted(set(vals))
     gens: list[int] = []
-    rows: list[tuple[int, int]] = []
+    basis: list[tuple[int, int]] = []
     primes = sorted({p for v in vals for p in prime_divisors(v)})
     index = {p: i for i, p in enumerate(primes)}
     for v in vals:
-        red = 0
-        for p in prime_divisors(v):
-            red |= 1 << index[p]
-        for bvec, _ in rows:
-            if red ^ bvec < red:
-                red ^= bvec
+        red, _ = gf2_reduce(sum(1 << index[p] for p in prime_divisors(v)), basis)
         if red:
-            rows.append((red, 0))
+            basis.append((red, 0))
             gens.append(v)
     return MQField(gens)
 
@@ -356,271 +329,132 @@ class MQElement:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point interval kernel (integers scaled by 2^bits, directed rounding)
+# exact square roots over the product basis
+#
+# A vector of length 2^j holds integer coordinates over sqrt(g_S) for S a
+# subset of the first j generators; w is the field's weight table, and
+# w[2^(j-1)] is the j-th generator.
 
-def _fxp_of_fraction(fr: Fraction, bits: int) -> tuple[int, int]:
-    n = fr.numerator << bits
-    d = fr.denominator
-    lo = n // d
-    hi = -((-n) // d)
-    return lo, hi
-
-
-def _fxp_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _fxp_neg(a):
-    return -a[1], -a[0]
-
-
-def _fxp_mul(a, b, bits):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    lo = min(ps) >> bits
-    hi = -((-max(ps)) >> bits)
-    return lo, hi
-
-
-def _fxp_sqrt(a, bits):
-    assert a[0] >= 0
-    lo = isqrt(a[0] << bits)
-    h = isqrt(a[1] << bits)
-    if h * h != a[1] << bits:
-        h += 1
-    return lo, h
-
-
-def _fxp_sqrt_int(r: int, bits: int) -> tuple[int, int]:
-    n = isqrt(r << (2 * bits))
-    return (n, n) if n * n == r << (2 * bits) else (n, n + 1)
-
-
-def _fxp_inv_sqrt_int(r: int, bits: int) -> tuple[int, int]:
-    n = isqrt(r << (2 * bits))  # n <= sqrt(r)*2^bits < n+1
-    lo = (1 << (2 * bits)) // (n + 1)
-    hi = (1 << (2 * bits)) // n + 1
-    return lo, hi
-
-
-def _sigma_intervals(x: MQElement, bits: int) -> list[tuple[int, int]]:
-    """Fixed-point enclosures of all 2^t real embeddings of x.
-
-    Embedding masks flip the sign of sqrt(gens[i]) for each set bit i; the
-    basis element sqrt(r_S) picks up the product of the flipped signs over S.
-    """
-    field = x.field
-    degree = field.degree
-    terms = []
-    for mask, c in x.coeffs.items():
-        ci = _fxp_of_fraction(c, bits)
-        if mask == 0:
-            terms.append((mask, ci))
-        else:
-            terms.append((mask, _fxp_mul(ci, _fxp_sqrt_int(field.radicands[mask], bits), bits)))
-    out = []
-    for emb in range(degree):
-        acc = (0, 0)
-        for mask, iv in terms:
-            if (mask & emb).bit_count() % 2:
-                acc = _fxp_add(acc, _fxp_neg(iv))
-            else:
-                acc = _fxp_add(acc, iv)
-        out.append(acc)
+def _mul(x: list[int], y: list[int], w) -> list[int]:
+    out = [0] * len(x)
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    for i, a in enumerate(x):
+        if a:
+            for j, c in ys:
+                out[i ^ j] += a * c * w[i & j]
     return out
 
 
-def embed(x: MQElement, signs, precision: int = 64) -> Interval:
-    """Certified rational interval around the embedding of x that sends
-    sqrt(gens[i]) to signs[i]*sqrt(gens[i]).  Doubling `precision` at least
-    halves the width."""
-    if precision < 64:
-        raise DomainError("embedding precision must be at least 64 bits")
-    signs = tuple(signs)
-    if len(signs) != len(x.field.gens) or any(s not in (1, -1) for s in signs):
-        raise DomainError("signs must be a +-1 vector, one entry per generator")
-    emb = 0
-    for i, s in enumerate(signs):
-        if s == -1:
-            emb |= 1 << i
-    lo, hi = _sigma_intervals(x, precision)[emb]
-    scale = Fraction(1, 1 << precision)
-    return Interval(lo * scale, hi * scale)
+def _norm(a: list[int], b: list[int], d: int, w) -> list[int]:
+    """a^2 - d*b^2, the norm of a + b*sqrt(d) down to the subfield."""
+    return [p - d * q for p, q in zip(_mul(a, a, w), _mul(b, b, w))]
 
 
-# ---------------------------------------------------------------------------
-# certified square detection
-
-def _residue_prefilter(x: MQElement, primes_needed: int = 8) -> bool:
-    """Reject x (return False) if its residue at some completely split prime
-    is a quadratic non-residue.  Only inspects primes where x is an l-unit,
-    so False is a certificate of non-squareness; True just means 'passed'.
-    """
-    field = x.field
-    gens = field.gens
-    den = x.denominator_lcm()
-    found = 0
-    l = 3
-    while found < primes_needed:
-        while not is_prime(l):
-            l += 2
-        if den % l and all(g % l for g in gens) \
-                and all(legendre(g, l) == 1 for g in gens):
-            roots = [sqrt_mod(g, l) for g in gens]
-            res = 0
-            for mask, c in x.coeffs.items():
-                prod = 1
-                acc = 1
-                for i, r in enumerate(roots):
-                    if mask >> i & 1:
-                        prod *= gens[i]
-                        acc = acc * r % l
-                g = isqrt(prod // field.radicands[mask])
-                acc = acc * pow(g, -1, l) % l
-                res = (res + c.numerator * pow(c.denominator, -1, l) * acc) % l
-            if res != 0:
-                if pow(res, (l - 1) // 2, l) == l - 1:
-                    return False
-                found += 1
-        l += 2
-    return True
+def _reduced(r: list[int], e: int) -> tuple[list[int], int]:
+    g = gcd(e, *r)
+    return [c // g for c in r], e // g
 
 
-_FOUND, _DEAD, _FUZZY = 0, 1, 2
+def _sign(x: list[int], w) -> int:
+    """Sign of x under the embedding with every sqrt(g_i) > 0; 0 for x = 0.
+    Where a and b in x = a + b*sqrt(d) differ in sign, x has the sign of a
+    times the sign of a^2 - d*b^2 = x*(a - b*sqrt(d))."""
+    if len(x) == 1:
+        return (x[0] > 0) - (x[0] < 0)
+    h = len(x) >> 1
+    a, b = x[:h], x[h:]
+    sa, sb = _sign(a, w), _sign(b, w)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * _sign(_norm(a, b, w[h], w), w)
 
 
-def _pattern_search(xi: MQElement, denom_bound: int, bits: int):
-    """One pass of the sign-pattern search at a fixed precision.
+def _inverse(x: list[int], w) -> tuple[list[int], int]:
+    """(r, e) with x*r = e > 0, for x != 0: 1/(a + b*sqrt(d)) is
+    (a - b*sqrt(d)) over the norm a^2 - d*b^2, inverted one level down."""
+    if len(x) == 1:
+        return ([1], x[0]) if x[0] > 0 else ([-1], -x[0])
+    h = len(x) >> 1
+    a, b = x[:h], x[h:]
+    r, e = _inverse(_norm(a, b, w[h], w), w)
+    return _reduced(_mul(a, r, w) + [-c for c in _mul(b, r, w)], e)
 
-    Enumerates candidate square roots by their embedding sign pattern (the
-    first embedding is pinned positive, killing the global sign), inverts the
-    subset-character transform over certified intervals, and reconstructs
-    rational coordinates with denominators dividing denom_bound.  Returns
-    (_FOUND, root), (_DEAD, None) for a completed certification, or
-    (_FUZZY, None) when some window was too wide to decide at this precision.
-    """
-    field = xi.field
-    t = len(field.gens)
-    degree = field.degree
-    sigmas = _sigma_intervals(xi, bits)
-    if any(hi < 0 for _, hi in sigmas):
-        return _DEAD, None
-    if any(lo <= 0 for lo, _ in sigmas):
-        return _FUZZY, None
-    roots = [_fxp_sqrt(iv, bits) for iv in sigmas]
-    inv_sqrt = [_fxp_inv_sqrt_int(field.radicands[m], bits) for m in range(degree)]
-    chi = [[(-1) ** ((s & e).bit_count() % 2) for e in range(degree)]
-           for s in range(degree)]
 
-    sums = []
-    for s_mask in range(degree):
-        acc = (0, 0)
-        for e in range(degree):
-            acc = _fxp_add(acc, roots[e] if chi[s_mask][e] == 1 else _fxp_neg(roots[e]))
-        sums.append(acc)
-
-    signs = [1] * degree
-    fuzzy = False
-
-    def try_pattern():
-        nonlocal fuzzy
-        coeffs = {}
-        for s_mask in range(degree):
-            window = _fxp_mul(sums[s_mask], inv_sqrt[s_mask], bits)
-            # coefficient = window / 2^t; candidate numerators n/denom_bound
-            lo, hi = window
-            n_lo = -((-lo * denom_bound) >> (bits + t))
-            n_hi = (hi * denom_bound) >> (bits + t)
-            if n_lo > n_hi:
-                return None
-            if n_hi > n_lo:
-                fuzzy = True
-                return None
-            if n_lo:
-                coeffs[s_mask] = Fraction(n_lo, denom_bound)
-        candidate = MQElement(field, coeffs)
-        if (candidate * candidate) == xi:
-            return candidate
-        return None
-
-    got = try_pattern()
-    if got is not None:
-        return _FOUND, got
-    total = 1 << (degree - 1)
-    flip_deltas = [(2 * lo, 2 * hi) for lo, hi in roots]
-    for step in range(1, total):
-        e = (step & -step).bit_length()  # embedding index to flip (1..degree-1)
-        signs[e] = -signs[e]
-        dlo, dhi = flip_deltas[e]
-        shrink = signs[e] == -1
-        for s_mask in range(degree):
-            lo, hi = sums[s_mask]
-            if (chi[s_mask][e] == 1) == shrink:
-                sums[s_mask] = (lo - dhi, hi - dlo)
-            else:
-                sums[s_mask] = (lo + dlo, hi + dhi)
-        got = try_pattern()
+def _sqrt(x: list[int], w) -> tuple[list[int], int] | None:
+    """(r, e) with (r/e)^2 = x and e > 0, or None when the nonzero vector x
+    is not a square in its field."""
+    if len(x) == 1:
+        n = x[0]
+        s = isqrt(n) if n >= 0 else -1
+        return ([s], 1) if s * s == n else None
+    h = len(x) >> 1
+    d = w[h]
+    a, b = x[:h], x[h:]
+    if not any(b):
+        got = _sqrt(a, w)
         if got is not None:
-            return _FOUND, got
-    if fuzzy:
-        return _FUZZY, None
-    return _DEAD, None
+            return got[0] + [0] * h, got[1]
+        # a/d is a square iff a*d = d^2*(a/d) is; a*d = (r/e)^2 gives
+        # a = (r*sqrt(d)/(e*d))^2
+        got = _sqrt([d * c for c in a], w)
+        if got is None:
+            return None
+        return [0] * h + got[0], got[1] * d
+    got = _sqrt(_norm(a, b, d, w), w)
+    if got is None:
+        return None
+    rc, ec = got
+    # (a +- c)/2 with c = rc/ec, scaled by the square (2*ec)^2
+    for s in (1, -1):
+        got = _sqrt([2 * ec * (ec * p + s * q) for p, q in zip(a, rc)], w)
+        if got is not None:
+            break
+    else:
+        return None
+    ru, eu = got
+    # u = ru/(2*ec*eu), so b/(2u) = b*ec*eu/ru
+    inv, den = _inverse(ru, w)
+    v = _mul(b, inv, w)
+    scale = 2 * ec * ec * eu * eu
+    return _reduced([c * den for c in ru] + [c * scale for c in v],
+                    2 * ec * eu * den)
 
 
-def is_square(x: MQElement, *, start_bits: int | None = None,
-              max_bits: int = DEFAULT_MAX_BITS,
-              denominator_factor: int = 1) -> MQElement | None:
-    """An exact square root of x in its field, or None if x is certifiably
-    not a square there.
+def is_square(x: MQElement) -> MQElement | None:
+    """An exact square root of x in its field, or None if x is not a square
+    there.
 
-    The root returned is the one whose all-positive embedding is positive.
-    Positives are sound (verified by exact multiplication); negatives are
-    certified (a negative embedding, a non-square residue at a split prime,
-    or an exhausted sign-pattern search at the integral denominator bound).
-    Raises UndecidedError when max_bits is reached before certification.
+    The root returned is the one that is positive under the embedding with
+    every sqrt(gens[i]) > 0.  The recursion of the module docstring decides
+    both ways: a root is checked by exact squaring, and None follows from a
+    chain of equivalences ending in an integer that is not a square, so no
+    answer is ever left undecided.
     """
-    field = x.field
-    t = len(field.gens)
-    if t > MAX_SEARCH_GENERATORS:
-        raise DomainError(f"square search is capped at {MAX_SEARCH_GENERATORS} "
-                          f"generators; {field} has {t}")
     if x.is_zero():
         raise DomainError("square detection needs a nonzero element")
-    if denominator_factor < 1:
-        raise DomainError("denominator_factor must be >= 1")
-
-    q = x.denominator_lcm()
-    xi = x * (q * q)
-    assert xi.denominator_lcm() == 1
-    denom_bound = (1 << t) * denominator_factor
-
-    coeff_bits = max(abs(c.numerator).bit_length() for c in xi.coeffs.values())
-    bits = max(start_bits or 0, 64, 2 * coeff_bits + 64)
-    # the ceiling is an escalation budget: elements whose conjugates are
-    # inherently tiny (unit inverses) start high, and still get headroom
-    ceiling = max(max_bits, 4 * bits)
-    prefiltered = False
-    while bits <= ceiling:
-        sigmas = _sigma_intervals(xi, bits)
-        if any(hi < 0 for _, hi in sigmas):
-            return None
-        if all(lo > 0 for lo, _ in sigmas):
-            if not prefiltered:
-                if not _residue_prefilter(xi):
-                    return None
-                prefiltered = True
-            state, root = _pattern_search(xi, denom_bound, bits)
-            if state == _FOUND:
-                result = root * Fraction(1, q)
-                assert result * result == x
-                return result
-            if state == _DEAD:
-                return None
-        bits *= 2
-    raise UndecidedError(f"square detection undecided at {ceiling} bits")
+    field = x.field
+    w, k = field._product_basis
+    # x = sum c_S*sqrt(r_S) = sum (c_S/k_S)*sqrt(g_S) = v/den, and x is a
+    # square iff the integer vector x*den^2 = v*den is
+    coords = [Fraction(0)] * field.degree
+    for mask, c in x.coeffs.items():
+        coords[mask] = c / k[mask]
+    den = lcm(*(c.denominator for c in coords))
+    got = _sqrt([c.numerator * (den // c.denominator) * den for c in coords], w)
+    if got is None:
+        return None
+    r, e = got
+    if _sign(r, w) < 0:
+        r = [-c for c in r]
+    root = MQElement(field, {mask: Fraction(c * k[mask], e * den)
+                             for mask, c in enumerate(r) if c})
+    assert root * root == x
+    return root
 
 
-def find_d(x: MQElement, allowed_primes, *, start_bits: int | None = None,
-           max_bits: int = DEFAULT_MAX_BITS) -> int:
+def find_d(x: MQElement, allowed_primes) -> int:
     """The squarefree product d of allowed_primes making x*d a square in x's
     field (d = 1 means x itself is square).
 
@@ -644,7 +478,7 @@ def find_d(x: MQElement, allowed_primes, *, start_bits: int | None = None,
         if sig in tested:
             continue
         tested.add(sig)
-        if is_square(x * d, start_bits=start_bits, max_bits=max_bits) is not None:
+        if is_square(x * d) is not None:
             if hit is not None:
                 raise AssertionError(f"two inequivalent d values pass: {hit} and {d}")
             hit = d

@@ -44,7 +44,6 @@ from .f2graph import (
     verify_duality,
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
-from .mquad import UndecidedError
 from .pell import check_unit_congruences, fundamental_unit, unit_symbol
 
 TRIANGLE_AUX_BOUND = 20000
@@ -72,7 +71,6 @@ class SweepConfig:
     bound: int | None = None
     samples: int = 200
     cache_path: str | None = None
-    precision_start: int = 64
     output_format: str = "human"
     jobs: int = 1
     seed: int = 0
@@ -80,8 +78,6 @@ class SweepConfig:
     def __post_init__(self):
         if self.bound is not None and self.bound < 2:
             raise DomainError("bound must be at least 2")
-        if self.precision_start < 64:
-            raise DomainError("starting precision must be at least 64 bits")
         if self.output_format not in ("human", "json-lines", "csv"):
             raise DomainError(f"unknown output format {self.output_format!r}")
         for name in self.checks:
@@ -276,12 +272,7 @@ def _eval_thm_sq(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
     family = unit_family((m1, m2, m1 * m2), cache=cache)
     if any(n != -1 for n in family.norms):
         return None
-    try:
-        res = theorem_sq_check(family, cache=cache,
-                               start_bits=config.precision_start)
-    except UndecidedError:
-        return SweepRecord("thm-sq", f"{m1},{m2}", "square",
-                           "precision ceiling", "undecided")
+    res = theorem_sq_check(family, cache=cache)
     return SweepRecord("thm-sq", f"{m1},{m2}", "square",
                        "square" if res.ok else "not-square",
                        "pass" if res.ok else "fail")
@@ -297,12 +288,7 @@ def _eval_pos_norm(args: tuple, config: SweepConfig, cache) -> SweepRecord | Non
     (m,) = args
     if fundamental_unit(m, cache=cache).norm != 1:
         return None
-    try:
-        res = positive_norm_square_check(m, cache=cache,
-                                         start_bits=config.precision_start)
-    except UndecidedError:
-        return SweepRecord("pos-norm", f"eps_{m}", "square",
-                           "precision ceiling", "undecided")
+    res = positive_norm_square_check(m, cache=cache)
     return SweepRecord("pos-norm", f"eps_{m}", "square",
                        "square" if res.ok else "not-square",
                        "pass" if res.ok else "fail")
@@ -337,8 +323,7 @@ def _enum_candm(config: SweepConfig) -> list[tuple]:
 
 def _eval_candm(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
     p, q, r = args
-    res = candm_check(((p, q), (q, r), (r, p)), {p, q, r}, cache=cache,
-                      start_bits=config.precision_start)
+    res = candm_check(((p, q), (q, r), (r, p)), {p, q, r}, cache=cache)
     predicted = "square" if res.invariant.value == 0 else "nonsquare"
     oracle = "square" if res.d == 1 else f"nonsquare(d={res.d})"
     return SweepRecord("candm", f"{p},{q},{r}", predicted, oracle,
@@ -363,7 +348,7 @@ def _eval_candp(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
     m, n = args
     if fundamental_unit(m * n, cache=cache).norm != 1:
         return None
-    res = candp_check(m, n, cache=cache, start_bits=config.precision_start)
+    res = candp_check(m, n, cache=cache)
     oracle = f"|{{{','.join(map(str, res.intersection))}}}|={len(res.intersection)}"
     return SweepRecord("candp", f"m={m},n={n}", "even", f"d={res.d},{oracle}",
                        "pass" if res.parity_even else "fail")
@@ -408,12 +393,7 @@ def _enum_kuroda(config: SweepConfig) -> list[tuple]:
 
 def _eval_kuroda(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
     p, q, r = args
-    try:
-        res = kuroda_example_check(p, q, r, cache=cache,
-                                   start_bits=config.precision_start)
-    except UndecidedError:
-        return SweepRecord("kuroda", f"{p},{q},{r}", "Q", "precision ceiling",
-                           "undecided")
+    res = kuroda_example_check(p, q, r, cache=cache)
     return SweepRecord("kuroda", f"{p},{q},{r}", f"Q={res.formula_value}",
                        f"Q={res.computed.value}",
                        "pass" if res.consistent else "fail")

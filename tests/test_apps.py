@@ -82,6 +82,14 @@ def test_positive_norm_roots():
     assert r21.ok and 2 not in r21.field.primes
 
 
+def test_positive_norm_five_generators():
+    # 1155 = 3*5*7*11 = 3 (mod 4) adds sqrt(2): a field of degree 32
+    res = positive_norm_square_check(1155)
+    f = res.field
+    assert len(f.gens) == 5
+    assert res.root == (f.sqrt_radicand(66) + f.sqrt_radicand(70)) / 2
+
+
 def test_positive_norm_domain():
     with pytest.raises(DomainError):
         positive_norm_square_check(5)  # norm -1

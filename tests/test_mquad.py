@@ -1,4 +1,4 @@
-"""Exact multiquadratic arithmetic and certified square detection."""
+"""Exact multiquadratic arithmetic and exact square detection."""
 
 import random
 from fractions import Fraction
@@ -9,8 +9,6 @@ from quadrec.arith import DomainError
 from quadrec.mquad import (
     MQElement,
     MQField,
-    UndecidedError,
-    embed,
     field_containing,
     find_d,
     is_square,
@@ -74,21 +72,17 @@ def test_conjugation_by_signs():
     assert z == F35.rational(2) - 3 * R3 - Fraction(1, 2) * R5
 
 
-def test_embed_intervals():
-    x = R3 + R5
-    box = embed(x, (1, 1))
-    assert box.hi - box.lo < Fraction(1, 10 ** 9)
-    assert float(box.lo) == pytest.approx(3.96811878507, abs=1e-8)
-    flipped = embed(x, (-1, 1))
-    assert float(flipped.hi) == pytest.approx(0.50401717, abs=1e-6)  # sqrt5 - sqrt3
-    both = embed(x, (-1, -1))
-    assert float(both.lo) == pytest.approx(-3.96811878507, abs=1e-8)
-    with pytest.raises(DomainError):
-        embed(x, (1,))
-    with pytest.raises(DomainError):
-        embed(x, (1, 0))
-    with pytest.raises(DomainError):
-        embed(x, (1, 1), precision=16)
+def test_is_square_root_sign_is_exact():
+    # the root returned is the one positive with every sqrt(g) > 0
+    assert is_square((R3 + R5) ** 2) == R3 + R5  # sqrt3 + sqrt5 > 0
+    assert is_square((R5 - R3) ** 2) == R5 - R3  # sqrt5 - sqrt3 > 0
+    assert is_square((-R3 - R5) ** 2) == R3 + R5  # -sqrt3 - sqrt5 < 0
+    # mixed signs, decided by the norm one level down: 4 - 2*sqrt6 < 0 and
+    # 5 - 2*sqrt6 > 0
+    f = MQField((2, 3))
+    for a, sign in ((4, -1), (5, 1)):
+        x = f.rational(a) - 2 * f.sqrt_radicand(6)
+        assert is_square(x * x) == sign * x
 
 
 def test_is_square_rationals():
@@ -133,10 +127,18 @@ def test_is_square_random_nonsquares():
         assert is_square(y * y * 7) is None
 
 
-def test_is_square_refuses_big_fields():
-    big = MQField((2, 3, 5, 7, 11))
-    with pytest.raises(DomainError):
-        is_square(big.rational(4))
+@pytest.mark.parametrize("gens", [(2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13),
+                                  (3, 5, 6, 7, 11, 13, 17)])
+def test_is_square_big_fields(gens):
+    field = MQField(gens)
+    rng = random.Random(len(gens))
+    y = field.element({mask: Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+                       for mask in range(field.degree)})
+    root = is_square(y * y)
+    assert root in (y, -y)
+    assert is_square(y * y * 19) is None  # 19 is a fresh square class
+    assert is_square(-(y * y)) is None
+    assert is_square(field.rational(4)) == field.rational(2)
 
 
 def test_square_class_signature():

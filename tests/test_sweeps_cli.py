@@ -22,8 +22,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(checks=("scholz",), bound=1)
     with pytest.raises(DomainError):
-        SweepConfig(checks=("scholz",), precision_start=32)
-    with pytest.raises(DomainError):
         SweepConfig(checks=("nope",))
     with pytest.raises(DomainError):
         SweepConfig(checks=(), output_format="yaml")
@@ -99,6 +97,7 @@ def test_cli_usage_errors_are_exit_1():
     assert run_cli("symbol", "legendre", "5").returncode == 1
     assert run_cli("verify", "--check", "nonsense").returncode == 1
     assert run_cli("verify", "--format", "xml").returncode == 1
+    assert run_cli("verify", "--precision", "64").returncode == 1
     assert run_cli("invariant").returncode == 1
     assert run_cli("invariant", "five-29").returncode == 1
 
@@ -151,6 +150,17 @@ def test_cli_verify_warm_cache_reruns_identically(tmp_path):
     second = run_cli(*args)
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("# quadrec")]
     assert strip(first.stdout) == strip(second.stdout)
+
+
+def test_cli_verify_pos_norm_past_four_generators():
+    # from m = 1155 on, some fields need five generators
+    out = run_cli("verify", "--check", "pos-norm", "--bound", "2000",
+                  "--format", "csv")
+    assert out.returncode == 0
+    body = [ln for ln in out.stdout.splitlines() if not ln.startswith("#")]
+    rows = list(csv.reader(io.StringIO("\n".join(body))))[1:]
+    assert any(r[1] == "eps_1155" for r in rows)
+    assert rows and all(r[4] == "pass" for r in rows)
 
 
 def test_cli_verify_human_summary_line():
