@@ -12,7 +12,6 @@ verification failure, not a soft warning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 
 from .arith import (

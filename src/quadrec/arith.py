@@ -8,7 +8,6 @@ their mod-8 / mod-16 extensions at p = 2.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -216,39 +215,6 @@ def sqrt_2adic(m: int, k: int) -> int:
     return r
 
 
-def _rho_factor(n: int) -> int:
-    """Some nontrivial factor of an odd composite n (Brent's cycle variant).
-
-    Seeded from n itself so repeated runs split identically.
-    """
-    rng = random.Random(n)
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 @lru_cache(maxsize=1 << 15)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     assert n >= 1
@@ -259,23 +225,27 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
             counts[p] = counts.get(p, 0) + 1
         if p * p > n:
             break
+    p = _SMALL_PRIMES[-1]
+    while n > 1 and not is_prime(n):
+        p += 2
+        while n % p:  # a composite n has an odd prime factor below sqrt(n)
+            p += 2
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
     if n > 1:
-        stack = [n]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                counts[v] = counts.get(v, 0) + 1
-            else:
-                d = _rho_factor(v)
-                stack += [d, v // d]
+        counts[n] = counts.get(n, 0) + 1
     return tuple(sorted(counts.items()))
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Small-prime trial division, then Pollard rho on whatever survives, so
-    unit coordinates with large prime factors stay cheap.
+    Trial division by small primes, then is_prime on the cofactor; a
+    composite cofactor goes on with trial division by odd numbers.  So a
+    product of two large primes is slow.  No caller passes one: every input
+    is bounded by the sweep bound, or is a unit modulus whose
+    continued-fraction period already costs more.
     """
     if n < 1:
         raise DomainError("factorize needs a positive integer")

@@ -129,7 +129,6 @@ def _write_report(out, fmt: str, records, counts) -> None:
 def cmd_verify(args) -> int:
     checks = tuple(args.check) if args.check else tuple(sorted(CHECK_DEFAULT_BOUNDS))
     config = SweepConfig(checks=checks, bound=args.bound, samples=args.samples,
-                         cache_path=args.cache, output_format=args.format,
                          jobs=args.jobs, seed=args.seed)
     cache = UnitCache(args.cache) if args.cache else None
     records = []

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import DomainError, gf2_echelon, primes_in_v, require_v_prime, v_symbol
+from .arith import DomainError, gf2_echelon, is_prime, require_v_prime, v_symbol
 
 Edge = tuple[int, int]
 EdgeVector = frozenset  # of Edge
@@ -246,14 +246,11 @@ def triangle_decompose(cycle, prime_search_bound: int,
     if len(order) == 3:
         return [cyc]
     banned = set(order) | set(exclude)
-    aux = None
-    for l in primes_in_v(prime_search_bound):
-        if l in banned:
-            continue
-        if all(v_symbol(p, l) == -1 for p in order):
-            aux = l
+    for aux in range(2, prime_search_bound + 1):
+        if (aux % 4 != 3 and aux not in banned and is_prime(aux)
+                and all(v_symbol(p, aux) == -1 for p in order)):
             break
-    if aux is None:
+    else:
         raise AuxiliaryPrimeNotFound(
             f"no auxiliary prime below {prime_search_bound} is a non-residue "
             f"against all of {order}; raise the search bound")

@@ -1,8 +1,10 @@
 """Exact arithmetic in real multiquadratic fields Q(sqrt(g1), ..., sqrt(gt)).
 
-Elements are rational-coefficient vectors over the radicand basis
-{sqrt(r_S)}, S a subset of the generators, where r_S is the squarefree
-kernel of the product of the chosen generators.  Everything is exact,
+An element is a vector of integers over the product basis
+sqrt(g_S) = prod_{i in S} sqrt(g_i), S a subset of the generators, and one
+positive common denominator.  Products need only the weight table
+w[S] = prod_{i in S} g_i, since
+sqrt(g_S) * sqrt(g_T) = w[S & T] * sqrt(g_(S ^ T)).  Everything is exact,
 square detection included.
 
 is_square takes square roots by recursion through quadratic subextensions
@@ -15,12 +17,9 @@ K'.  Otherwise x = (u + v*sqrt(d))^2 forces the norm a^2 - d*b^2 =
 (a - c)/2 is u^2 (the other is d*v^2, never a square in K'); conversely any
 u != 0 with u^2 = (a +- c)/2 gives the root u + b/(2u)*sqrt(d).  At Q an
 integer square root decides.  Every step is an equivalence, so None is a
-proof that x is not a square, not a search that ran out.
-
-The recursion works on one integer vector and one common denominator over
-the product basis sqrt(g_S) = prod_{i in S} sqrt(g_i).  There, splitting
-off the last generator is cutting the vector in half, and
-sqrt(g_S) * sqrt(g_T) = (prod_{i in S & T} g_i) * sqrt(g_(S ^ T)).
+proof that x is not a square, not a search that ran out.  On the product
+basis, splitting off the last generator is cutting the vector in half, so
+the recursion runs on the element's own vector.
 """
 
 from __future__ import annotations
@@ -84,48 +83,18 @@ class MQField:
         return 1 << len(self.gens)
 
     @cached_property
-    def radicands(self) -> tuple[int, ...]:
-        """radicands[mask] = squarefree kernel of prod(gens[i] for i in mask)."""
-        t = len(self.gens)
-        rad = [1] * (1 << t)
-        for mask in range(1, 1 << t):
-            low = mask & -mask
-            prev = rad[mask ^ low]
-            g = self.gens[low.bit_length() - 1]
-            c = gcd(prev, g)
-            rad[mask] = (prev // c) * (g // c)
-        return tuple(rad)
-
-    @cached_property
-    def _mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """_mul_table[a][b] = integer g with sqrt(r_a)*sqrt(r_b) = g*sqrt(r_(a^b))."""
-        rad = self.radicands
-        n = len(rad)
-        table = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                prod = rad[a] * rad[b]
-                g = isqrt(prod // rad[a ^ b])
-                assert g * g * rad[a ^ b] == prod
-                row.append(g)
-            table.append(tuple(row))
-        return tuple(table)
-
-    @cached_property
-    def _product_basis(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(w, k): w[S] is the product of the generators in S, so that
-        sqrt(g_S)*sqrt(g_T) = w[S & T]*sqrt(g_(S ^ T)), and
-        sqrt(w[S]) = k[S]*sqrt(r_S) links the product and radicand bases."""
+    def weights(self) -> tuple[int, ...]:
+        """weights[S] = g_S, the product of the generators in S, so that
+        sqrt(g_S)*sqrt(g_T) = weights[S & T]*sqrt(g_(S ^ T))."""
         w = [1] * self.degree
         for mask in range(1, self.degree):
             low = mask & -mask
             w[mask] = w[mask ^ low] * self.gens[low.bit_length() - 1]
-        k = [isqrt(p // r) for p, r in zip(w, self.radicands)]
-        return tuple(w), tuple(k)
+        return tuple(w)
 
     def subset_with_kernel(self, m: int) -> int:
-        """The generator-subset mask whose radicand is m (error if none)."""
+        """The generator-subset mask S with m*g_S a perfect square, i.e.
+        sqrt(m) a rational multiple of sqrt(g_S) (error if there is none)."""
         target, combo = gf2_reduce(self._prime_vector(squarefree_kernel(m)),
                                    self._gen_rows())
         if target != 0:
@@ -152,31 +121,45 @@ class MQField:
         return outside, inside
 
     def element(self, coeffs) -> "MQElement":
-        return MQElement(self, coeffs)
+        """The element sum c_S*sqrt(g_S) for rational coefficients given as
+        {subset mask: c_S} over the product basis."""
+        qs = {mask: Fraction(c) for mask, c in dict(coeffs).items()}
+        vec = [0] * self.degree
+        den = lcm(*(q.denominator for q in qs.values()))
+        for mask, q in qs.items():
+            if not 0 <= mask < self.degree:
+                raise DomainError(f"basis mask {mask} out of range for {self}")
+            vec[mask] = q.numerator * (den // q.denominator)
+        return MQElement(self, vec, den)
 
     def rational(self, value) -> "MQElement":
-        return MQElement(self, {0: Fraction(value)})
+        """An int or Fraction as an element."""
+        return MQElement(self, [value.numerator] + [0] * (self.degree - 1),
+                         value.denominator)
 
     def sqrt_radicand(self, m: int) -> "MQElement":
-        """The element sqrt(m), for m representable in this field."""
+        """The element sqrt(m) = (isqrt(m*g_S)/g_S)*sqrt(g_S), for m
+        representable in this field."""
         mask = self.subset_with_kernel(m)
-        r = self.radicands[mask]
-        g = isqrt(m // r)
-        assert g * g * r == m
-        return MQElement(self, {mask: Fraction(g)})
+        w = self.weights[mask]
+        g = isqrt(m * w)
+        assert g * g == m * w
+        vec = [0] * self.degree
+        vec[mask] = g
+        return MQElement(self, vec, w)
 
     def __str__(self):
         inner = ", ".join(f"sqrt({d})" for d in self.gens) or "plain rationals"
         return f"Q({inner})"
 
 
-def field_containing(radicands) -> MQField:
+def field_containing(values) -> MQField:
     """The multiquadratic field generated by the square roots of the given
     positive values, with a deterministic (ascending, greedy-independent)
     generator choice.  Values reduce to their squarefree kernels; perfect
     squares contribute nothing."""
     vals = []
-    for v in radicands:
+    for v in values:
         if v < 1:
             raise DomainError(f"radicand {v} is not positive")
         k = squarefree_kernel(v)
@@ -196,63 +179,60 @@ def field_containing(radicands) -> MQField:
 
 
 class MQElement:
-    """An element of an MQField: {subset mask: Fraction} over the radicand basis."""
+    """vec/den in an MQField: vec[S] is the integer coordinate at
+    sqrt(g_S), and den > 0 shares no factor with all of vec (den = 1 at 0),
+    so equal elements have equal (vec, den)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "vec", "den")
 
-    def __init__(self, field: MQField, coeffs):
+    def __init__(self, field: MQField, vec, den: int = 1):
+        if len(vec) != field.degree:
+            raise DomainError(f"{len(vec)} coordinates for {field} of degree "
+                              f"{field.degree}")
+        if den == 0:
+            raise ZeroDivisionError("element with denominator 0")
+        g = gcd(den, *vec)
+        if den < 0:
+            g = -g
         self.field = field
-        clean: dict[int, Fraction] = {}
-        for mask, c in dict(coeffs).items():
-            if not 0 <= mask < field.degree:
-                raise DomainError(f"basis mask {mask} out of range for {field}")
-            c = Fraction(c)
-            if c != 0:
-                clean[mask] = c
-        self.coeffs = clean
+        self.vec = tuple(c // g for c in vec) if g != 1 else tuple(vec)
+        self.den = den // g
 
     def __eq__(self, other):
         if not isinstance(other, MQElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.field == other.field and self.den == other.den
+                and self.vec == other.vec)
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(self.coeffs.items()))))
+        return hash((self.field, self.vec, self.den))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.vec)
 
-    def is_rational(self) -> bool:
-        return set(self.coeffs) <= {0}
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError("element is irrational")
-        return self.coeffs.get(0, Fraction(0))
-
-    def _require_same_field(self, other: "MQElement") -> None:
-        if self.field != other.field:
+    def _operand(self, other) -> MQElement:
+        if isinstance(other, (int, Fraction)):
+            return self.field.rational(other)
+        if isinstance(other, MQElement) and self.field != other.field:
             raise DomainError("elements live in different fields")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+        other = self._operand(other)
         if not isinstance(other, MQElement):
             return NotImplemented
-        self._require_same_field(other)
-        out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            out[mask] = out.get(mask, Fraction(0)) + c
-        return MQElement(self.field, out)
+        return MQElement(self.field,
+                         [a * other.den + b * self.den
+                          for a, b in zip(self.vec, other.vec)],
+                         self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MQElement(self.field, {m: -c for m, c in self.coeffs.items()})
+        return MQElement(self.field, [-c for c in self.vec], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+        other = self._operand(other)
         if not isinstance(other, MQElement):
             return NotImplemented
         return self + (-other)
@@ -262,26 +242,21 @@ class MQElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MQElement(self.field,
-                             {m: c * other for m, c in self.coeffs.items()})
+            return MQElement(self.field, [c * other.numerator for c in self.vec],
+                             self.den * other.denominator)
+        other = self._operand(other)
         if not isinstance(other, MQElement):
             return NotImplemented
-        self._require_same_field(other)
-        table = self.field._mul_table
-        out: dict[int, Fraction] = {}
-        for ma, ca in self.coeffs.items():
-            row = table[ma]
-            for mb, cb in other.coeffs.items():
-                mask = ma ^ mb
-                out[mask] = out.get(mask, Fraction(0)) + ca * cb * row[mb]
-        return MQElement(self.field, out)
+        return MQElement(self.field,
+                         _mul(self.vec, other.vec, self.field.weights),
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MQElement(self.field, {m: c / Fraction(other)
-                                          for m, c in self.coeffs.items()})
+            return MQElement(self.field, [c * other.denominator for c in self.vec],
+                             self.den * other.numerator)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -299,30 +274,18 @@ class MQElement:
     def conjugate(self, flip_mask: int) -> "MQElement":
         """Apply the field automorphism sending sqrt(gens[i]) to
         -sqrt(gens[i]) for each i in flip_mask."""
-        out = {}
-        for mask, c in self.coeffs.items():
-            out[mask] = -c if (mask & flip_mask).bit_count() % 2 else c
-        return MQElement(self.field, out)
-
-    def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.coeffs.values())) if self.coeffs else 1
+        return MQElement(self.field,
+                         [-c if (mask & flip_mask).bit_count() % 2 else c
+                          for mask, c in enumerate(self.vec)],
+                         self.den)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for mask in sorted(self.coeffs):
-            c = self.coeffs[mask]
-            r = self.field.radicands[mask]
-            if mask == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"sqrt({r})")
-            elif c == -1:
-                parts.append(f"-sqrt({r})")
-            else:
-                parts.append(f"{c}*sqrt({r})")
-        return " + ".join(parts).replace("+ -", "- ")
+        w = self.field.weights
+        terms = [str(c) if mask == 0 else
+                 f"{'' if c == 1 else '-' if c == -1 else f'{c}*'}sqrt({w[mask]})"
+                 for mask, c in enumerate(self.vec) if c]
+        body = " + ".join(terms).replace("+ -", "- ") or "0"
+        return body if self.den == 1 else f"({body})/{self.den}"
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
@@ -434,22 +397,15 @@ def is_square(x: MQElement) -> MQElement | None:
     """
     if x.is_zero():
         raise DomainError("square detection needs a nonzero element")
-    field = x.field
-    w, k = field._product_basis
-    # x = sum c_S*sqrt(r_S) = sum (c_S/k_S)*sqrt(g_S) = v/den, and x is a
-    # square iff the integer vector x*den^2 = v*den is
-    coords = [Fraction(0)] * field.degree
-    for mask, c in x.coeffs.items():
-        coords[mask] = c / k[mask]
-    den = lcm(*(c.denominator for c in coords))
-    got = _sqrt([c.numerator * (den // c.denominator) * den for c in coords], w)
+    w = x.field.weights
+    # x = vec/den is a square iff the integer vector x*den^2 = vec*den is
+    got = _sqrt([c * x.den for c in x.vec], w)
     if got is None:
         return None
     r, e = got
     if _sign(r, w) < 0:
         r = [-c for c in r]
-    root = MQElement(field, {mask: Fraction(c * k[mask], e * den)
-                             for mask, c in enumerate(r) if c})
+    root = MQElement(x.field, r, e * x.den)
     assert root * root == x
     return root
 

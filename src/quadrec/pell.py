@@ -21,7 +21,6 @@ from .arith import (
     is_prime,
     is_squarefree,
     legendre,
-    prime_divisors,
     sqrt_2adic,
     sqrt_mod,
 )
@@ -150,6 +149,10 @@ class UnitCache:
     def __contains__(self, m: int) -> bool:
         return m in self._units
 
+    def __iter__(self):
+        """The units held, in the order they were loaded or added."""
+        return iter(self._units.values())
+
     def get(self, m: int) -> QuadUnit | None:
         return self._units.get(m)
 
@@ -255,7 +258,13 @@ def unit_symbol(m: int, p: int, root: int | None = None,
 class CubeCongruenceReport:
     """Pass/fail record for the congruence facts about eps_m^3 = x + y*sqrt(m)
     when the norm is -1: x even; 4 | x exactly when m = 1 (mod 8); y = 1
-    (mod 4); and every prime dividing m*y is 1 (mod 4)."""
+    (mod 4); and every prime dividing m*y is 1 (mod 4).
+
+    The last claim is certified without factoring: m*y is odd and divides
+    x^2 + 1, so -1 is a square modulo each of its primes, which are
+    therefore 1 (mod 4).  The norm relation x^2 - m*y^2 = -1 already makes
+    m*y divide x^2 + 1 = m*y^2, so the claim follows from it: a consistency
+    check of the cube coordinates, not an independent oracle."""
 
     m: int
     x: int
@@ -298,5 +307,5 @@ def check_unit_congruences(m: int, cache: UnitCache | None = None) -> CubeCongru
         x_even=(x3 % 2 == 0),
         x_mod4_tracks_m_mod8=((x3 % 4 == 0) == (m % 8 == 1)),
         y_is_1_mod4=(y3 % 4 == 1),
-        my_divisors_1_mod4=all(p % 4 == 1 for p in prime_divisors(m * y3)),
+        my_divisors_1_mod4=(m * y3 % 2 == 1 and (x3 * x3 + 1) % (m * y3) == 0),
     )

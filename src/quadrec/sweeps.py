@@ -44,7 +44,7 @@ from .f2graph import (
     verify_duality,
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
-from .pell import check_unit_congruences, fundamental_unit, unit_symbol
+from .pell import UnitCache, check_unit_congruences, fundamental_unit, unit_symbol
 
 TRIANGLE_AUX_BOUND = 20000
 
@@ -70,16 +70,12 @@ class SweepConfig:
     checks: tuple[str, ...]
     bound: int | None = None
     samples: int = 200
-    cache_path: str | None = None
-    output_format: str = "human"
     jobs: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.bound is not None and self.bound < 2:
             raise DomainError("bound must be at least 2")
-        if self.output_format not in ("human", "json-lines", "csv"):
-            raise DomainError(f"unknown output format {self.output_format!r}")
         for name in self.checks:
             if name not in CHECK_DEFAULT_BOUNDS:
                 raise DomainError(f"unknown check {name!r}; choose from "
@@ -414,22 +410,54 @@ CHECKS = {
 }
 
 
+# A pool worker's copy of the parent's unit cache, set by _pool_init; None
+# when the parent runs without one, and then workers use the process memo.
+_worker_cache: UnitCache | None = None
+
+
+def _pool_init(units) -> None:
+    global _worker_cache
+    if units is not None:
+        _worker_cache = UnitCache()
+        for unit in units:
+            _worker_cache.add(unit)
+
+
 def _pool_eval(payload):
-    name, args, config = payload
-    return CHECKS[name][1](args, config, None)
+    """Records for one chunk of instances, and the units the worker's cache
+    gained meanwhile, for the parent to add to its own."""
+    name, chunk, config = payload
+    evaluate = CHECKS[name][1]
+    if _worker_cache is None:
+        return [evaluate(args, config, None) for args in chunk], ()
+    before = len(_worker_cache)
+    records = [evaluate(args, config, _worker_cache) for args in chunk]
+    return records, list(_worker_cache)[before:]
 
 
 def run_check(name: str, config: SweepConfig, cache=None) -> list[SweepRecord]:
-    """All records for one check, in deterministic instance order."""
+    """All records for one check, in deterministic instance order.
+
+    Under jobs > 1, workers start from the units in `cache` and send back
+    the ones they compute; only this process adds them to `cache`, so a
+    file-backed cache ends up as in a single-process run.
+    """
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}")
     enum, evaluate = CHECKS[name]
     instances = enum(config)
     if config.jobs > 1 and len(instances) > 1:
-        payloads = [(name, args, config) for args in instances]
-        chunk = max(1, len(payloads) // (config.jobs * 8))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_pool_eval, payloads, chunksize=chunk))
+        size = max(1, len(instances) // (config.jobs * 8))
+        payloads = [(name, instances[i:i + size], config)
+                    for i in range(0, len(instances), size)]
+        units = list(cache) if cache is not None else None
+        results = []
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_pool_init,
+                                 initargs=(units,)) as pool:
+            for records, fresh in pool.map(_pool_eval, payloads):
+                results += records
+                for unit in fresh:
+                    cache.add(unit)
     else:
         results = [evaluate(args, config, cache) for args in instances]
     return [r for r in results if r is not None]

@@ -21,7 +21,7 @@ R3, R5, R15 = F35.sqrt_radicand(3), F35.sqrt_radicand(5), F35.sqrt_radicand(15)
 
 
 def test_field_construction():
-    assert F35.radicands == (1, 3, 5, 15)
+    assert F35.gens == (3, 5)
     assert F35.degree == 4
     assert MQField((2, 3, 5)).degree == 8
     with pytest.raises(DomainError):
@@ -36,10 +36,10 @@ def test_field_construction():
 
 def test_field_containing():
     f = field_containing([6, 10])
-    assert f.radicands == (1, 6, 10, 15)
+    assert f.gens == (6, 10) and f.degree == 4
     assert f.sqrt_radicand(15) * f.sqrt_radicand(15) == f.rational(15)
     g = field_containing([8, 18])  # kernels 2 and 2
-    assert g.radicands == (1, 2)
+    assert g.gens == (2,) and g.degree == 2
     with pytest.raises(DomainError):
         field_containing([0])
 

@@ -1,4 +1,4 @@
-"""Property tests of exact square detection in multiquadratic fields."""
+"""Property tests of multiquadratic arithmetic and exact square detection."""
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,25 +14,32 @@ RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 35, 39, 77, 130)
 OUTSIDE_PRIMES = (17, 19, 23, 29, 31)
 
 
+def elements_of(field):
+    """Elements of the given field, zero included."""
+    return st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=6),
+        min_size=field.degree, max_size=field.degree,
+    ).map(lambda coeffs: field.element(dict(enumerate(coeffs))))
+
+
 @st.composite
 def field_elements(draw):
+    """A nonzero element of a field of up to five generators."""
     field = field_containing(draw(st.lists(st.sampled_from(RADICANDS),
                                            max_size=5)))
-    coeffs = draw(st.lists(
-        st.fractions(min_value=-20, max_value=20, max_denominator=6),
-        min_size=field.degree, max_size=field.degree))
-    if not any(coeffs):
-        coeffs[0] = Fraction(1)
-    return field.element(dict(enumerate(coeffs)))
+    x = draw(elements_of(field))
+    return field.rational(1) if x.is_zero() else x
 
 
 def identity_embedding(x) -> Decimal:
-    """x with every square root taken positive, to 200 digits."""
+    """x with every square root taken positive, to 200 digits, read off
+    the product basis: sum vec[S]*sqrt(g_S), over den."""
     with localcontext() as ctx:
         ctx.prec = 200
-        return sum(Decimal(c.numerator) / Decimal(c.denominator)
-                   * Decimal(x.field.radicands[mask]).sqrt()
-                   for mask, c in x.coeffs.items())
+        w = x.field.weights
+        total = sum(Decimal(c) * Decimal(w[mask]).sqrt()
+                    for mask, c in enumerate(x.vec))
+        return total / Decimal(x.den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,3 +54,38 @@ def test_square_root_of_a_square_is_plus_or_minus_y(y):
 @given(field_elements(), st.sampled_from(OUTSIDE_PRIMES))
 def test_square_times_an_outside_prime_is_not_a_square(y, p):
     assert is_square(y * y * p) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements(), st.data())
+def test_ring_axioms(x, data):
+    y = data.draw(elements_of(x.field))
+    z = data.draw(elements_of(x.field))
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert (x - x).is_zero() and x - x == x.field.rational(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_elements(), st.data())
+def test_conjugation_is_a_ring_automorphism(x, data):
+    y = data.draw(elements_of(x.field))
+    flip = data.draw(st.integers(min_value=0, max_value=x.field.degree - 1))
+    conj = lambda e: e.conjugate(flip)
+    assert conj(x + y) == conj(x) + conj(y)
+    assert conj(x * y) == conj(x) * conj(y)
+    assert conj(x.field.rational(1)) == x.field.rational(1)
+    assert conj(conj(x)) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements(), st.data())
+def test_product_matches_the_identity_embedding(x, data):
+    # the Decimal embedding multiplies real numbers, never the weight table
+    y = data.draw(elements_of(x.field))
+    with localcontext() as ctx:
+        ctx.prec = 200
+        expected = identity_embedding(x) * identity_embedding(y)
+        got = identity_embedding(x * y)
+        assert abs(got - expected) <= (abs(expected) + 1) * Decimal("1e-150")

@@ -5,7 +5,13 @@ import os
 import pytest
 from math import isqrt
 
-from quadrec.arith import DomainError, is_squarefree, sqrt_2adic, sqrt_mod
+from quadrec.arith import (
+    DomainError,
+    is_squarefree,
+    prime_divisors,
+    sqrt_2adic,
+    sqrt_mod,
+)
 from quadrec.pell import (
     QuadUnit,
     UnitCache,
@@ -133,6 +139,20 @@ def test_check_unit_congruences_known_good():
         report = check_unit_congruences(m)
         assert report.all_ok, (m, report.failed_claims())
     assert check_unit_congruences(5).failed_claims() == ()
+
+
+def test_divisor_certificate_matches_factorisation():
+    # m*y odd and dividing x^2 + 1 certifies every prime of m*y is 1 mod 4;
+    # below 200 the second-largest prime of m*y is at most 569
+    checked = 0
+    for m in range(3, 200, 2):
+        if not is_squarefree(m) or fundamental_unit(m).norm != -1:
+            continue
+        report = check_unit_congruences(m)
+        by_factoring = all(p % 4 == 1 for p in prime_divisors(m * report.y))
+        assert report.my_divisors_1_mod4 == by_factoring, m
+        checked += 1
+    assert checked > 20
 
 
 def test_check_unit_congruences_domain():

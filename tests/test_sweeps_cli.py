@@ -24,8 +24,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(checks=("nope",))
     with pytest.raises(DomainError):
-        SweepConfig(checks=(), output_format="yaml")
-    with pytest.raises(DomainError):
         SweepConfig(checks=(), samples=0)
     with pytest.raises(DomainError):
         SweepConfig(checks=(), jobs=0)
@@ -150,6 +148,23 @@ def test_cli_verify_warm_cache_reruns_identically(tmp_path):
     second = run_cli(*args)
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("# quadrec")]
     assert strip(first.stdout) == strip(second.stdout)
+
+
+def test_cli_verify_cache_under_jobs_matches_one_process(tmp_path):
+    files = {}
+    for jobs in ("1", "2"):
+        files[jobs] = tmp_path / f"units-{jobs}.txt"
+        out = run_cli("verify", "--check", "pos-norm", "--bound", "300",
+                      "--jobs", jobs, "--cache", str(files[jobs]))
+        assert out.returncode == 0
+    single = files["1"].read_bytes()
+    assert len(single.splitlines()) > 100
+    assert files["2"].read_bytes() == single
+    # warm workers start from the file and add nothing twice
+    out = run_cli("verify", "--check", "pos-norm", "--bound", "300",
+                  "--jobs", "2", "--cache", str(files["2"]))
+    assert out.returncode == 0
+    assert files["2"].read_bytes() == single
 
 
 def test_cli_verify_pos_norm_past_four_generators():
