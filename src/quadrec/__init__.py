@@ -40,15 +40,13 @@ from .mquad import (
     is_square,
 )
 from .f2graph import (
-    AuxiliaryPrimeNotFound,
     PrimeGraph,
+    auxiliary_primes,
     boundary_space,
     build_graph,
     cycle_space,
     edge,
-    graph_from_lines,
     graph_to_lines,
-    invariant_membership,
     triangle_decompose,
     verify_duality,
 )

@@ -22,7 +22,6 @@ from .arith import (
     legendre,
     prime_divisors,
     quartic,
-    require_v_prime,
     squarefree_kernel,
     v_symbol,
 )
@@ -314,8 +313,6 @@ def kuroda_example_check(p: int, q: int, r: int, cache=None) -> KurodaExampleRes
     """For Q(sqrt(p), sqrt(qr)) with (p/q) = +1 and (q/r) = -1: the index
     is 1 exactly when the unit of pqr has norm -1 and the paired quartic
     product is -1, else 2.  Both sides computed independently."""
-    for x in (p, q, r):
-        require_v_prime(x)
     if len({p, q, r}) != 3:
         raise DomainError("need three distinct primes")
     if v_symbol(p, q) != 1:

@@ -4,8 +4,8 @@ Three subcommands: ``symbol`` evaluates a single residue or unit symbol,
 ``verify`` runs the prediction-vs-oracle sweeps, ``invariant`` evaluates the
 quartic invariant of an edge set.  Exit codes: 0 clean, 1 usage, 2 domain
 error, 3 at least one sweep failure, 4 undecided instances but no failures.
-Only the triangles check can leave an instance undecided (its auxiliary
-prime search has a bound); square detection always decides.
+No check leaves an instance undecided at present: square detection and the
+auxiliary-prime walk of the triangles check always decide.
 """
 
 from __future__ import annotations

@@ -3,25 +3,24 @@
 A PrimeGraph splits the complete graph on a set of eligible primes into
 residue edges (Legendre symbol +1) and non-residue edges (-1).  Edge sets are
 vectors over GF(2) under symmetric difference; this module computes boundary
-and cycle space bases, checks their annihilator duality, decomposes
-non-residue cycles into triangles through an auxiliary prime, and tests the
-membership condition used by the invariant evaluator.
+and cycle space bases, checks their annihilator duality, and decomposes
+non-residue cycles into triangles through an auxiliary prime.  The
+auxiliary primes of a cycle come from one ascending, unbounded walk over V
+(`auxiliary_primes`), which always finds the next one: the conditions on it
+are congruence classes prime to 8 times the vertex product, and each such
+class holds infinitely many primes.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count
 
-from .arith import DomainError, gf2_echelon, is_prime, require_v_prime, v_symbol
+from .arith import DomainError, gf2_echelon, is_prime, legendre, require_v_prime, v_symbol
 
 Edge = tuple[int, int]
 EdgeVector = frozenset  # of Edge
-
-
-class AuxiliaryPrimeNotFound(RuntimeError):
-    """The ascending search for an auxiliary prime hit its bound."""
 
 
 def edge(p: int, q: int) -> Edge:
@@ -223,37 +222,51 @@ def _cycle_order(cycle) -> list[int]:
     return order
 
 
-def triangle_decompose(cycle, prime_search_bound: int,
-                       exclude=()) -> list[EdgeVector]:
-    """Write a simple non-residue cycle as a symmetric difference of
-    non-residue triangles through one auxiliary prime.
+def auxiliary_primes(vertices):
+    """Yield, ascending, every prime l of V that is not a vertex and is a
+    non-residue against each vertex.
 
-    The auxiliary prime is the least eligible prime below the bound that is
-    a non-residue against every cycle vertex (skipping `exclude`); running
-    again with the first choice excluded produces a second valid
-    decomposition.  Existence below any particular bound is not guaranteed,
-    hence the explicit search error.
+    The vertices are validated once; the walk then tests candidates with
+    legendre(l, p), which equals v_symbol(p, l) on primes of V (reciprocity
+    for p, l = 1 mod 4, the mod-8 table at 2).  The walk is unbounded and
+    each step ends: the conditions (l = 1 mod 4, or 5 mod 8 when 2 is a
+    vertex, and l a non-residue mod each odd vertex) pick residue classes
+    prime to 8 times the vertex product, which exist by the Chinese
+    remainder theorem and hold infinitely many primes each by Dirichlet.
+    """
+    vs = sorted(set(vertices))
+    for p in vs:
+        require_v_prime(p)
+    for aux in chain((2,), count(5, 4)):
+        if (aux not in vs and is_prime(aux)
+                and all(legendre(aux, p) == -1 for p in vs)):
+            yield aux
+
+
+def triangle_decompose(cycle, aux: int | None) -> list[EdgeVector]:
+    """Write a simple non-residue cycle as a symmetric difference of
+    non-residue triangles through the auxiliary prime `aux`.
+
+    A 3-cycle is its own decomposition and `aux` is not used.  Otherwise
+    `aux` must be a prime of V, not a vertex, and a non-residue against
+    every vertex; `auxiliary_primes` yields exactly those, and any two of
+    them give two different decompositions.
     """
     cyc = frozenset(edge(u, v) for u, v in cycle)
     order = _cycle_order(cyc)
     if len(order) < 3:
         raise DomainError("a cycle needs at least three vertices")
-    for p in order:
-        require_v_prime(p)
     for u, v in cyc:
         if v_symbol(u, v) != -1:
             raise DomainError(f"({u}/{v}) = +1; cycle must be non-residue")
     if len(order) == 3:
         return [cyc]
-    banned = set(order) | set(exclude)
-    for aux in range(2, prime_search_bound + 1):
-        if (aux % 4 != 3 and aux not in banned and is_prime(aux)
-                and all(v_symbol(p, aux) == -1 for p in order)):
-            break
-    else:
-        raise AuxiliaryPrimeNotFound(
-            f"no auxiliary prime below {prime_search_bound} is a non-residue "
-            f"against all of {order}; raise the search bound")
+    if aux in order:
+        raise DomainError(f"auxiliary prime {aux} is a cycle vertex")
+    for p in order:
+        if v_symbol(p, aux) != -1:
+            raise DomainError(f"({p}/{aux}) = +1; the auxiliary prime must be "
+                              "a non-residue against every cycle vertex")
     triangles = []
     k = len(order)
     for i in range(k):
@@ -266,22 +279,6 @@ def triangle_decompose(cycle, prime_search_bound: int,
     return triangles
 
 
-def invariant_membership(query, graph: PrimeGraph) -> bool:
-    """Whether the edge set lies in the group the invariant is defined on:
-    its non-residue part must have even degree everywhere (the residue part
-    is unconstrained)."""
-    vec = frozenset(edge(u, v) for u, v in query)
-    vset = set(graph.vertices)
-    for u, v in vec:
-        if u not in vset or v not in vset:
-            raise DomainError(f"edge ({u},{v}) is not supported on the graph")
-    degrees = Counter()
-    for e in vec & graph.edges_N:
-        degrees[e[0]] += 1
-        degrees[e[1]] += 1
-    return all(d % 2 == 0 for d in degrees.values())
-
-
 # ---------------------------------------------------------------------------
 # line-based serialization: one edge per line, "p q R" or "p q N"
 
@@ -291,26 +288,3 @@ def graph_to_lines(graph: PrimeGraph) -> list[str]:
         lines.append(f"{e[0]} {e[1]} {graph.label(e)}")
     return lines
 
-
-def graph_from_lines(lines) -> PrimeGraph:
-    """Parse the `p q R|N` format back into a graph, checking every label
-    against the symbol it claims."""
-    res, non = set(), set()
-    vertices = set()
-    for ln, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 3 or parts[2] not in ("R", "N"):
-            raise DomainError(f"line {ln}: expected 'p q R|N', got {text!r}")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DomainError(f"line {ln}: vertices must be integers") from None
-        e = edge(p, q)
-        if e in res or e in non:
-            raise DomainError(f"line {ln}: duplicate edge {e}")
-        (res if parts[2] == "R" else non).add(e)
-        vertices.update(e)
-    return PrimeGraph(tuple(sorted(vertices)), frozenset(res), frozenset(non))

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
-from .arith import DomainError, Sign, quartic, require_v_prime, v_symbol
-from .f2graph import build_graph, edge, invariant_membership
+from .arith import DomainError, Sign, quartic, v_symbol
+from .f2graph import edge
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,6 @@ def odd_nonresidue_vertices(query) -> list[int]:
 def edge_invariant(p: int, q: int) -> int:
     """Invariant bit of a single residue pair: 0 iff the two quartic
     symbols multiply to +1."""
-    require_v_prime(p)
-    require_v_prime(q)
     if v_symbol(p, q) != 1:
         raise DomainError(f"({p}/{q}) = -1; single non-residue edges have "
                           "no invariant (odd degrees)")
@@ -68,8 +66,6 @@ def edge_invariant(p: int, q: int) -> int:
 def triangle_invariant(p: int, q: int, r: int) -> int:
     """Invariant bit of a pairwise non-residue triangle: 0 iff the three
     paired quartic symbols multiply to -1."""
-    for x in (p, q, r):
-        require_v_prime(x)
     if len({p, q, r}) != 3:
         raise DomainError("triangle vertices must be distinct")
     for a, b in ((p, q), (q, r), (r, p)):
@@ -90,13 +86,11 @@ def general_invariant(query) -> InvariantReport:
     symbol in the product defined.
     """
     vec = frozenset(edge(u, v) for u, v in query)
-    support = sorted({x for e in vec for x in e})
-    for x in support:
-        require_v_prime(x)
-    if support and not invariant_membership(vec, build_graph(support)):
-        odd = odd_nonresidue_vertices(vec)
+    odd = odd_nonresidue_vertices(vec)
+    if odd:
         raise DomainError(f"edge set is outside the invariant group: odd "
                           f"non-residue degree at {odd}")
+    support = sorted({x for e in vec for x in e})
     k = sum(1 for u, v in vec if v_symbol(u, v) == -1)
     sign = 1
     for p in support:
@@ -121,8 +115,6 @@ def general_invariant(query) -> InvariantReport:
 def scholz_predict(p: int, q: int) -> Sign:
     """Predicted residue character of the fundamental unit of the first
     prime at the second: the product of the two quartic symbols."""
-    require_v_prime(p)
-    require_v_prime(q)
     if p == q:
         raise DomainError("need two distinct primes")
     if v_symbol(p, q) != 1:
@@ -133,8 +125,6 @@ def scholz_predict(p: int, q: int) -> Sign:
 def scholz2_predict(p: int, q: int, r: int) -> Sign:
     """Predicted residue character of the fundamental unit of p*q at r,
     for a pairwise non-residue triple: minus the triple quartic product."""
-    for x in (p, q, r):
-        require_v_prime(x)
     if len({p, q, r}) != 3:
         raise DomainError("need three distinct primes")
     for a, b in ((p, q), (q, r), (r, p)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import gcd, prod
 
 from .arith import (
@@ -35,7 +35,7 @@ from .apps import (
     unit_family,
 )
 from .f2graph import (
-    AuxiliaryPrimeNotFound,
+    auxiliary_primes,
     boundary_space,
     build_graph,
     cycle_space,
@@ -45,8 +45,6 @@ from .f2graph import (
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
 from .pell import UnitCache, check_unit_congruences, fundamental_unit, unit_symbol
-
-TRIANGLE_AUX_BOUND = 20000
 
 CHECK_DEFAULT_BOUNDS = {
     "scholz": 300,
@@ -229,27 +227,16 @@ def _eval_triangles(args: tuple, config: SweepConfig, cache) -> SweepRecord | No
     instance = "-".join(map(str, order))
     base = general_invariant(cycle).value
 
-    def decomposition_sum(exclude=()):
-        triangles = triangle_decompose(cycle, TRIANGLE_AUX_BOUND, exclude=exclude)
+    def decomposition_sum(aux):
         total = 0
-        aux = None
-        for tri in triangles:
-            vertices = sorted({x for e in tri for x in e})
-            total ^= triangle_invariant(*vertices)
-            extra = set(vertices) - set(order)
-            if extra:
-                (aux,) = extra
-        return total, aux
+        for tri in triangle_decompose(cycle, aux):
+            total ^= triangle_invariant(*sorted({x for e in tri for x in e}))
+        return total
 
-    try:
-        s1, aux1 = decomposition_sum()
-        if k > 3:
-            s2, _ = decomposition_sum(exclude=(aux1,))
-        else:
-            s2 = s1
-    except AuxiliaryPrimeNotFound:
-        return SweepRecord("triangles", instance, f"{base}",
-                           "aux prime search bound exceeded", "undecided")
+    if k == 3:
+        s1 = s2 = decomposition_sum(None)
+    else:
+        s1, s2 = map(decomposition_sum, islice(auxiliary_primes(order), 2))
     verdict = "pass" if base == s1 == s2 else "fail"
     return SweepRecord("triangles", instance, f"{base}", f"{s1}|{s2}", verdict)
 

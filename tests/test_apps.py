@@ -177,6 +177,8 @@ def test_kuroda_example_instances():
     assert res2.formula_value == 2 and res2.computed.value == 2 and res2.consistent
     with pytest.raises(DomainError):
         kuroda_example_check(2, 5, 13)  # (2/5) = -1 breaks the first hypothesis
+    with pytest.raises(DomainError, match="not a prime"):
+        kuroda_example_check(5, 29, 3)  # 3 is not in V
 
 
 def test_triquad_parity():

@@ -1,21 +1,19 @@
 """GF(2) boundary/cycle spaces, duality, triangle decomposition, serialization."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from quadrec.arith import DomainError, primes_in_v, v_symbol
 from quadrec.f2graph import (
-    AuxiliaryPrimeNotFound,
     PrimeGraph,
+    auxiliary_primes,
     boundary_space,
     build_graph,
     cycle_space,
     edge,
-    graph_from_lines,
     graph_to_lines,
-    invariant_membership,
     triangle_decompose,
     verify_duality,
 )
@@ -113,10 +111,15 @@ def find_nonresidue_cycle(length):
     raise AssertionError("no cycle found; widen the prime range")
 
 
+def cycle_vertices(cycle):
+    return sorted({x for e in cycle for x in e})
+
+
 @pytest.mark.parametrize("length", [3, 4, 5])
 def test_triangle_decompose_properties(length):
     cycle = find_nonresidue_cycle(length)
-    tris = triangle_decompose(cycle, 5000)
+    aux = next(auxiliary_primes(cycle_vertices(cycle)))
+    tris = triangle_decompose(cycle, aux)
     assert len(tris) == (1 if length == 3 else length)
     acc = frozenset()
     for tri in tris:
@@ -127,51 +130,52 @@ def test_triangle_decompose_properties(length):
     assert acc == frozenset(cycle)
 
 
-def test_triangle_decompose_second_auxiliary():
+def test_auxiliary_primes_match_brute_force():
     cycle = find_nonresidue_cycle(4)
-    tris1 = triangle_decompose(cycle, 5000)
-    aux1 = {x for tri in tris1 for e in tri for x in e} - {x for e in cycle for x in e}
-    assert len(aux1) == 1
-    tris2 = triangle_decompose(cycle, 5000, exclude=aux1)
-    aux2 = {x for tri in tris2 for e in tri for x in e} - {x for e in cycle for x in e}
-    assert aux1 != aux2
-    assert frozenset() != frozenset(cycle)
+    vs = cycle_vertices(cycle)
+    expected = [aux for aux in primes_in_v(3000)
+                if aux not in vs and all(v_symbol(p, aux) == -1 for p in vs)]
+    assert len(expected) >= 5
+    assert list(islice(auxiliary_primes(vs), len(expected))) == expected
+    tris1 = triangle_decompose(cycle, expected[0])
+    tris2 = triangle_decompose(cycle, expected[1])
+    assert set(tris1) != set(tris2)
+    for tris in (tris1, tris2):
+        acc = frozenset()
+        for tri in tris:
+            acc ^= tri
+        assert acc == frozenset(cycle)
 
 
 def test_triangle_decompose_rejects_bad_input():
     with pytest.raises(DomainError):
-        triangle_decompose([(5, 29), (29, 61), (5, 61)], 1000)  # residue edges
+        triangle_decompose([(5, 29), (29, 61), (5, 61)], None)  # residue edges
+    with pytest.raises(DomainError):
+        triangle_decompose([(2, 5), (5, 13)], None)  # a path, not a cycle
+    with pytest.raises(DomainError, match="not a prime"):
+        triangle_decompose([(3, 5), (5, 13), (3, 13)], None)  # 3 is not in V
     cycle = find_nonresidue_cycle(4)
-    with pytest.raises(AuxiliaryPrimeNotFound):
-        triangle_decompose(cycle, 3)
+    vs = cycle_vertices(cycle)
+    aux = next(auxiliary_primes(vs))
     with pytest.raises(DomainError):
-        triangle_decompose([(2, 5), (5, 13)], 1000)  # a path, not a cycle
-
-
-def test_invariant_membership():
-    g = build_graph([2, 5, 13])
-    tri = {(2, 5), (2, 13), (5, 13)}
-    assert invariant_membership(tri, g)
-    assert not invariant_membership({(2, 5)}, g)
-    h = build_graph([5, 29])
-    assert invariant_membership({(5, 29)}, h)  # residue edges are free
+        triangle_decompose(cycle, vs[0])  # a vertex
+    with pytest.raises(DomainError, match="not a prime"):
+        triangle_decompose(cycle, 3)  # not in V
     with pytest.raises(DomainError):
-        invariant_membership({(2, 17)}, g)  # 17 is not a vertex here
+        triangle_decompose(cycle, aux + 1)  # not a prime
+    residue = next(q for q in primes_in_v(1000) if q not in vs
+                   and v_symbol(vs[0], q) == 1)
+    with pytest.raises(DomainError):
+        triangle_decompose(cycle, residue)
+    with pytest.raises(DomainError, match="not a prime"):
+        next(auxiliary_primes([3, 5]))
 
 
 def test_graph_serialization_round_trip():
     g = build_graph(primes_in_v(40))
     lines = graph_to_lines(g)
-    assert graph_from_lines(lines) == g
-    assert all(line.split()[2] in "RN" for line in lines)
-
-
-def test_graph_from_lines_validates():
-    with pytest.raises(DomainError):
-        graph_from_lines(["5 29 N"])  # mislabeled: (5/29) = +1
-    with pytest.raises(DomainError):
-        graph_from_lines(["5 29"])
-    with pytest.raises(DomainError):
-        graph_from_lines(["5 29 R", "29 5 R"])  # duplicate
-    g = graph_from_lines(["# comment", "", "5 29 R"])
-    assert g.edges_R == frozenset({(5, 29)})
+    n = len(g.vertices)
+    assert len(lines) == n * (n - 1) // 2
+    for line in lines:
+        p, q, label = line.split()
+        assert label == ("R" if v_symbol(int(p), int(q)) == 1 else "N")

@@ -45,6 +45,8 @@ def test_triangle_invariant_domain():
         triangle_invariant(5, 29, 2)  # (5/29) = +1
     with pytest.raises(DomainError):
         triangle_invariant(2, 2, 5)
+    with pytest.raises(DomainError, match="not a prime"):
+        triangle_invariant(3, 5, 13)  # 3 is not in V
 
 
 def test_edge_invariant_tracks_unit_symbol():
@@ -136,6 +138,8 @@ def test_predict_domain_errors():
         scholz_predict(2, 5)
     with pytest.raises(DomainError):
         scholz_predict(5, 5)
+    with pytest.raises(DomainError, match="not a prime"):
+        scholz_predict(3, 13)  # 3 is not in V
     with pytest.raises(DomainError):
         scholz2_predict(5, 29, 2)
     with pytest.raises(DomainError):
