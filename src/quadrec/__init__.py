@@ -30,6 +30,8 @@ from .pell import (
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
+    swap_unit_cache,
+    unit_cache,
     unit_symbol,
 )
 from .mquad import (

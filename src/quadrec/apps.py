@@ -57,9 +57,9 @@ class UnitFamily:
             raise DomainError("product_square flag contradicts the moduli")
 
 
-def unit_family(moduli, cache=None) -> UnitFamily:
+def unit_family(moduli) -> UnitFamily:
     ms = tuple(moduli)
-    norms = tuple(fundamental_unit(m, cache=cache).norm for m in ms)
+    norms = tuple(fundamental_unit(m).norm for m in ms)
     return UnitFamily(ms, norms, is_perfect_square(prod(ms)))
 
 
@@ -81,7 +81,7 @@ class SquareCheck:
         return f"{self.description}: {verdict} in {self.field}"
 
 
-def theorem_sq_check(family: UnitFamily, cache=None) -> SquareCheck:
+def theorem_sq_check(family: UnitFamily) -> SquareCheck:
     """If every norm is -1 and the product of the moduli is a perfect
     square, the product of the units must be a square in the field
     generated by the square roots of the individual primes."""
@@ -95,16 +95,16 @@ def theorem_sq_check(family: UnitFamily, cache=None) -> SquareCheck:
     field = field_containing(primes)
     element = field.rational(1)
     for m in family.moduli:
-        element = element * unit_element(fundamental_unit(m, cache=cache), field)
+        element = element * unit_element(fundamental_unit(m), field)
     root = is_square(element)
     label = "*".join(f"eps_{m}" for m in family.moduli)
     return SquareCheck(label, field, element, root)
 
 
-def positive_norm_square_check(m: int, cache=None) -> SquareCheck:
+def positive_norm_square_check(m: int) -> SquareCheck:
     """A unit of norm +1 must be a square in the field generated by the
     square roots of its primes, widened by sqrt(2) when m = 3 mod 4."""
-    unit = fundamental_unit(m, cache=cache)
+    unit = fundamental_unit(m)
     if unit.norm != 1:
         raise DomainError(f"norm of eps_{m} is -1; this check needs norm +1")
     gens = set(prime_divisors(m))
@@ -135,7 +135,7 @@ class CandmResult:
         return self.parity_even == (self.invariant.value == 0)
 
 
-def candm_check(pairs, P, cache=None) -> CandmResult:
+def candm_check(pairs, P) -> CandmResult:
     """Theorem: the prime set of d meets P evenly exactly when the
     bipartite invariant sum vanishes.
 
@@ -155,7 +155,7 @@ def candm_check(pairs, P, cache=None) -> CandmResult:
             raise DomainError(f"({m},{n}): entries must be coprime")
         if m * n < 2:
             raise DomainError(f"({m},{n}): trivial product")
-        if fundamental_unit(m * n, cache=cache).norm != -1:
+        if fundamental_unit(m * n).norm != -1:
             raise DomainError(f"norm of eps_{m * n} is +1; hypothesis needs -1")
     total = prod(m * n for m, n in pairs)
     if not is_perfect_square(total):
@@ -179,7 +179,7 @@ def candm_check(pairs, P, cache=None) -> CandmResult:
     field = field_containing([m * n for m, n in pairs])
     element = field.rational(1)
     for m, n in pairs:
-        element = element * unit_element(fundamental_unit(m * n, cache=cache), field)
+        element = element * unit_element(fundamental_unit(m * n), field)
     allowed = prime_divisors(total)
     d = find_d(element, allowed)
     inter = tuple(sorted(set(prime_divisors(d)) & P))
@@ -201,7 +201,7 @@ class CandpResult:
         return len(self.intersection) % 2 == 0
 
 
-def candp_check(m: int, n: int, cache=None) -> CandpResult:
+def candp_check(m: int, n: int) -> CandpResult:
     """Positive-norm analogue: P is built from the non-residue divisors
     (plus 2 in the one stated congruence case) and the theorem asserts
     |D cap P| is always even."""
@@ -214,7 +214,7 @@ def candp_check(m: int, n: int, cache=None) -> CandpResult:
     for p in prime_divisors(m):
         if p % 4 != 1:
             raise DomainError(f"prime {p} | m is not 1 mod 4")
-    if fundamental_unit(m * n, cache=cache).norm != 1:
+    if fundamental_unit(m * n).norm != 1:
         raise DomainError(f"norm of eps_{m * n} is -1; hypothesis needs +1")
     P = {p for p in prime_divisors(m) if legendre(n, p) == -1}
     P |= {q for q in prime_divisors(n) if legendre(m, q) == -1}
@@ -222,7 +222,7 @@ def candp_check(m: int, n: int, cache=None) -> CandpResult:
         P.add(2)
     allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
     field = MQField((m * n,))
-    element = unit_element(fundamental_unit(m * n, cache=cache), field)
+    element = unit_element(fundamental_unit(m * n), field)
     d = find_d(element, allowed)
     inter = tuple(sorted(set(prime_divisors(d)) & P))
     return CandpResult(m, n, tuple(sorted(P)), d, inter)
@@ -266,7 +266,7 @@ class QIndex:
         assert self.value in (1, 2, 4), f"unit index {self.value} out of range"
 
 
-def kuroda_q(d1: int, d2: int, d3: int, cache=None) -> QIndex:
+def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
     """Unit index of Q(sqrt(d1), sqrt(d2)) over the units of its three
     quadratic subfields, computed by exact square tests of
     the seven nontrivial unit products (both signs, the totally positive
@@ -281,7 +281,7 @@ def kuroda_q(d1: int, d2: int, d3: int, cache=None) -> QIndex:
         raise DomainError("third radicand must be the squarefree kernel of "
                           "the product of the first two")
     field = field_containing(ds)
-    units = [unit_element(fundamental_unit(d, cache=cache), field) for d in ds]
+    units = [unit_element(fundamental_unit(d), field) for d in ds]
     witnesses = set()
     for e in range(1, 8):
         exps = (e & 1, e >> 1 & 1, e >> 2 & 1)
@@ -309,7 +309,7 @@ class KurodaExampleResult:
         return self.formula_value == self.computed.value
 
 
-def kuroda_example_check(p: int, q: int, r: int, cache=None) -> KurodaExampleResult:
+def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
     """For Q(sqrt(p), sqrt(qr)) with (p/q) = +1 and (q/r) = -1: the index
     is 1 exactly when the unit of pqr has norm -1 and the paired quartic
     product is -1, else 2.  Both sides computed independently."""
@@ -319,10 +319,10 @@ def kuroda_example_check(p: int, q: int, r: int, cache=None) -> KurodaExampleRes
         raise DomainError(f"({p}/{q}) = -1; the example needs a residue pair")
     if v_symbol(q, r) != -1:
         raise DomainError(f"({q}/{r}) = +1; the example needs a non-residue pair")
-    norm = fundamental_unit(p * q * r, cache=cache).norm
+    norm = fundamental_unit(p * q * r).norm
     quartic_product = quartic(p, q) * quartic(q, p)
     formula = 1 if (norm == -1 and quartic_product == -1) else 2
-    computed = kuroda_q(p, q * r, p * q * r, cache=cache)
+    computed = kuroda_q(p, q * r, p * q * r)
     return KurodaExampleResult(p, q, r, formula, computed)
 
 

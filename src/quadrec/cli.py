@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge, graph_to_lines
 from .invariants import general_invariant
-from .pell import UnitCache, unit_symbol
+from .pell import UnitCache, swap_unit_cache, unit_cache, unit_symbol
 from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, run_check, summarize
 
 
@@ -127,17 +127,18 @@ def _write_report(out, fmt: str, records, counts) -> None:
 
 
 def cmd_verify(args) -> int:
-    checks = tuple(args.check) if args.check else tuple(sorted(CHECK_DEFAULT_BOUNDS))
-    config = SweepConfig(checks=checks, bound=args.bound, samples=args.samples,
+    checks = args.check or sorted(CHECK_DEFAULT_BOUNDS)
+    config = SweepConfig(bound=args.bound, samples=args.samples,
                          jobs=args.jobs, seed=args.seed)
-    cache = UnitCache(args.cache) if args.cache else None
-    records = []
-    for name in checks:
-        records.extend(run_check(name, config, cache=cache))
+    memo = UnitCache(args.cache) if args.cache else unit_cache()
+    old = swap_unit_cache(memo)
+    try:
+        records = [r for name in checks for r in run_check(name, config)]
+    finally:
+        swap_unit_cache(old)
     counts = summarize(records)
     _write_report(sys.stdout, args.format, records, counts)
-    if cache is not None:
-        cache.compact()
+    memo.compact()  # a no-op for a memo without a file
     if counts["fail"]:
         return 3
     if counts["undecided"]:

@@ -24,20 +24,16 @@ class InvariantReport:
     """Evaluated invariant of one edge set."""
 
     query: frozenset
-    member: bool
-    value: int | None
+    value: int
     clause: str
     P: tuple[int, ...]
     k: int
 
     def __post_init__(self):
-        assert (self.value is not None) == self.member
         assert self.P == tuple(sorted({v for e in self.query for v in e}))
         assert self.k == sum(1 for u, v in self.query if v_symbol(u, v) == -1)
 
     def __str__(self):
-        if not self.member:
-            return "non-member"
         pairs = " ".join(f"{u}-{v}" for u, v in sorted(self.query))
         return (f"value {self.value} ({self.clause} clause) "
                 f"query [{pairs}] P {list(self.P)} k {self.k}")
@@ -108,8 +104,8 @@ def general_invariant(query) -> InvariantReport:
         assert value == triangle_invariant(*support)
     else:
         clause = "general"
-    return InvariantReport(query=vec, member=True, value=value,
-                           clause=clause, P=tuple(support), k=k)
+    return InvariantReport(query=vec, value=value, clause=clause,
+                           P=tuple(support), k=k)
 
 
 def scholz_predict(p: int, q: int) -> Sign:

@@ -4,7 +4,10 @@ Units live in the maximal order of Q(sqrt(m)) for squarefree m > 1 and are
 written (x + y*sqrt(m))/den with den in {1, 2}.  They are computed exactly
 from the continued fraction of the standard quadratic irrationality at the
 field discriminant; one minimal period of the reduced cycle yields the
-fundamental unit, and the parity of the period gives the norm sign.
+fundamental unit, and the parity of the period gives the norm sign.  The
+process keeps one memo of computed units: unit_cache() returns it, and
+swap_unit_cache() installs another (a file-backed one for a run, say) and
+returns the memo it replaced.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def _cf_fundamental_triple(m: int) -> tuple[int, int, int]:
 
 
 def compute_fundamental_unit(m: int) -> QuadUnit:
-    """Continued-fraction computation, bypassing every cache."""
+    """Continued-fraction computation, bypassing the memo."""
     if m < 2 or not is_squarefree(m):
         raise DomainError(f"fundamental units need squarefree m > 1, got {m}")
     x, y, den = _cf_fundamental_triple(m)
@@ -118,19 +121,19 @@ def compute_fundamental_unit(m: int) -> QuadUnit:
 
 
 class UnitCache:
-    """Optionally file-backed memo of fundamental units.
+    """A memo of fundamental units, in memory or backed by a file.
 
-    The text format is one unit per line, `m x y den norm`, decimal integers.
-    New units are appended during a run; compact() rewrites the file sorted
-    and deduplicated.  Loaded records are revalidated through QuadUnit, so a
-    corrupt cache fails loudly instead of poisoning results.
+    The file holds one unit per line, `m x y den norm`, decimal integers.
+    Each new unit is appended and flushed; compact() rewrites the file
+    sorted and deduplicated.  Loaded records are revalidated through
+    QuadUnit, so a corrupt file fails loudly instead of poisoning results.
+    A file that cannot be written warns once and leaves the memo in memory.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._units: dict[int, QuadUnit] = {}
         self._append = None
-        self._warned = False
         if self.path is not None and os.path.exists(self.path):
             with open(self.path, encoding="ascii") as fh:
                 for line in fh:
@@ -145,9 +148,6 @@ class UnitCache:
 
     def __len__(self):
         return len(self._units)
-
-    def __contains__(self, m: int) -> bool:
-        return m in self._units
 
     def __iter__(self):
         """The units held, in the order they were loaded or added."""
@@ -166,11 +166,9 @@ class UnitCache:
             try:
                 self._append = open(self.path, "a", encoding="ascii")
             except OSError as exc:
-                if not self._warned:
-                    print(f"warning: unit cache {self.path} not writable ({exc}); "
-                          f"continuing in memory", file=sys.stderr)
-                    self._warned = True
-                self.path = None
+                print(f"warning: unit cache {self.path} not writable ({exc}); "
+                      f"continuing in memory", file=sys.stderr)
+                self.path = None  # memory only from now on, so one warning
                 return
         print(f"{unit.m} {unit.x} {unit.y} {unit.den} {unit.norm}", file=self._append)
         self._append.flush()
@@ -195,30 +193,35 @@ class UnitCache:
                 os.unlink(tmp)
             raise
 
-    def close(self) -> None:
-        if self._append is not None:
-            self._append.close()
-            self._append = None
+
+_memo = UnitCache()
 
 
-_memory_cache = UnitCache()
+def unit_cache() -> UnitCache:
+    """The memo fundamental_unit reads and fills."""
+    return _memo
 
 
-def fundamental_unit(m: int, cache: UnitCache | None = None) -> QuadUnit:
+def swap_unit_cache(memo: UnitCache) -> UnitCache:
+    """Install `memo` as the process's memo and return the one it replaces."""
+    global _memo
+    old, _memo = _memo, memo
+    return old
+
+
+def fundamental_unit(m: int) -> QuadUnit:
     """The fundamental unit of the maximal order of Q(sqrt(m)), memoized.
 
-    Results never depend on cache hits; the cache only skips recomputation.
+    Results never depend on memo hits; the memo only skips recomputation.
     """
-    store = cache if cache is not None else _memory_cache
-    unit = store.get(m)
+    unit = _memo.get(m)
     if unit is None:
         unit = compute_fundamental_unit(m)
-        store.add(unit)
+        _memo.add(unit)
     return unit
 
 
-def unit_symbol(m: int, p: int, root: int | None = None,
-                cache: UnitCache | None = None) -> Sign:
+def unit_symbol(m: int, p: int, root: int | None = None) -> Sign:
     """The residue symbol (eps_m / p) of the fundamental unit at a split
     prime p of V.
 
@@ -228,7 +231,7 @@ def unit_symbol(m: int, p: int, root: int | None = None,
     mod-8 table.  Either square root gives the same value; `root` overrides
     the canonical choice (used by the well-definedness sweeps).
     """
-    unit = fundamental_unit(m, cache)
+    unit = fundamental_unit(m)
     if p == 2:
         if m % 8 != 1:
             raise DomainError(f"(eps_m/2) needs m = 1 (mod 8), got m = {m % 8} (mod 8)")
@@ -292,11 +295,11 @@ class CubeCongruenceReport:
         return tuple(out)
 
 
-def check_unit_congruences(m: int, cache: UnitCache | None = None) -> CubeCongruenceReport:
+def check_unit_congruences(m: int) -> CubeCongruenceReport:
     """Evaluate the cube congruences for odd squarefree m > 2 with norm -1."""
     if m <= 2 or m % 2 == 0 or not is_squarefree(m):
         raise DomainError(f"cube congruences need odd squarefree m > 2, got {m}")
-    unit = fundamental_unit(m, cache)
+    unit = fundamental_unit(m)
     if unit.norm != -1:
         raise DomainError(f"cube congruences need norm -1, eps_{m} has norm +1")
     x3, y3 = unit.cubed_coordinates()

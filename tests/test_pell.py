@@ -1,7 +1,5 @@
 """Fundamental unit computation, unit symbols, cube congruences, cache."""
 
-import os
-
 import pytest
 from math import isqrt
 
@@ -18,6 +16,7 @@ from quadrec.pell import (
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
+    swap_unit_cache,
     unit_symbol,
 )
 
@@ -167,9 +166,15 @@ def test_check_unit_congruences_domain():
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "units.txt"
     cache = UnitCache(str(path))
-    u = fundamental_unit(65, cache=cache)
-    v = fundamental_unit(65, cache=cache)
+    old = swap_unit_cache(cache)
+    try:
+        u = fundamental_unit(65)
+        v = fundamental_unit(65)
+    finally:
+        assert swap_unit_cache(old) is cache
     assert u == v
+    # the unit was appended and flushed once, before any compaction
+    assert path.read_text() == "65 8 1 1 -1\n"
     cache.compact()
     text = path.read_text()
     assert "65 8 1 1 -1" in text
@@ -188,11 +193,20 @@ def test_cache_rejects_garbage(tmp_path):
         UnitCache(str(path))
 
 
-def test_cache_survives_unwritable_location(tmp_path, recwarn):
-    blocked = tmp_path / "nope"
-    blocked.mkdir(mode=0o500)
-    if os.access(str(blocked / "x"), os.W_OK):
-        pytest.skip("running with privileges that ignore modes")
-    cache = UnitCache(str(blocked / "units.txt"))
-    u = fundamental_unit(10, cache=cache)
-    assert u.norm == -1  # still computed, memory-only
+def test_cache_survives_unwritable_location(tmp_path, capsys):
+    # a path below a regular file cannot be opened, whatever the user's rights
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = UnitCache(str(blocker / "units.txt"))
+    old = swap_unit_cache(cache)
+    try:
+        u = fundamental_unit(10)
+        w = fundamental_unit(13)
+    finally:
+        swap_unit_cache(old)
+    assert capsys.readouterr().err.count("not writable") == 1
+    assert u == compute_fundamental_unit(10) and u.norm == -1
+    assert cache.get(10) == u and cache.get(13) == w  # kept in memory
+    cache.compact()
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == ""

@@ -1,10 +1,11 @@
 """The record stream of `verify --format csv` pinned by digest.
 
-Each check runs in-process at a small bound.  The sha256 covers every line
-after the timestamp line: the header, each record with its predicted and
-oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict, and the
-summary.  A refactor of the arithmetic underneath must leave these digests
-unchanged; a deliberate change of the records has to update them here.
+Each check runs in-process at a small bound, and three of them also with two
+worker processes.  The sha256 covers every line after the timestamp line:
+the header, each record with its predicted and oracle strings (the d= of
+candp, the Q= of kuroda, ...) and verdict, and the summary.  A refactor of
+the arithmetic underneath must leave these digests unchanged; a deliberate
+change of the records has to update them here.
 """
 
 import hashlib
@@ -24,12 +25,22 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("check,bound", sorted(PINNED))
-def test_verify_records_match_pinned_digest(check, bound, capsys):
+def assert_pinned(capsys, check, bound, *options):
     assert main(["verify", "--check", check, "--bound", str(bound),
-                 "--format", "csv"]) == 0
+                 "--format", "csv", *options]) == 0
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert lines[0].startswith("# quadrec verify ")
     count, digest = PINNED[check, bound]
     assert len(lines) == count
     assert hashlib.sha256("".join(lines[1:]).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("check,bound", sorted(PINNED))
+def test_verify_records_match_pinned_digest(check, bound, capsys):
+    assert_pinned(capsys, check, bound)
+
+
+@pytest.mark.parametrize("check,bound", [("thm-sq", 100), ("kuroda", 60),
+                                         ("lemma-e", 1000)])
+def test_verify_records_under_jobs_match_pinned_digest(check, bound, capsys):
+    assert_pinned(capsys, check, bound, "--jobs", "2")

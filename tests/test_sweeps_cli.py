@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from quadrec.arith import DomainError
+from quadrec.cli import main
+from quadrec.pell import UnitCache, compute_fundamental_unit, swap_unit_cache, unit_cache
 from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, run_check, summarize
 
 
@@ -18,15 +20,13 @@ def run_cli(*args):
 
 
 def test_config_validation():
-    SweepConfig(checks=("scholz",), bound=2)
+    SweepConfig(bound=2)
     with pytest.raises(DomainError):
-        SweepConfig(checks=("scholz",), bound=1)
+        SweepConfig(bound=1)
     with pytest.raises(DomainError):
-        SweepConfig(checks=("nope",))
+        SweepConfig(samples=0)
     with pytest.raises(DomainError):
-        SweepConfig(checks=(), samples=0)
-    with pytest.raises(DomainError):
-        SweepConfig(checks=(), jobs=0)
+        SweepConfig(jobs=0)
 
 
 def test_default_bounds_cover_all_checks():
@@ -36,7 +36,7 @@ def test_default_bounds_cover_all_checks():
 
 
 def test_scholz_sweep_counts():
-    cfg = SweepConfig(checks=("scholz",), bound=100)
+    cfg = SweepConfig(bound=100)
     records = run_check("scholz", cfg)
     assert len(records) == 56
     assert summarize(records) == {"pass": 56, "fail": 0, "undecided": 0}
@@ -47,13 +47,13 @@ def test_scholz_sweep_counts():
 
 
 def test_duality_sweep_is_seed_deterministic():
-    cfg1 = SweepConfig(checks=("duality",), samples=30, seed=9)
-    cfg2 = SweepConfig(checks=("duality",), samples=30, seed=9)
+    cfg1 = SweepConfig(samples=30, seed=9)
+    cfg2 = SweepConfig(samples=30, seed=9)
     assert run_check("duality", cfg1) == run_check("duality", cfg2)
 
 
 def test_candm_sweep_has_both_outcomes():
-    cfg = SweepConfig(checks=("candm",), bound=60)
+    cfg = SweepConfig(bound=60)
     records = run_check("candm", cfg)
     outcomes = {r.predicted for r in records}
     assert outcomes == {"square", "nonsquare"}
@@ -61,13 +61,27 @@ def test_candm_sweep_has_both_outcomes():
 
 
 def test_parallel_matches_sequential():
-    seq = run_check("scholz", SweepConfig(checks=("scholz",), bound=120))
-    par = run_check("scholz", SweepConfig(checks=("scholz",), bound=120, jobs=2))
+    seq = run_check("scholz", SweepConfig(bound=120))
+    par = run_check("scholz", SweepConfig(bound=120, jobs=2))
     assert seq == par
 
 
+def test_parent_memo_gains_the_units_workers_computed():
+    old = swap_unit_cache(UnitCache())
+    try:
+        records = run_check("pos-norm", SweepConfig(bound=60, jobs=2))
+        memo = unit_cache()
+    finally:
+        swap_unit_cache(old)
+    # under jobs > 1 this process evaluates no instance, so every unit in
+    # the fresh memo was computed by a worker and sent back
+    ms = [int(r.instance.removeprefix("eps_")) for r in records]
+    assert len(ms) > 5
+    assert all(memo.get(m) == compute_fundamental_unit(m) for m in ms)
+
+
 def test_unknown_check_rejected():
-    cfg = SweepConfig(checks=("scholz",))
+    cfg = SweepConfig()
     with pytest.raises(DomainError):
         run_check("made-up", cfg)
 
@@ -148,6 +162,15 @@ def test_cli_verify_warm_cache_reruns_identically(tmp_path):
     second = run_cli(*args)
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("# quadrec")]
     assert strip(first.stdout) == strip(second.stdout)
+
+
+def test_verify_cache_restores_the_process_memo(tmp_path, capsys):
+    memo = unit_cache()
+    path = tmp_path / "units.txt"
+    assert main(["verify", "--check", "pos-norm", "--bound", "40",
+                 "--cache", str(path)]) == 0
+    assert unit_cache() is memo
+    assert len(UnitCache(str(path))) > 5  # the run's units went to the file
 
 
 def test_cli_verify_cache_under_jobs_matches_one_process(tmp_path):
