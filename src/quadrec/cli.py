@@ -3,9 +3,7 @@
 Three subcommands: ``symbol`` evaluates a single residue or unit symbol,
 ``verify`` runs the prediction-vs-oracle sweeps, ``invariant`` evaluates the
 quartic invariant of an edge set.  Exit codes: 0 clean, 1 usage, 2 domain
-error, 3 at least one sweep failure, 4 undecided instances but no failures.
-No check leaves an instance undecided at present: square detection and the
-auxiliary-prime walk of the triangles check always decide.
+error, 3 at least one sweep failure.
 """
 
 from __future__ import annotations
@@ -111,8 +109,7 @@ def _write_report(out, fmt: str, records, counts) -> None:
         writer.writerow(["check", "instance", "predicted", "oracle", "verdict"])
         for r in records:
             writer.writerow([r.check, r.instance, r.predicted, r.oracle, r.verdict])
-        print(f"# summary pass={counts['pass']} fail={counts['fail']} "
-              f"undecided={counts['undecided']}", file=out)
+        print(f"# summary pass={counts['pass']} fail={counts['fail']}", file=out)
     elif fmt == "json-lines":
         for r in records:
             print(json.dumps(asdict(r), sort_keys=True), file=out)
@@ -122,8 +119,8 @@ def _write_report(out, fmt: str, records, counts) -> None:
             print(f"{r.check:<9} {r.instance:<22} {r.predicted:>10} vs "
                   f"{r.oracle:<22} {r.verdict}", file=out)
         total = sum(counts.values())
-        print(f"{total} instances: {counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['undecided']} undecided", file=out)
+        print(f"{total} instances: {counts['pass']} pass, {counts['fail']} fail",
+              file=out)
 
 
 def cmd_verify(args) -> int:
@@ -139,11 +136,7 @@ def cmd_verify(args) -> int:
     counts = summarize(records)
     _write_report(sys.stdout, args.format, records, counts)
     memo.compact()  # a no-op for a memo without a file
-    if counts["fail"]:
-        return 3
-    if counts["undecided"]:
-        return 4
-    return 0
+    return 3 if counts["fail"] else 0
 
 
 def cmd_invariant(args) -> int:

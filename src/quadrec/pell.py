@@ -221,53 +221,41 @@ def fundamental_unit(m: int) -> QuadUnit:
     return unit
 
 
-def unit_symbol(m: int, p: int, root: int | None = None) -> Sign:
+def unit_symbol(m: int, p: int) -> Sign:
     """The residue symbol (eps_m / p) of the fundamental unit at a split
     prime p of V.
 
-    For odd p: reduce eps_m at a square root r of m mod p and return the
-    Legendre symbol of u = (x + y*r)/den mod p.  For p = 2 (needs
-    m = 1 mod 8): reduce at the canonical 2-adic root mod 16 and read the
-    mod-8 table.  Either square root gives the same value; `root` overrides
-    the canonical choice (used by the well-definedness sweeps).
+    For odd p: reduce eps_m at the square root r = sqrt_mod(m, p) and return
+    the Legendre symbol of u = (x + y*r)/den mod p.  For p = 2 (needs
+    m = 1 mod 8): reduce at the 2-adic root r = sqrt_2adic(m, 4) mod 16 and
+    read the mod-8 table.  The other root gives the same value, so the
+    symbol is well defined: the reductions u, u' at r and -r multiply to
+    N(eps) = +-1.  For odd p that holds mod p, and (-1/p) = 1 because
+    p = 1 (mod 4); at 2 it holds mod 8, and (+-1/2) = 1.
     """
     unit = fundamental_unit(m)
     if p == 2:
         if m % 8 != 1:
             raise DomainError(f"(eps_m/2) needs m = 1 (mod 8), got m = {m % 8} (mod 8)")
-        if root is None:
-            root = sqrt_2adic(m, 4)
-        elif root % 2 == 0 or (root * root - m) % 16 != 0:
-            raise DomainError(f"{root} is not a square root of {m} mod 16")
         # m = 1 (mod 8) forces den = 1: x^2 - m*y^2 = +-4 is impossible mod 8
         assert unit.den == 1
-        u = (unit.x + unit.y * root) % 8
+        u = (unit.x + unit.y * sqrt_2adic(m, 4)) % 8
         assert u % 2 == 1, "exactly one of x, y is odd when x^2 - m*y^2 = +-1"
         return legendre(u, 2)
     if not is_prime(p) or p % 4 != 1:
         raise DomainError(f"unit symbols need p = 2 or p prime with p = 1 (mod 4), got {p}")
     if legendre(m, p) != 1:
         raise DomainError(f"{p} does not split in Q(sqrt({m}))")
-    if root is None:
-        root = sqrt_mod(m, p)
-    elif (root * root - m) % p != 0:
-        raise DomainError(f"{root} is not a square root of {m} mod {p}")
-    u = (unit.x + unit.y * root) * pow(unit.den, -1, p) % p
+    u = (unit.x + unit.y * sqrt_mod(m, p)) * pow(unit.den, -1, p) % p
     assert u != 0, "a unit cannot reduce to zero at an unramified prime"
     return legendre(u, p)
 
 
 @dataclass(frozen=True)
 class CubeCongruenceReport:
-    """Pass/fail record for the congruence facts about eps_m^3 = x + y*sqrt(m)
-    when the norm is -1: x even; 4 | x exactly when m = 1 (mod 8); y = 1
-    (mod 4); and every prime dividing m*y is 1 (mod 4).
-
-    The last claim is certified without factoring: m*y is odd and divides
-    x^2 + 1, so -1 is a square modulo each of its primes, which are
-    therefore 1 (mod 4).  The norm relation x^2 - m*y^2 = -1 already makes
-    m*y divide x^2 + 1 = m*y^2, so the claim follows from it: a consistency
-    check of the cube coordinates, not an independent oracle."""
+    """Pass/fail record for three congruence facts about
+    eps_m^3 = x + y*sqrt(m) when the norm is -1: x even; 4 | x exactly when
+    m = 1 (mod 8); and y = 1 (mod 4)."""
 
     m: int
     x: int
@@ -275,12 +263,10 @@ class CubeCongruenceReport:
     x_even: bool
     x_mod4_tracks_m_mod8: bool
     y_is_1_mod4: bool
-    my_divisors_1_mod4: bool
 
     @property
     def all_ok(self) -> bool:
-        return (self.x_even and self.x_mod4_tracks_m_mod8
-                and self.y_is_1_mod4 and self.my_divisors_1_mod4)
+        return self.x_even and self.x_mod4_tracks_m_mod8 and self.y_is_1_mod4
 
     def failed_claims(self) -> tuple[str, ...]:
         out = []
@@ -290,8 +276,6 @@ class CubeCongruenceReport:
             out.append("x-mod4")
         if not self.y_is_1_mod4:
             out.append("y-mod4")
-        if not self.my_divisors_1_mod4:
-            out.append("my-divisors")
         return tuple(out)
 
 
@@ -310,5 +294,4 @@ def check_unit_congruences(m: int) -> CubeCongruenceReport:
         x_even=(x3 % 2 == 0),
         x_mod4_tracks_m_mod8=((x3 % 4 == 0) == (m % 8 == 1)),
         y_is_1_mod4=(y3 % 4 == 1),
-        my_divisors_1_mod4=(m * y3 % 2 == 1 and (x3 * x3 + 1) % (m * y3) == 0),
     )

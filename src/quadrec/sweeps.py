@@ -21,8 +21,6 @@ from .arith import (
     is_squarefree,
     prime_divisors,
     primes_in_v,
-    sqrt_2adic,
-    sqrt_mod,
     v_symbol,
 )
 from .apps import (
@@ -100,7 +98,7 @@ class SweepRecord:
     verdict: str
 
     def __post_init__(self):
-        assert self.verdict in ("pass", "fail", "undecided")
+        assert self.verdict in ("pass", "fail")
 
 
 def _squarefrees(lo: int, hi: int) -> list[int]:
@@ -120,17 +118,6 @@ def _first_v_primes(n: int) -> list[int]:
         bound *= 2
 
 
-def _both_root_symbols(m: int, p: int) -> tuple[int, int]:
-    """unit symbol evaluated at both modular square roots of m."""
-    if p == 2:
-        r = sqrt_2adic(m, 4)
-        other = (16 - r) % 16
-    else:
-        r = sqrt_mod(m, p)
-        other = p - r
-    return unit_symbol(m, p, root=r), unit_symbol(m, p, root=other)
-
-
 # --- scholz -----------------------------------------------------------------
 
 def _enum_scholz(config: SweepConfig) -> list[tuple]:
@@ -148,12 +135,9 @@ def _eval_scholz(args: tuple) -> SweepRecord | None:
     if q == 2 and p % 8 != 1:
         return None  # the unit symbol at 2 needs m = 1 mod 8
     predicted = scholz_predict(p, q)
-    s1, s2 = _both_root_symbols(p, q)
-    if s1 == s2:
-        oracle, verdict = f"{s1:+d}", "pass" if s1 == predicted else "fail"
-    else:
-        oracle, verdict = f"{s1:+d}!={s2:+d}", "fail"
-    return SweepRecord("scholz", f"eps_{p}|{q}", f"{predicted:+d}", oracle, verdict)
+    symbol = unit_symbol(p, q)
+    return SweepRecord("scholz", f"eps_{p}|{q}", f"{predicted:+d}", f"{symbol:+d}",
+                       "pass" if symbol == predicted else "fail")
 
 
 # --- scholz2 ----------------------------------------------------------------
@@ -173,12 +157,9 @@ def _eval_scholz2(args: tuple) -> SweepRecord | None:
     if c == 2 and m % 8 != 1:
         return None
     predicted = scholz2_predict(a, b, c)
-    s1, s2 = _both_root_symbols(m, c)
-    if s1 == s2:
-        oracle, verdict = f"{s1:+d}", "pass" if s1 == predicted else "fail"
-    else:
-        oracle, verdict = f"{s1:+d}!={s2:+d}", "fail"
-    return SweepRecord("scholz2", f"eps_{m}|{c}", f"{predicted:+d}", oracle, verdict)
+    symbol = unit_symbol(m, c)
+    return SweepRecord("scholz2", f"eps_{m}|{c}", f"{predicted:+d}", f"{symbol:+d}",
+                       "pass" if symbol == predicted else "fail")
 
 
 # --- duality ----------------------------------------------------------------
@@ -446,7 +427,7 @@ def run_check(name: str, config: SweepConfig) -> list[SweepRecord]:
 
 
 def summarize(records) -> dict[str, int]:
-    counts = {"pass": 0, "fail": 0, "undecided": 0}
+    counts = {"pass": 0, "fail": 0}
     for r in records:
         counts[r.verdict] += 1
     return counts

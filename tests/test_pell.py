@@ -1,12 +1,16 @@
 """Fundamental unit computation, unit symbols, cube congruences, cache."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from math import isqrt
 
 from quadrec.arith import (
     DomainError,
     is_squarefree,
+    legendre,
     prime_divisors,
+    primes_in_v,
     sqrt_2adic,
     sqrt_mod,
 )
@@ -102,19 +106,38 @@ def test_unit_symbol_spot_values():
     assert unit_symbol(2, 17) == -1  # eps_2 = 1 + sqrt2, sqrt2 = 6 mod 17, (7/17) = -1
 
 
-def test_unit_symbol_root_independence():
-    cases = [(5, 29), (13, 17), (10, 13), (2, 17), (26, 5), (65, 29)]
-    for m, p in cases:
-        r = sqrt_mod(m, p)
-        s1 = unit_symbol(m, p, root=r)
-        s2 = unit_symbol(m, p, root=p - r)
-        assert s1 == s2 == unit_symbol(m, p)
+def reduce_at(unit, root, modulus):
+    """eps reduced mod `modulus` at the square root `root` of m, written out
+    apart from `unit_symbol`."""
+    return (unit.x + unit.y * root) * pow(unit.den, -1, modulus) % modulus
 
 
-def test_unit_symbol_at_two_both_roots():
-    for m in (17, 41, 33, 73, 89, 97):
-        r = sqrt_2adic(m, 4)
-        assert unit_symbol(m, 2, root=r) == unit_symbol(m, 2, root=(16 - r) % 16)
+@st.composite
+def odd_split_pairs(draw):
+    """(m, p): odd p in V and squarefree m < 10^4 split at p."""
+    p = draw(st.sampled_from(primes_in_v(200)[1:]))
+    m = draw(st.integers(min_value=2, max_value=9999))
+    assume(is_squarefree(m) and legendre(m, p) == 1)
+    return m, p
+
+
+@settings(max_examples=300)
+@given(odd_split_pairs())
+def test_unit_symbol_root_independence(pair):
+    m, p = pair
+    other = p - sqrt_mod(m, p)
+    assert (other * other - m) % p == 0
+    assert legendre(reduce_at(fundamental_unit(m), other, p), p) == unit_symbol(m, p)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=1249).map(lambda k: 8 * k + 1))
+def test_unit_symbol_at_two_both_roots(m):
+    assume(is_squarefree(m))
+    other = (16 - sqrt_2adic(m, 4)) % 16
+    assert (other * other - m) % 16 == 0
+    # den = 1 when m = 1 (mod 8)
+    assert legendre(reduce_at(fundamental_unit(m), other, 8), 2) == unit_symbol(m, 2)
 
 
 def test_unit_symbol_domain():
@@ -124,8 +147,6 @@ def test_unit_symbol_domain():
         unit_symbol(2, 5)  # (2/5) = -1, unit coordinates not p-integral
     with pytest.raises(DomainError):
         unit_symbol(5, 2)  # 5 != 1 (mod 8)
-    with pytest.raises(DomainError):
-        unit_symbol(5, 29, root=3)  # 3^2 != 5 mod 29
 
 
 def test_unit_symbol_divides_modulus():
@@ -141,15 +162,15 @@ def test_check_unit_congruences_known_good():
 
 
 def test_divisor_certificate_matches_factorisation():
-    # m*y odd and dividing x^2 + 1 certifies every prime of m*y is 1 mod 4;
-    # below 200 the second-largest prime of m*y is at most 569
+    # the norm relation gives x^2 + 1 = m*y^2 for the cube, so every prime
+    # of the odd number m*y is 1 mod 4; below 200 the second-largest prime
+    # of m*y is at most 569
     checked = 0
     for m in range(3, 200, 2):
         if not is_squarefree(m) or fundamental_unit(m).norm != -1:
             continue
-        report = check_unit_congruences(m)
-        by_factoring = all(p % 4 == 1 for p in prime_divisors(m * report.y))
-        assert report.my_divisors_1_mod4 == by_factoring, m
+        _, y3 = fundamental_unit(m).cubed_coordinates()
+        assert all(p % 4 == 1 for p in prime_divisors(m * y3)), m
         checked += 1
     assert checked > 20
 

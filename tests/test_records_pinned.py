@@ -1,11 +1,12 @@
 """The record stream of `verify --format csv` pinned by digest.
 
-Each check runs in-process at a small bound, and three of them also with two
-worker processes.  The sha256 covers every line after the timestamp line:
-the header, each record with its predicted and oracle strings (the d= of
-candp, the Q= of kuroda, ...) and verdict, and the summary.  A refactor of
-the arithmetic underneath must leave these digests unchanged; a deliberate
-change of the records has to update them here.
+Every check runs in-process at a fixed bound, and three of them also with
+two worker processes.  The sha256 covers the lines between the timestamp
+line and the summary line: the header and each record with its predicted
+and oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict.
+The summary line is asserted exactly.  A refactor of the arithmetic
+underneath must leave these digests unchanged; a deliberate change of the
+records has to update them here.
 """
 
 import hashlib
@@ -15,13 +16,17 @@ import pytest
 from quadrec.cli import main
 
 PINNED = {
-    ("thm-sq", 100): (106, "b628195d8c0129eaacb761019962501f0bdf86b4117b004ee021b79d93e3c5e4"),
-    ("pos-norm", 1200): (557, "e52406c66dfa57e96bd666cac4748e9f4d6c014fdb93b73f3c110f49fd13d2a9"),
-    ("kuroda", 60): (93, "27fc908acd88094e7417d53d21a6ffd56d46257d8745b930ab8d835d02b3fd41"),
-    ("candp", 600): (431, "d3d1132b51cd656e41d16f04bfd369e7312d2746e061c3507c7c5a70079598fe"),
-    ("candm", 60): (12, "6ed6311ea4b129130b87a3496365aaa1f3e3ff4ae77be81c87e14913340aac65"),
-    ("lemma-e", 1000): (104, "dd6c2a6e008ef894c5577ed3a32e13a789fc2dd93bc6f24114774ae6c5c94d2c"),
-    ("triangles", 8): (141, "96b4ac4b1e31a3e06da125e261a21df2effeb2569395d13d1ff60a0d02fa41f7"),
+    ("thm-sq", 100): (106, "e17a657edcaded7c4c02f570d27966dda72088ccf016d7ddf73f5347e59eae9c"),
+    ("pos-norm", 1200): (557, "b0d6113b14f27cae3be5b949a5296a702373ac429766fbbfa739314fa942e7df"),
+    ("kuroda", 60): (93, "0b298429aa82f559eaa9f3db0056f59dc21665479636f6c8172d6273023fad76"),
+    ("candp", 600): (431, "abe02ae87daa11b552453718d9a2e298cacf431ccf6de377c14b9ebbc4a6fa2b"),
+    ("candm", 60): (12, "1d01e46a5838ed20139622c746da8fb50d3f947d6e7724649ba7d97c5f331d1c"),
+    ("lemma-e", 1000): (104, "2e3a3d67b73040d320338f82191aa3af4d03ea62fb65ecf9d6d2e9a2bc0398b3"),
+    ("triangles", 8): (141, "c3576b55b519ffd151194b3e4bb0365ba122394259e2ab6f8cff81096692f27a"),
+    ("scholz", 300): (413, "a24d109d77989a8ddba268da050ecb628b7f7c2bd2159982cc5fea6cb134f587"),
+    ("scholz2", 100): (108, "0bce50b97c45d2643c099c8a3454f6b136818a8dab756e95f43f47fe7ba13d18"),
+    ("norm-sign", 5000): (110, "95f1d025f39893c61fbb75373df13cd864b3d68d1a38fc7f62adb3b9adbb9541"),
+    ("duality", 10): (203, "f34a98328df4ec073eb699e65ad35ec17306182b809fe2fb87f39f6b20ffb3d5"),
 }
 
 
@@ -32,7 +37,9 @@ def assert_pinned(capsys, check, bound, *options):
     assert lines[0].startswith("# quadrec verify ")
     count, digest = PINNED[check, bound]
     assert len(lines) == count
-    assert hashlib.sha256("".join(lines[1:]).encode()).hexdigest() == digest
+    assert lines[-1] == f"# summary pass={count - 3} fail=0\n"
+    got = hashlib.sha256("".join(lines[1:-1]).encode()).hexdigest()
+    assert got == digest, f"{check} at bound {bound}: records digest {got}"
 
 
 @pytest.mark.parametrize("check,bound", sorted(PINNED))

@@ -8,10 +8,17 @@ import sys
 
 import pytest
 
+from quadrec import sweeps
 from quadrec.arith import DomainError
 from quadrec.cli import main
-from quadrec.pell import UnitCache, compute_fundamental_unit, swap_unit_cache, unit_cache
-from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, run_check, summarize
+from quadrec.pell import (
+    QuadUnit,
+    UnitCache,
+    compute_fundamental_unit,
+    swap_unit_cache,
+    unit_cache,
+)
+from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, SweepRecord, run_check, summarize
 
 
 def run_cli(*args):
@@ -39,11 +46,35 @@ def test_scholz_sweep_counts():
     cfg = SweepConfig(bound=100)
     records = run_check("scholz", cfg)
     assert len(records) == 56
-    assert summarize(records) == {"pass": 56, "fail": 0, "undecided": 0}
+    assert summarize(records) == {"pass": 56, "fail": 0}
+    with pytest.raises(AssertionError):
+        SweepRecord("scholz", "eps_2|17", "+1", "+1", verdict="undecided")
     assert records[0].instance.startswith("eps_")
     # both orientations of the first defined pair appear
     names = [r.instance for r in records]
     assert "eps_2|17" in names and "eps_17|2" in names
+
+
+def test_scholz_oracles_reject_a_negated_prediction(monkeypatch):
+    for check, bound, name, count in (("scholz", 100, "scholz_predict", 56),
+                                      ("scholz2", 60, "scholz2_predict", 27)):
+        right = getattr(sweeps, name)
+        monkeypatch.setattr(sweeps, name, lambda *args, right=right: -right(*args))
+        records = run_check(check, SweepConfig(bound=bound))
+        assert summarize(records) == {"pass": 0, "fail": count}
+
+
+def test_lemma_e_oracle_rejects_a_shifted_y(monkeypatch):
+    right = QuadUnit.cubed_coordinates
+
+    def shifted(unit):
+        x3, y3 = right(unit)
+        return x3, y3 + 2
+
+    monkeypatch.setattr(QuadUnit, "cubed_coordinates", shifted)
+    records = run_check("lemma-e", SweepConfig(bound=300))
+    assert records
+    assert {(r.oracle, r.verdict) for r in records} == {("y-mod4", "fail")}
 
 
 def test_duality_sweep_is_seed_deterministic():
@@ -146,6 +177,7 @@ def test_cli_verify_json_lines_round_trip():
     summaries = [p for p in payloads if "summary" in p]
     assert len(records) == 9
     assert len(summaries) == 1
+    assert set(summaries[0]["summary"]) == {"pass", "fail"}
     assert summaries[0]["summary"]["fail"] == 0
     assert {r["verdict"] for r in records} == {"pass"}
     assert all(set(r) == {"check", "instance", "predicted", "oracle", "verdict"}
@@ -204,7 +236,7 @@ def test_cli_verify_pos_norm_past_four_generators():
 def test_cli_verify_human_summary_line():
     out = run_cli("verify", "--check", "duality", "--samples", "10")
     assert out.returncode == 0
-    assert out.stdout.splitlines()[-1] == "10 instances: 10 pass, 0 fail, 0 undecided"
+    assert out.stdout.splitlines()[-1] == "10 instances: 10 pass, 0 fail"
 
 
 def test_cli_verify_jobs_smoke():
