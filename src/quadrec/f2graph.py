@@ -8,16 +8,21 @@ non-residue cycles into triangles through an auxiliary prime.  The
 auxiliary primes of a cycle come from one ascending, unbounded walk over V
 (`auxiliary_primes`), which always finds the next one: the conditions on it
 are congruence classes prime to 8 times the vertex product, and each such
-class holds infinitely many primes.
+class holds infinitely many primes.  Every walk reads one shared ascending
+list of V-primes, which grows by doubling its bound, and one bitset per
+vertex over that list marking the primes that are non-residues against the
+vertex; a cycle's candidates are the AND of its vertices' bitsets.  The
+state depends on nothing but the vertices, so every process builds the
+same.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, combinations, count
+from itertools import combinations
 
-from .arith import DomainError, gf2_echelon, is_prime, legendre, require_v_prime, v_symbol
+from .arith import DomainError, gf2_echelon, legendre, primes_in_v, require_v_prime, v_symbol
 
 Edge = tuple[int, int]
 EdgeVector = frozenset  # of Edge
@@ -222,25 +227,67 @@ def _cycle_order(cycle) -> list[int]:
     return order
 
 
+# Ascending primes of V, and per vertex p the bitset over that list of the
+# primes l != p with legendre(l, p) = -1, with the list length it covers.
+# Both only grow.
+_v_primes: list[int] = []
+_nonresidue_bits: dict[int, tuple[int, int]] = {}
+
+
+def _grow_v_primes() -> None:
+    bound = 2 * _v_primes[-1] if _v_primes else 64
+    _v_primes.extend(primes_in_v(bound)[len(_v_primes):])
+
+
+def first_v_primes(n: int) -> list[int]:
+    """The n smallest primes of V."""
+    while len(_v_primes) < n:
+        _grow_v_primes()
+    return _v_primes[:n]
+
+
+def _nonresidues_against(p: int) -> int:
+    bits, covered = _nonresidue_bits.get(p, (0, 0))
+    for i in range(covered, len(_v_primes)):
+        aux = _v_primes[i]
+        if aux != p and legendre(aux, p) == -1:
+            bits |= 1 << i
+    _nonresidue_bits[p] = bits, len(_v_primes)
+    return bits
+
+
 def auxiliary_primes(vertices):
     """Yield, ascending, every prime l of V that is not a vertex and is a
     non-residue against each vertex.
 
-    The vertices are validated once; the walk then tests candidates with
-    legendre(l, p), which equals v_symbol(p, l) on primes of V (reciprocity
-    for p, l = 1 mod 4, the mod-8 table at 2).  The walk is unbounded and
-    each step ends: the conditions (l = 1 mod 4, or 5 mod 8 when 2 is a
-    vertex, and l a non-residue mod each odd vertex) pick residue classes
-    prime to 8 times the vertex product, which exist by the Chinese
-    remainder theorem and hold infinitely many primes each by Dirichlet.
+    The vertices are validated once.  The candidates, l = 2 or
+    l = 1 (mod 4), are the shared list of V-primes.  Each vertex p marks in
+    its bitset the l with legendre(l, p) = -1, which equals v_symbol(p, l)
+    on V (reciprocity for p, l = 1 mod 4, the mod-8 table at 2), and the
+    walk reads the AND of the vertices' bitsets, growing the list and the
+    bitsets when it runs off the end.  The walk is unbounded and each step
+    ends: l = 2 qualifies exactly when every vertex is 5 mod 8, and the
+    conditions on odd l (l = 1 mod 4, or 5 mod 8 when 2 is a vertex, and l
+    a non-residue mod each odd vertex) pick residue classes prime to 8
+    times the vertex product, which exist by the Chinese remainder theorem
+    and hold infinitely many primes each by Dirichlet.
     """
     vs = sorted(set(vertices))
     for p in vs:
         require_v_prime(p)
-    for aux in chain((2,), count(5, 4)):
-        if (aux not in vs and is_prime(aux)
-                and all(legendre(aux, p) == -1 for p in vs)):
-            yield aux
+    start = 0
+    while True:
+        if start == len(_v_primes):
+            _grow_v_primes()
+        end = len(_v_primes)
+        common = (1 << end) - (1 << start)
+        for p in vs:
+            common &= _nonresidues_against(p)
+        while common:
+            low = common & -common
+            yield _v_primes[low.bit_length() - 1]
+            common ^= low
+        start = end
 
 
 def triangle_decompose(cycle, aux: int | None) -> list[EdgeVector]:

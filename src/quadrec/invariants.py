@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .arith import DomainError, Sign, quartic, v_symbol
@@ -59,6 +60,7 @@ def edge_invariant(p: int, q: int) -> int:
     return 0 if quartic(p, q) * quartic(q, p) == 1 else 1
 
 
+@lru_cache(maxsize=1 << 16)
 def triangle_invariant(p: int, q: int, r: int) -> int:
     """Invariant bit of a pairwise non-residue triangle: 0 iff the three
     paired quartic symbols multiply to -1."""

@@ -38,6 +38,7 @@ from .f2graph import (
     build_graph,
     cycle_space,
     edge,
+    first_v_primes,
     triangle_decompose,
     verify_duality,
 )
@@ -109,15 +110,6 @@ def _v_supported(m: int) -> bool:
     return all(p % 4 != 3 for p in prime_divisors(m))
 
 
-def _first_v_primes(n: int) -> list[int]:
-    bound = 64
-    while True:
-        ps = primes_in_v(bound)
-        if len(ps) >= n:
-            return ps[:n]
-        bound *= 2
-
-
 # --- scholz -----------------------------------------------------------------
 
 def _enum_scholz(config: SweepConfig) -> list[tuple]:
@@ -186,20 +178,26 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
 # --- triangles --------------------------------------------------------------
 
 def _enum_triangles(config: SweepConfig) -> list[tuple]:
-    vs = _first_v_primes(config.bound_for("triangles"))
-    graph = build_graph(vs)
-    non = graph.edges_N
+    vs = first_v_primes(config.bound_for("triangles"))
+    non = build_graph(vs).edges_N
+    nbrs = {v: [w for w in vs if w != v and edge(v, w) in non] for v in vs}
     out = []
-    for k in range(3, 7):
-        for subset in combinations(vs, k):
-            rest = subset[1:]
-            for perm in permutations(rest):
-                if perm[0] > perm[-1]:
-                    continue  # each cycle once per direction
-                order = (subset[0],) + perm
-                if all(edge(order[i], order[(i + 1) % k]) in non
-                       for i in range(k)):
-                    out.append(order)
+
+    def walk(path):
+        last = path[-1]
+        if len(path) >= 3 and path[1] < last and edge(last, path[0]) in non:
+            out.append(tuple(path))
+        if len(path) < 6:
+            for w in nbrs[last]:
+                if w > path[0] and w not in path:
+                    walk(path + [w])
+
+    # each cycle once: from its least vertex, second vertex < last vertex
+    for s in vs:
+        walk([s])
+    # by length, then vertex subsets in combinations order, then each
+    # subset's cycles in permutations order of the vertices after the least
+    out.sort(key=lambda c: (len(c), sorted(c), c))
     return out
 
 

@@ -5,6 +5,7 @@ from itertools import combinations, islice
 
 import pytest
 
+from quadrec import f2graph
 from quadrec.arith import DomainError, primes_in_v, v_symbol
 from quadrec.f2graph import (
     PrimeGraph,
@@ -145,6 +146,48 @@ def test_auxiliary_primes_match_brute_force():
         for tri in tris:
             acc ^= tri
         assert acc == frozenset(cycle)
+
+
+@pytest.fixture
+def cold_walk(monkeypatch):
+    """The shared V-prime list and the vertex bitsets, emptied."""
+    monkeypatch.setattr(f2graph, "_v_primes", [])
+    monkeypatch.setattr(f2graph, "_nonresidue_bits", {})
+
+
+SIX_CYCLE = [2, 5, 13, 17, 29, 37]  # the vertices of a non-residue 6-cycle
+
+
+def brute_force_auxiliary(vertices, n):
+    found = [aux for aux in primes_in_v(20_000) if aux not in vertices
+             and all(v_symbol(p, aux) == -1 for p in vertices)]
+    assert len(found) >= n
+    return found[:n]
+
+
+def test_auxiliary_primes_extend_the_shared_list(cold_walk):
+    first = list(islice(auxiliary_primes(SIX_CYCLE), 8))
+    assert first == brute_force_auxiliary(SIX_CYCLE, 8)
+    assert len(f2graph._v_primes) > len(primes_in_v(64))  # it ran off the first list
+    assert f2graph._v_primes == primes_in_v(f2graph._v_primes[-1])
+
+
+def test_auxiliary_primes_cold_and_warm_agree(cold_walk):
+    cold = list(islice(auxiliary_primes(SIX_CYCLE[:4]), 8))
+    list(islice(auxiliary_primes(SIX_CYCLE), 8))
+    warm = list(islice(auxiliary_primes(SIX_CYCLE[:4]), 8))
+    assert cold == warm == brute_force_auxiliary(SIX_CYCLE[:4], 8)
+
+
+def test_auxiliary_primes_of_no_vertices_are_v(cold_walk):
+    assert list(islice(auxiliary_primes([]), 5)) == [2, 5, 13, 17, 29]
+    assert list(islice(auxiliary_primes([]), 500)) == primes_in_v(10_000)[:500]
+
+
+def test_auxiliary_primes_skip_a_vertex_two():
+    assert 2 not in islice(auxiliary_primes([2]), 50)
+    assert 2 not in islice(auxiliary_primes([2, 5]), 20)
+    assert next(auxiliary_primes([5, 13])) == 2  # both are 5 mod 8
 
 
 def test_triangle_decompose_rejects_bad_input():

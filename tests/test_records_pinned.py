@@ -1,6 +1,6 @@
 """The record stream of `verify --format csv` pinned by digest.
 
-Every check runs in-process at a fixed bound, and three of them also with
+Every check runs in-process at a fixed bound, and four of them also with
 two worker processes.  The sha256 covers the lines between the timestamp
 line and the summary line: the header and each record with its predicted
 and oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict.
@@ -23,6 +23,7 @@ PINNED = {
     ("candm", 60): (12, "1d01e46a5838ed20139622c746da8fb50d3f947d6e7724649ba7d97c5f331d1c"),
     ("lemma-e", 1000): (104, "2e3a3d67b73040d320338f82191aa3af4d03ea62fb65ecf9d6d2e9a2bc0398b3"),
     ("triangles", 8): (141, "c3576b55b519ffd151194b3e4bb0365ba122394259e2ab6f8cff81096692f27a"),
+    ("triangles", 12): (2255, "57fd0d18a1a212ca4c510216222ac9a666eeafa2b869e162cf8639eeacc1b29f"),
     ("scholz", 300): (413, "a24d109d77989a8ddba268da050ecb628b7f7c2bd2159982cc5fea6cb134f587"),
     ("scholz2", 100): (108, "0bce50b97c45d2643c099c8a3454f6b136818a8dab756e95f43f47fe7ba13d18"),
     ("norm-sign", 5000): (110, "95f1d025f39893c61fbb75373df13cd864b3d68d1a38fc7f62adb3b9adbb9541"),
@@ -48,6 +49,6 @@ def test_verify_records_match_pinned_digest(check, bound, capsys):
 
 
 @pytest.mark.parametrize("check,bound", [("thm-sq", 100), ("kuroda", 60),
-                                         ("lemma-e", 1000)])
+                                         ("lemma-e", 1000), ("triangles", 8)])
 def test_verify_records_under_jobs_match_pinned_digest(check, bound, capsys):
     assert_pinned(capsys, check, bound, "--jobs", "2")

@@ -5,12 +5,15 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import combinations, permutations
 
 import pytest
 
 from quadrec import sweeps
-from quadrec.arith import DomainError
+from quadrec.arith import DomainError, primes_in_v, v_symbol
 from quadrec.cli import main
+from quadrec.f2graph import build_graph, edge, first_v_primes
 from quadrec.pell import (
     QuadUnit,
     UnitCache,
@@ -75,6 +78,56 @@ def test_lemma_e_oracle_rejects_a_shifted_y(monkeypatch):
     records = run_check("lemma-e", SweepConfig(bound=300))
     assert records
     assert {(r.oracle, r.verdict) for r in records} == {("y-mod4", "fail")}
+
+
+def brute_force_triangles(bound):
+    """Every non-residue cycle of length 3 to 6 on the first `bound` primes
+    of V: each vertex subset, each order of its vertices after the least,
+    one direction per cycle."""
+    vs = first_v_primes(bound)
+    non = build_graph(vs).edges_N
+    out = []
+    for k in range(3, 7):
+        for subset in combinations(vs, k):
+            for perm in permutations(subset[1:]):
+                if perm[0] > perm[-1]:
+                    continue
+                order = (subset[0],) + perm
+                if all(edge(order[i], order[(i + 1) % k]) in non
+                       for i in range(k)):
+                    out.append(order)
+    return out
+
+
+@pytest.mark.parametrize("bound", range(5, 13))
+def test_triangles_enumeration_matches_brute_force(bound):
+    expected = brute_force_triangles(bound)
+    assert sweeps._enum_triangles(SweepConfig(bound=bound)) == expected
+
+
+def test_triangles_oracle_rejects_a_flipped_invariant(monkeypatch):
+    right = sweeps.general_invariant
+
+    def flipped(cycle):
+        report = right(cycle)
+        return replace(report, value=1 - report.value)
+
+    monkeypatch.setattr(sweeps, "general_invariant", flipped)
+    records = run_check("triangles", SweepConfig(bound=8))
+    assert summarize(records) == {"pass": 0, "fail": 138}
+
+
+def test_triangles_oracle_rejects_a_residue_auxiliary_prime(monkeypatch):
+    right = sweeps.auxiliary_primes
+
+    def with_a_residue(vertices):
+        yield next(q for q in primes_in_v(10_000) if q not in vertices
+                   and v_symbol(min(vertices), q) == 1)
+        yield from right(vertices)
+
+    monkeypatch.setattr(sweeps, "auxiliary_primes", with_a_residue)
+    with pytest.raises(DomainError, match="auxiliary prime must be"):
+        run_check("triangles", SweepConfig(bound=8))
 
 
 def test_duality_sweep_is_seed_deterministic():
