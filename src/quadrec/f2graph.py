@@ -4,7 +4,11 @@ A PrimeGraph splits the complete graph on a set of eligible primes into
 residue edges (Legendre symbol +1) and non-residue edges (-1).  Edge sets are
 vectors over GF(2) under symmetric difference; this module computes boundary
 and cycle space bases, checks their annihilator duality, and decomposes
-non-residue cycles into triangles through an auxiliary prime.  The
+non-residue cycles into triangles through an auxiliary prime.  Both bases
+come from the GF(2) elimination of `arith`.  An edge's vertex vector is
+independent of the earlier edges' exactly when it closes no cycle with
+them, so ascending elimination keeps the ascending spanning forest and
+tags every other edge with its fundamental cycle.  The
 auxiliary primes of a cycle come from one ascending, unbounded walk over V
 (`auxiliary_primes`), which always finds the next one: the conditions on it
 are congruence classes prime to 8 times the vertex product, and each such
@@ -18,11 +22,18 @@ same.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import DomainError, gf2_echelon, legendre, primes_in_v, require_v_prime, v_symbol
+from .arith import (
+    DomainError,
+    gf2_echelon,
+    gf2_reduce,
+    legendre,
+    primes_in_v,
+    require_v_prime,
+    v_symbol,
+)
 
 Edge = tuple[int, int]
 EdgeVector = frozenset  # of Edge
@@ -79,128 +90,72 @@ def build_graph(primes) -> PrimeGraph:
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra over a fixed edge order, vectors as int bitmasks
 
-def _edge_index(edges) -> dict:
-    return {e: i for i, e in enumerate(sorted(edges))}
-
-
-def _to_mask(vec, index) -> int:
-    m = 0
-    for e in vec:
-        m |= 1 << index[e]
-    return m
-
-
-def _from_mask(mask: int, edges_sorted) -> EdgeVector:
-    return frozenset(e for i, e in enumerate(edges_sorted) if mask >> i & 1)
-
-
-def _spanning_forest(vertices, edges):
-    """(tree edges, non-tree edges, component count), edges taken ascending."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree, extra = [], []
-    for e in sorted(edges):
-        ru, rv = find(e[0]), find(e[1])
-        if ru == rv:
-            extra.append(e)
-        else:
-            parent[ru] = rv
-            tree.append(e)
-    components = sum(1 for v in parent if find(v) == v)
-    return tree, extra, components
-
-
-def _check_support(vs, es) -> None:
+def _edges(vertices, edges) -> tuple[list[int], list[Edge]]:
+    """The sorted vertices and the sorted distinct edges, each normalised by
+    `edge`, so both orientations are one edge and a loop is an error."""
+    vs = sorted(set(vertices))
+    es = sorted({edge(u, v) for u, v in edges})
     vset = set(vs)
     for u, v in es:
         if u not in vset or v not in vset:
             raise DomainError(f"edge ({u},{v}) leaves the vertex set")
+    return vs, es
+
+
+def _from_mask(mask: int, edges_sorted) -> EdgeVector:
+    """The edges at the set bits, in time linear in their number."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(edges_sorted[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def boundary_space(vertices, edges) -> list[EdgeVector]:
     """A GF(2) basis of the span of the vertex stars (edges at one vertex)."""
-    vs = sorted(vertices)
-    es = sorted(set(edges))
-    _check_support(vs, es)
-    index = _edge_index(es)
-    stars = []
-    for v in vs:
-        stars.append(_to_mask([e for e in es if v in e], index))
-    basis = [m for m, _ in gf2_echelon((star, 0) for star in stars)]
-    _, extra, components = _spanning_forest(vs, es)
-    assert len(basis) == len(vs) - components
-    assert len(basis) + len(extra) == len(es)
-    return [_from_mask(m, es) for m in basis]
+    vs, es = _edges(vertices, edges)
+    stars = dict.fromkeys(vs, 0)
+    for i, (u, v) in enumerate(es):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+    return [_from_mask(m, es) for m, _ in gf2_echelon((star, 0) for star in stars.values())]
 
 
 def cycle_space(vertices, edges) -> list[EdgeVector]:
     """Basis of the even-degree edge sets: one fundamental cycle per edge
-    outside an ascending-order spanning forest."""
-    vs = sorted(vertices)
-    es = sorted(set(edges))
-    _check_support(vs, es)
-    tree, extra, _ = _spanning_forest(vs, es)
-    adj = {v: [] for v in vs}
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent_edge: dict = {}
-    depth: dict = {}
-    for root in vs:
-        if root in depth:
-            continue
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    parent_edge[w] = edge(u, w)
-                    queue.append(w)
-    basis = []
-    for u, v in extra:
-        path = set()
-        a, b = u, v
-        while depth[a] > depth[b]:
-            e = parent_edge[a]
-            path.add(e)
-            a = e[0] if e[1] == a else e[1]
-        while depth[b] > depth[a]:
-            e = parent_edge[b]
-            path.add(e)
-            b = e[0] if e[1] == b else e[1]
-        while a != b:
-            ea, eb = parent_edge[a], parent_edge[b]
-            path.add(ea)
-            path.add(eb)
-            a = ea[0] if ea[1] == a else ea[1]
-            b = eb[0] if eb[1] == b else eb[1]
-        cycle = frozenset(path | {edge(u, v)})
-        for vertex, deg in Counter(x for e in cycle for x in e).items():
-            assert deg % 2 == 0, f"fundamental cycle has odd degree at {vertex}"
-        basis.append(cycle)
-    return basis
+    outside the ascending-order spanning forest, in ascending edge order.
+
+    Each edge, ascending, is the vertex vector bit(u) | bit(v) tagged with
+    its own edge bit, reduced against the forest edges kept so far.  It is
+    independent of the earlier edges exactly when it joins two of their
+    components, so the edges kept are the forest Kruskal picks in that
+    order.  An edge that reduces to zero closes a cycle: its tag is the
+    edge plus the forest edges whose vectors sum to its own, and the only
+    such forest edges are the forest path between its ends.
+    """
+    vs, es = _edges(vertices, edges)
+    bit = {v: 1 << k for k, v in enumerate(vs)}
+    forest: list[tuple[int, int]] = []
+    cycles = []
+    for i, (u, v) in enumerate(es):
+        vec, tag = gf2_reduce(bit[u] | bit[v], forest, 1 << i)
+        if vec:
+            forest.append((vec, tag))
+        else:
+            cycles.append(_from_mask(tag, es))
+    return cycles
 
 
 def verify_duality(vertices, edges) -> bool:
     """True when the boundary and cycle spaces annihilate each other: every
     pairing is orthogonal and the ranks add up to the edge count."""
-    bnd = boundary_space(vertices, edges)
-    cyc = cycle_space(vertices, edges)
-    if len(bnd) + len(cyc) != len(set(edges)):
+    vs, es = _edges(vertices, edges)
+    bnd = boundary_space(vs, es)
+    cyc = cycle_space(vs, es)
+    if len(bnd) + len(cyc) != len(es):
         return False
-    for b in bnd:
-        for c in cyc:
-            if len(b & c) % 2:
-                return False
-    return True
+    return all(len(b & c) % 2 == 0 for b in bnd for c in cyc)
 
 
 def _cycle_order(cycle) -> list[int]:

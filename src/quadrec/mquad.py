@@ -166,16 +166,11 @@ def field_containing(values) -> MQField:
         if k > 1:
             vals.append(k)
     vals = sorted(set(vals))
-    gens: list[int] = []
-    basis: list[tuple[int, int]] = []
     primes = sorted({p for v in vals for p in prime_divisors(v)})
     index = {p: i for i, p in enumerate(primes)}
-    for v in vals:
-        red, _ = gf2_reduce(sum(1 << index[p] for p in prime_divisors(v)), basis)
-        if red:
-            basis.append((red, 0))
-            gens.append(v)
-    return MQField(gens)
+    rows = gf2_echelon((sum(1 << index[p] for p in prime_divisors(v)), 1 << i)
+                       for i, v in enumerate(vals))
+    return MQField([vals[tag.bit_length() - 1] for _, tag in rows])
 
 
 class MQElement:

@@ -1,6 +1,7 @@
 """GF(2) boundary/cycle spaces, duality, triangle decomposition, serialization."""
 
 import random
+from collections import deque
 from itertools import combinations, islice
 
 import pytest
@@ -94,6 +95,101 @@ def test_spaces_reject_stray_edges():
         boundary_space([1, 2], [(1, 3)])
     with pytest.raises(DomainError):
         cycle_space([1, 2], [(1, 3)])
+
+
+def test_spaces_take_either_orientation_and_reject_loops():
+    # reversed edges pair with the cycle basis like normalised ones
+    reversed_triangle = [(2, 1), (3, 2), (3, 1)]
+    triangle = [(1, 2), (2, 3), (1, 3)]
+    assert boundary_space([1, 2, 3], reversed_triangle) == boundary_space([1, 2, 3], triangle)
+    assert cycle_space([1, 2, 3], reversed_triangle) == [frozenset(triangle)]
+    assert all(len(b & frozenset(triangle)) == 2
+               for b in boundary_space([1, 2, 3], reversed_triangle))
+    assert verify_duality([1, 2, 3], reversed_triangle)
+    # both orientations of one edge are one edge, rank sum included
+    assert rank_pair([1, 2], [(1, 2), (2, 1)]) == (1, 0)
+    assert verify_duality([1, 2], [(1, 2), (2, 1)])
+    for space in (boundary_space, cycle_space, verify_duality):
+        with pytest.raises(DomainError, match="loop edge at 1"):
+            space([1, 2], [(1, 1), (1, 2)])
+
+
+def forest_cycle_space(vertices, edges):
+    """Fundamental cycles as cycle_space built them before it used GF(2)
+    elimination: a union-find spanning forest over the ascending edges,
+    then a BFS from each component's least vertex and a walk up the tree
+    paths from both ends of each non-forest edge."""
+    vs = sorted(vertices)
+    es = sorted(set(edges))
+    parent = {v: v for v in vs}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree, extra = [], []
+    for e in es:
+        ru, rv = find(e[0]), find(e[1])
+        if ru == rv:
+            extra.append(e)
+        else:
+            parent[ru] = rv
+            tree.append(e)
+    adj = {v: [] for v in vs}
+    for u, v in tree:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent_edge, depth = {}, {}
+    for root in vs:
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in depth:
+                    depth[w] = depth[u] + 1
+                    parent_edge[w] = edge(u, w)
+                    queue.append(w)
+
+    def up(x):
+        e = parent_edge[x]
+        return e, e[0] if e[1] == x else e[1]
+
+    basis = []
+    for u, v in extra:
+        path = {(u, v)}
+        a, b = u, v
+        while depth[a] > depth[b]:
+            e, a = up(a)
+            path.add(e)
+        while depth[b] > depth[a]:
+            e, b = up(b)
+            path.add(e)
+        while a != b:
+            ea, a = up(a)
+            eb, b = up(b)
+            path |= {ea, eb}
+        basis.append(frozenset(path))
+    return basis
+
+
+def test_cycle_space_matches_the_forest_construction():
+    rng = random.Random(8)
+    disconnected = isolated = 0
+    for trial in range(300):
+        vs = rng.sample(range(1, 60), rng.randint(1, 14))
+        density = rng.random()
+        es = [edge(u, v) for u, v in combinations(vs, 2) if rng.random() < density]
+        expected = forest_cycle_space(vs, es)
+        assert cycle_space(vs, es) == expected, (trial, vs, es)
+        components = len(vs) - len(boundary_space(vs, es))
+        disconnected += components > 1
+        isolated += any(all(v not in e for e in es) for v in vs)
+    assert disconnected > 50 and isolated > 50
 
 
 def find_nonresidue_cycle(length):

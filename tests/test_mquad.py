@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from quadrec.arith import DomainError
+from quadrec.arith import DomainError, gf2_reduce, prime_divisors, squarefree_kernel
 from quadrec.mquad import (
     MQElement,
     MQField,
@@ -42,6 +43,32 @@ def test_field_containing():
     assert g.gens == (2,) and g.degree == 2
     with pytest.raises(DomainError):
         field_containing([0])
+
+
+def reference_field_gens(values):
+    """field_containing's generator choice as its own reduce loop made it:
+    ascending squarefree kernels > 1, each kept when its prime vector is
+    independent of the kept ones."""
+    vals = sorted({squarefree_kernel(v) for v in values} - {1})
+    primes = sorted({p for v in vals for p in prime_divisors(v)})
+    index = {p: i for i, p in enumerate(primes)}
+    gens, basis = [], []
+    for v in vals:
+        red, _ = gf2_reduce(sum(1 << index[p] for p in prime_divisors(v)), basis)
+        if red:
+            basis.append((red, 0))
+            gens.append(v)
+    return tuple(gens)
+
+
+def test_field_containing_matches_the_reduce_loop():
+    # products of a few small primes times a square, so that many lists
+    # hold a value dependent on the ones before it
+    rng = random.Random(31)
+    for _ in range(500):
+        values = [prod(rng.sample((2, 3, 5, 7, 11), rng.randint(0, 3))) * rng.randint(1, 4) ** 2
+                  for _ in range(rng.randint(1, 7))]
+        assert field_containing(values).gens == reference_field_gens(values), values
 
 
 def test_multiplication_table():

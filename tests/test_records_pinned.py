@@ -1,6 +1,6 @@
 """The record stream of `verify --format csv` pinned by digest.
 
-Every check runs in-process at a fixed bound, and four of them also with
+Every check runs in-process at a fixed bound, and five of them also with
 two worker processes.  The sha256 covers the lines between the timestamp
 line and the summary line: the header and each record with its predicted
 and oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict.
@@ -28,6 +28,7 @@ PINNED = {
     ("scholz2", 100): (108, "0bce50b97c45d2643c099c8a3454f6b136818a8dab756e95f43f47fe7ba13d18"),
     ("norm-sign", 5000): (110, "95f1d025f39893c61fbb75373df13cd864b3d68d1a38fc7f62adb3b9adbb9541"),
     ("duality", 10): (203, "f34a98328df4ec073eb699e65ad35ec17306182b809fe2fb87f39f6b20ffb3d5"),
+    ("duality", 16): (203, "bda0bbac4ecc77452f059f48ed980fbe9eb3711990e3e104570e71a1c25d03be"),
 }
 
 
@@ -49,6 +50,7 @@ def test_verify_records_match_pinned_digest(check, bound, capsys):
 
 
 @pytest.mark.parametrize("check,bound", [("thm-sq", 100), ("kuroda", 60),
-                                         ("lemma-e", 1000), ("triangles", 8)])
+                                         ("lemma-e", 1000), ("triangles", 8),
+                                         ("duality", 16)])
 def test_verify_records_under_jobs_match_pinned_digest(check, bound, capsys):
     assert_pinned(capsys, check, bound, "--jobs", "2")

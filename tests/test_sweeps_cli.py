@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from quadrec import sweeps
+from quadrec import f2graph, sweeps
 from quadrec.arith import DomainError, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import build_graph, edge, first_v_primes
@@ -134,6 +134,53 @@ def test_duality_sweep_is_seed_deterministic():
     cfg1 = SweepConfig(samples=30, seed=9)
     cfg2 = SweepConfig(samples=30, seed=9)
     assert run_check("duality", cfg1) == run_check("duality", cfg2)
+
+
+def duality_ranks(record):
+    """(boundary rank, cycle rank, edge count) from a duality oracle string."""
+    ranks, edges = record.oracle.split(",")[0].removeprefix("ranks ").split(" of ")
+    b, c = ranks.split("+")
+    return int(b), int(c), int(edges)
+
+
+def patch_cycle_space(monkeypatch, mutant):
+    """The sweep reads cycle_space directly and through verify_duality."""
+    monkeypatch.setattr(sweeps, "cycle_space", mutant)
+    monkeypatch.setattr(f2graph, "cycle_space", mutant)
+
+
+def graphs_with_cycles():
+    return {r.instance for r in run_check("duality", SweepConfig())
+            if duality_ranks(r)[1] > 0}
+
+
+def test_duality_oracle_rejects_a_dropped_cycle(monkeypatch):
+    right = f2graph.cycle_space
+    expected = graphs_with_cycles()
+    assert len(expected) == 127
+    patch_cycle_space(monkeypatch, lambda vertices, edges: right(vertices, edges)[:-1])
+    records = run_check("duality", SweepConfig())
+    assert summarize(records) == {"pass": 73, "fail": 127}
+    assert {r.instance for r in records if r.verdict == "fail"} == expected
+
+
+def test_duality_oracle_rejects_a_cycle_missing_an_edge(monkeypatch):
+    right = f2graph.cycle_space
+
+    def broken_first(vertices, edges):
+        basis = right(vertices, edges)
+        return [basis[0] - {min(basis[0])}] + basis[1:] if basis else basis
+
+    expected = graphs_with_cycles()
+    patch_cycle_space(monkeypatch, broken_first)
+    records = run_check("duality", SweepConfig())
+    assert summarize(records) == {"pass": 73, "fail": 127}
+    failed = [r for r in records if r.verdict == "fail"]
+    assert {r.instance for r in failed} == expected
+    # the ranks still add up: orthogonality alone catches it
+    for r in failed:
+        b, c, edges = duality_ranks(r)
+        assert b + c == edges and r.oracle.endswith(", not orthogonal"), r
 
 
 def test_candm_sweep_has_both_outcomes():
