@@ -50,7 +50,6 @@ from .f2graph import (
     edge,
     graph_to_lines,
     triangle_decompose,
-    verify_duality,
 )
 from .invariants import (
     InvariantReport,

@@ -268,9 +268,10 @@ class QIndex:
 
 def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
     """Unit index of Q(sqrt(d1), sqrt(d2)) over the units of its three
-    quadratic subfields, computed by exact square tests of
-    the seven nontrivial unit products (both signs, the totally positive
-    one first)."""
+    quadratic subfields, computed by exact square tests of the seven
+    nontrivial unit products.  Each unit, so each product, is > 1 under the
+    embedding with every sqrt(g_i) > 0; minus a product is negative there
+    and never a square, so only the products themselves are tested."""
     ds = (d1, d2, d3)
     for d in ds:
         if d < 2 or not is_squarefree(d):
@@ -289,7 +290,7 @@ def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
         for u, k in zip(units, exps):
             if k:
                 element = element * u
-        if is_square(element) is not None or is_square(-element) is not None:
+        if is_square(element) is not None:
             witnesses.add(exps)
     return QIndex(len(witnesses) + 1, frozenset(witnesses))
 

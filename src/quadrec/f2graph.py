@@ -3,9 +3,9 @@
 A PrimeGraph splits the complete graph on a set of eligible primes into
 residue edges (Legendre symbol +1) and non-residue edges (-1).  Edge sets are
 vectors over GF(2) under symmetric difference; this module computes boundary
-and cycle space bases, checks their annihilator duality, and decomposes
-non-residue cycles into triangles through an auxiliary prime.  Both bases
-come from the GF(2) elimination of `arith`.  An edge's vertex vector is
+and cycle space bases, and decomposes non-residue cycles, given as their
+vertex order, into triangles through an auxiliary prime.  Both bases come
+from the GF(2) elimination of `arith`.  An edge's vertex vector is
 independent of the earlier edges' exactly when it closes no cycle with
 them, so ascending elimination keeps the ascending spanning forest and
 tags every other edge with its fundamental cycle.  The
@@ -147,41 +147,6 @@ def cycle_space(vertices, edges) -> list[EdgeVector]:
     return cycles
 
 
-def verify_duality(vertices, edges) -> bool:
-    """True when the boundary and cycle spaces annihilate each other: every
-    pairing is orthogonal and the ranks add up to the edge count."""
-    vs, es = _edges(vertices, edges)
-    bnd = boundary_space(vs, es)
-    cyc = cycle_space(vs, es)
-    if len(bnd) + len(cyc) != len(es):
-        return False
-    return all(len(b & c) % 2 == 0 for b in bnd for c in cyc)
-
-
-def _cycle_order(cycle) -> list[int]:
-    """Vertices of a simple cycle in traversal order (error if not one)."""
-    edges = set(cycle)
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nbrs) != 2 for nbrs in adj.values()) or len(edges) != len(adj):
-        raise DomainError("edge set is not a single simple cycle")
-    start = min(adj)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        a, b = sorted(adj[cur])
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(order) != len(adj):
-        raise DomainError("edge set is not a single simple cycle")
-    return order
-
-
 # Ascending primes of V, and per vertex p the bitset over that list of the
 # primes l != p with legendre(l, p) = -1, with the list length it covers.
 # Both only grow.
@@ -245,23 +210,26 @@ def auxiliary_primes(vertices):
         start = end
 
 
-def triangle_decompose(cycle, aux: int | None) -> list[EdgeVector]:
+def triangle_decompose(order, aux: int | None) -> list[EdgeVector]:
     """Write a simple non-residue cycle as a symmetric difference of
     non-residue triangles through the auxiliary prime `aux`.
 
-    A 3-cycle is its own decomposition and `aux` is not used.  Otherwise
-    `aux` must be a prime of V, not a vertex, and a non-residue against
-    every vertex; `auxiliary_primes` yields exactly those, and any two of
-    them give two different decompositions.
+    The cycle is its vertices in traversal order; the closing edge from the
+    last vertex back to the first is implied.  Each edge (p, q) of it gives
+    the triangle (p, q, aux).  A 3-cycle is its own decomposition and `aux`
+    is not used.  Otherwise `aux` must be a prime of V, not a vertex, and a
+    non-residue against every vertex; `auxiliary_primes` yields exactly
+    those, and any two of them give two different decompositions.
     """
-    cyc = frozenset(edge(u, v) for u, v in cycle)
-    order = _cycle_order(cyc)
-    if len(order) < 3:
-        raise DomainError("a cycle needs at least three vertices")
-    for u, v in cyc:
+    k = len(order)
+    if k < 3 or len(set(order)) != k:
+        raise DomainError("a cycle needs at least three distinct vertices")
+    pairs = list(zip(order, order[1:] + order[:1]))
+    for u, v in pairs:
         if v_symbol(u, v) != -1:
             raise DomainError(f"({u}/{v}) = +1; cycle must be non-residue")
-    if len(order) == 3:
+    cyc = frozenset(edge(u, v) for u, v in pairs)
+    if k == 3:
         return [cyc]
     if aux in order:
         raise DomainError(f"auxiliary prime {aux} is a cycle vertex")
@@ -269,11 +237,8 @@ def triangle_decompose(cycle, aux: int | None) -> list[EdgeVector]:
         if v_symbol(p, aux) != -1:
             raise DomainError(f"({p}/{aux}) = +1; the auxiliary prime must be "
                               "a non-residue against every cycle vertex")
-    triangles = []
-    k = len(order)
-    for i in range(k):
-        p, q = order[i], order[(i + 1) % k]
-        triangles.append(frozenset({edge(p, q), edge(q, aux), edge(aux, p)}))
+    triangles = [frozenset({edge(p, q), edge(q, aux), edge(aux, p)})
+                 for p, q in pairs]
     acc: frozenset = frozenset()
     for t in triangles:
         acc = acc ^ t

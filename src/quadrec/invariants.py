@@ -113,20 +113,11 @@ def general_invariant(query) -> InvariantReport:
 def scholz_predict(p: int, q: int) -> Sign:
     """Predicted residue character of the fundamental unit of the first
     prime at the second: the product of the two quartic symbols."""
-    if p == q:
-        raise DomainError("need two distinct primes")
-    if v_symbol(p, q) != 1:
-        raise DomainError(f"({p}/{q}) = -1; the prediction needs a residue pair")
-    return quartic(p, q) * quartic(q, p)
+    return (-1) ** edge_invariant(p, q)
 
 
 def scholz2_predict(p: int, q: int, r: int) -> Sign:
     """Predicted residue character of the fundamental unit of p*q at r,
-    for a pairwise non-residue triple: minus the triple quartic product."""
-    if len({p, q, r}) != 3:
-        raise DomainError("need three distinct primes")
-    for a, b in ((p, q), (q, r), (r, p)):
-        if v_symbol(a, b) != -1:
-            raise DomainError(f"({a}/{b}) = +1; the prediction needs a "
-                              "pairwise non-residue triple")
-    return -quartic(p * q, r) * quartic(q * r, p) * quartic(r * p, q)
+    for a pairwise non-residue triple: minus the triple quartic product,
+    which is symmetric, so the sorted triple shares the triangle memo."""
+    return (-1) ** triangle_invariant(*sorted((p, q, r)))

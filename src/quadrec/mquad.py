@@ -54,7 +54,7 @@ class MQField:
                 raise DomainError(f"generator {d} is not squarefree > 1")
         if len(set(self.gens)) != len(self.gens):
             raise DomainError("generators must be distinct")
-        if len(self._gen_rows()) != len(self.gens):
+        if len(self._gen_rows) != len(self.gens):
             raise DomainError("generators are multiplicatively dependent "
                               "(some subproduct is a perfect square)")
 
@@ -65,8 +65,12 @@ class MQField:
             ps.update(prime_divisors(d))
         return tuple(sorted(ps))
 
+    @cached_property
+    def _prime_index(self) -> dict[int, int]:
+        return {p: i for i, p in enumerate(self.primes)}
+
     def _prime_vector(self, n: int) -> int:
-        index = {p: i for i, p in enumerate(self.primes)}
+        index = self._prime_index
         vec = 0
         for p in prime_divisors(n):
             if p not in index:
@@ -74,6 +78,7 @@ class MQField:
             vec |= 1 << index[p]
         return vec
 
+    @cached_property
     def _gen_rows(self) -> list[tuple[int, int]]:
         return gf2_echelon((self._prime_vector(d), 1 << i)
                            for i, d in enumerate(self.gens))
@@ -96,7 +101,7 @@ class MQField:
         """The generator-subset mask S with m*g_S a perfect square, i.e.
         sqrt(m) a rational multiple of sqrt(g_S) (error if there is none)."""
         target, combo = gf2_reduce(self._prime_vector(squarefree_kernel(m)),
-                                   self._gen_rows())
+                                   self._gen_rows)
         if target != 0:
             raise DomainError(f"sqrt({m}) does not lie in {self}")
         return combo
@@ -109,7 +114,7 @@ class MQField:
         """
         if n <= 0:
             raise DomainError("square classes are defined for positive values")
-        index = {p: i for i, p in enumerate(self.primes)}
+        index = self._prime_index
         inside = 0
         outside = 1
         for p in prime_divisors(squarefree_kernel(n)):
@@ -117,7 +122,7 @@ class MQField:
                 inside |= 1 << index[p]
             else:
                 outside *= p
-        inside, _ = gf2_reduce(inside, self._gen_rows())
+        inside, _ = gf2_reduce(inside, self._gen_rows)
         return outside, inside
 
     def element(self, coeffs) -> "MQElement":

@@ -18,7 +18,6 @@ from math import gcd, prod
 
 from .arith import (
     DomainError,
-    is_squarefree,
     prime_divisors,
     primes_in_v,
     v_symbol,
@@ -40,7 +39,6 @@ from .f2graph import (
     edge,
     first_v_primes,
     triangle_decompose,
-    verify_duality,
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
 from .pell import (
@@ -102,12 +100,13 @@ class SweepRecord:
         assert self.verdict in ("pass", "fail")
 
 
-def _squarefrees(lo: int, hi: int) -> list[int]:
-    return [m for m in range(lo, hi + 1) if is_squarefree(m)]
-
-
-def _v_supported(m: int) -> bool:
-    return all(p % 4 != 3 for p in prime_divisors(m))
+def _squarefrees(lo: int, hi: int):
+    """Yield (s, its prime divisors) for each squarefree s in [lo, hi],
+    factorising every integer once."""
+    for s in range(lo, hi + 1):
+        ps = prime_divisors(s)
+        if prod(ps) == s:
+            yield s, ps
 
 
 # --- scholz -----------------------------------------------------------------
@@ -167,12 +166,14 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
     nv = rng.randint(1, bound)
     vertices = list(range(1, nv + 1))
     edges = [e for e in combinations(vertices, 2) if rng.getrandbits(1)]
-    b = len(boundary_space(vertices, edges))
-    c = len(cycle_space(vertices, edges))
-    ok = verify_duality(vertices, edges)
-    oracle = f"ranks {b}+{c} of {len(edges)}" + ("" if ok else ", not orthogonal")
+    bnd = boundary_space(vertices, edges)
+    cyc = cycle_space(vertices, edges)
+    orthogonal = all(len(b & c) % 2 == 0 for b in bnd for c in cyc)
+    oracle = (f"ranks {len(bnd)}+{len(cyc)} of {len(edges)}"
+              + ("" if orthogonal else ", not orthogonal"))
+    ok = orthogonal and len(bnd) + len(cyc) == len(edges)
     return SweepRecord("duality", f"graph_{i:03d}", "annihilators", oracle,
-                       "pass" if ok and b + c == len(edges) else "fail")
+                       "pass" if ok else "fail")
 
 
 # --- triangles --------------------------------------------------------------
@@ -201,20 +202,18 @@ def _enum_triangles(config: SweepConfig) -> list[tuple]:
     return out
 
 
-def _eval_triangles(args: tuple) -> SweepRecord | None:
-    order = args
-    k = len(order)
-    cycle = [edge(order[i], order[(i + 1) % k]) for i in range(k)]
+def _eval_triangles(order: tuple) -> SweepRecord | None:
+    cycle = [edge(p, q) for p, q in zip(order, order[1:] + order[:1])]
     instance = "-".join(map(str, order))
     base = general_invariant(cycle).value
 
     def decomposition_sum(aux):
         total = 0
-        for tri in triangle_decompose(cycle, aux):
+        for tri in triangle_decompose(order, aux):
             total ^= triangle_invariant(*sorted({x for e in tri for x in e}))
         return total
 
-    if k == 3:
+    if len(order) == 3:
         s1 = s2 = decomposition_sum(None)
     else:
         s1, s2 = map(decomposition_sum, islice(auxiliary_primes(order), 2))
@@ -226,7 +225,7 @@ def _eval_triangles(args: tuple) -> SweepRecord | None:
 
 def _enum_thm_sq(config: SweepConfig) -> list[tuple]:
     bound = config.bound_for("thm-sq")
-    ms = [m for m in _squarefrees(2, bound) if _v_supported(m)]
+    ms = [m for m, ps in _squarefrees(2, bound) if all(p % 4 != 3 for p in ps)]
     return [(m1, m2) for i, m1 in enumerate(ms)
             for m2 in ms[i + 1:] if gcd(m1, m2) == 1]
 
@@ -245,7 +244,7 @@ def _eval_thm_sq(args: tuple) -> SweepRecord | None:
 # --- pos-norm ---------------------------------------------------------------
 
 def _enum_pos_norm(config: SweepConfig) -> list[tuple]:
-    return [(m,) for m in _squarefrees(3, config.bound_for("pos-norm"))]
+    return [(m,) for m, _ in _squarefrees(3, config.bound_for("pos-norm"))]
 
 
 def _eval_pos_norm(args: tuple) -> SweepRecord | None:
@@ -261,7 +260,7 @@ def _eval_pos_norm(args: tuple) -> SweepRecord | None:
 # --- lemma-e ----------------------------------------------------------------
 
 def _enum_lemma_e(config: SweepConfig) -> list[tuple]:
-    return [(m,) for m in _squarefrees(3, config.bound_for("lemma-e"))
+    return [(m,) for m, _ in _squarefrees(3, config.bound_for("lemma-e"))
             if m % 2 == 1]
 
 
@@ -299,8 +298,7 @@ def _eval_candm(args: tuple) -> SweepRecord | None:
 def _enum_candp(config: SweepConfig) -> list[tuple]:
     bound = config.bound_for("candp")
     out = []
-    for s in _squarefrees(2, bound):
-        ps = prime_divisors(s)
+    for s, ps in _squarefrees(2, bound):
         mprimes = [p for p in ps if p % 4 == 1]
         for bits in range(1 << len(mprimes)):
             m = prod(p for i, p in enumerate(mprimes) if bits >> i & 1)
@@ -323,10 +321,9 @@ def _eval_candp(args: tuple) -> SweepRecord | None:
 def _enum_norm_sign(config: SweepConfig) -> list[tuple]:
     bound = config.bound_for("norm-sign")
     out = []
-    for s in _squarefrees(2, bound):
-        if not _v_supported(s):
+    for s, ps in _squarefrees(2, bound):
+        if any(p % 4 == 3 for p in ps):
             continue
-        ps = prime_divisors(s)
         for bits in range(1, (1 << len(ps)) - 1):
             m = prod(p for i, p in enumerate(ps) if bits >> i & 1)
             n = s // m

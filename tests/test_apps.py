@@ -18,8 +18,9 @@ from quadrec.apps import (
     unit_element,
     unit_family,
 )
-from quadrec.mquad import MQField, field_containing
+from quadrec.mquad import MQField, field_containing, is_square
 from quadrec.pell import fundamental_unit
+from quadrec.sweeps import SweepConfig, _enum_kuroda
 
 
 def test_unit_element_embeds_the_unit():
@@ -179,6 +180,23 @@ def test_kuroda_example_instances():
         kuroda_example_check(2, 5, 13)  # (2/5) = -1 breaks the first hypothesis
     with pytest.raises(DomainError, match="not a prime"):
         kuroda_example_check(5, 29, 3)  # 3 is not in V
+
+
+def test_kuroda_unit_products_have_no_negative_square():
+    # kuroda_q tests the seven unit products and not their negatives:
+    # each is > 1 under the embedding with every sqrt(g_i) > 0
+    instances = _enum_kuroda(SweepConfig(bound=60))
+    assert len(instances) == 90
+    for p, q, r in instances:
+        ds = (p, q * r, p * q * r)
+        field = field_containing(ds)
+        units = [unit_element(fundamental_unit(d), field) for d in ds]
+        for e in range(1, 8):
+            x = field.rational(1)
+            for i, u in enumerate(units):
+                if e >> i & 1:
+                    x = x * u
+            assert is_square(-x) is None, (p, q, r, e)
 
 
 def test_triquad_parity():

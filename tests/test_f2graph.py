@@ -17,7 +17,6 @@ from quadrec.f2graph import (
     edge,
     graph_to_lines,
     triangle_decompose,
-    verify_duality,
 )
 
 
@@ -85,9 +84,9 @@ def test_boundary_cycle_orthogonality_random():
         n = rng.randint(1, 9)
         vs = list(range(n))
         es = [e for e in combinations(vs, 2) if rng.random() < 0.5]
-        assert verify_duality(vs, es), (trial, es)
-        b, c = rank_pair(vs, es)
-        assert b + c == len(es)
+        bnd, cyc = boundary_space(vs, es), cycle_space(vs, es)
+        assert len(bnd) + len(cyc) == len(es), (trial, es)
+        assert all(len(b & c) % 2 == 0 for b in bnd for c in cyc), (trial, es)
 
 
 def test_spaces_reject_stray_edges():
@@ -105,11 +104,9 @@ def test_spaces_take_either_orientation_and_reject_loops():
     assert cycle_space([1, 2, 3], reversed_triangle) == [frozenset(triangle)]
     assert all(len(b & frozenset(triangle)) == 2
                for b in boundary_space([1, 2, 3], reversed_triangle))
-    assert verify_duality([1, 2, 3], reversed_triangle)
     # both orientations of one edge are one edge, rank sum included
     assert rank_pair([1, 2], [(1, 2), (2, 1)]) == (1, 0)
-    assert verify_duality([1, 2], [(1, 2), (2, 1)])
-    for space in (boundary_space, cycle_space, verify_duality):
+    for space in (boundary_space, cycle_space):
         with pytest.raises(DomainError, match="loop edge at 1"):
             space([1, 2], [(1, 1), (1, 2)])
 
@@ -193,8 +190,8 @@ def test_cycle_space_matches_the_forest_construction():
 
 
 def find_nonresidue_cycle(length):
-    """Smallest-vertex simple cycle of the given length in Gamma_N over the
-    first dozen primes of V."""
+    """Vertex order of the first simple cycle of the given length in
+    Gamma_N over the first dozen primes of V, from its least vertex."""
     ps = primes_in_v(110)
     from itertools import permutations
     for subset in combinations(ps, length):
@@ -202,21 +199,21 @@ def find_nonresidue_cycle(length):
             if perm[0] > perm[-1]:
                 continue
             order = (subset[0],) + perm
-            es = [edge(order[i], order[(i + 1) % length]) for i in range(length)]
-            if all(v_symbol(u, v) == -1 for u, v in es):
-                return es
+            if all(v_symbol(u, v) == -1 for u, v in cycle_edges(order)):
+                return order
     raise AssertionError("no cycle found; widen the prime range")
 
 
-def cycle_vertices(cycle):
-    return sorted({x for e in cycle for x in e})
+def cycle_edges(order):
+    """The edges of the cycle through `order`, the closing one included."""
+    return frozenset(edge(order[i - 1], order[i]) for i in range(len(order)))
 
 
 @pytest.mark.parametrize("length", [3, 4, 5])
 def test_triangle_decompose_properties(length):
-    cycle = find_nonresidue_cycle(length)
-    aux = next(auxiliary_primes(cycle_vertices(cycle)))
-    tris = triangle_decompose(cycle, aux)
+    order = find_nonresidue_cycle(length)
+    aux = next(auxiliary_primes(order))
+    tris = triangle_decompose(order, aux)
     assert len(tris) == (1 if length == 3 else length)
     acc = frozenset()
     for tri in tris:
@@ -224,24 +221,26 @@ def test_triangle_decompose_properties(length):
         for u, v in tri:
             assert v_symbol(u, v) == -1
         acc ^= tri
-    assert acc == frozenset(cycle)
+    assert acc == cycle_edges(order)
+    # the same cycle from another vertex or in the other direction
+    for other in (order[1:] + order[:1], order[::-1]):
+        assert set(triangle_decompose(other, aux)) == set(tris)
 
 
 def test_auxiliary_primes_match_brute_force():
-    cycle = find_nonresidue_cycle(4)
-    vs = cycle_vertices(cycle)
+    order = find_nonresidue_cycle(4)
     expected = [aux for aux in primes_in_v(3000)
-                if aux not in vs and all(v_symbol(p, aux) == -1 for p in vs)]
+                if aux not in order and all(v_symbol(p, aux) == -1 for p in order)]
     assert len(expected) >= 5
-    assert list(islice(auxiliary_primes(vs), len(expected))) == expected
-    tris1 = triangle_decompose(cycle, expected[0])
-    tris2 = triangle_decompose(cycle, expected[1])
+    assert list(islice(auxiliary_primes(order), len(expected))) == expected
+    tris1 = triangle_decompose(order, expected[0])
+    tris2 = triangle_decompose(order, expected[1])
     assert set(tris1) != set(tris2)
     for tris in (tris1, tris2):
         acc = frozenset()
         for tri in tris:
             acc ^= tri
-        assert acc == frozenset(cycle)
+        assert acc == cycle_edges(order)
 
 
 @pytest.fixture
@@ -287,25 +286,29 @@ def test_auxiliary_primes_skip_a_vertex_two():
 
 
 def test_triangle_decompose_rejects_bad_input():
-    with pytest.raises(DomainError):
-        triangle_decompose([(5, 29), (29, 61), (5, 61)], None)  # residue edges
-    with pytest.raises(DomainError):
-        triangle_decompose([(2, 5), (5, 13)], None)  # a path, not a cycle
+    with pytest.raises(DomainError, match="non-residue"):
+        triangle_decompose([5, 29, 61], None)  # residue edges
+    with pytest.raises(DomainError, match=r"\(17/2\) = \+1"):
+        triangle_decompose([2, 5, 17], None)  # only the closing edge is residue
+    for too_short in ([2, 5], [2], []):
+        with pytest.raises(DomainError, match="three distinct"):
+            triangle_decompose(too_short, None)
+    with pytest.raises(DomainError, match="three distinct"):
+        triangle_decompose([2, 5, 13, 5], None)  # non-residue edges, 5 twice
     with pytest.raises(DomainError, match="not a prime"):
-        triangle_decompose([(3, 5), (5, 13), (3, 13)], None)  # 3 is not in V
-    cycle = find_nonresidue_cycle(4)
-    vs = cycle_vertices(cycle)
-    aux = next(auxiliary_primes(vs))
-    with pytest.raises(DomainError):
-        triangle_decompose(cycle, vs[0])  # a vertex
+        triangle_decompose([3, 5, 13], None)  # 3 is not in V
+    order = find_nonresidue_cycle(4)
+    aux = next(auxiliary_primes(order))
+    with pytest.raises(DomainError, match="cycle vertex"):
+        triangle_decompose(order, order[0])  # a vertex
     with pytest.raises(DomainError, match="not a prime"):
-        triangle_decompose(cycle, 3)  # not in V
+        triangle_decompose(order, 3)  # not in V
     with pytest.raises(DomainError):
-        triangle_decompose(cycle, aux + 1)  # not a prime
-    residue = next(q for q in primes_in_v(1000) if q not in vs
-                   and v_symbol(vs[0], q) == 1)
-    with pytest.raises(DomainError):
-        triangle_decompose(cycle, residue)
+        triangle_decompose(order, aux + 1)  # not a prime
+    residue = next(q for q in primes_in_v(1000) if q not in order
+                   and v_symbol(order[0], q) == 1)
+    with pytest.raises(DomainError, match="auxiliary prime must be"):
+        triangle_decompose(order, residue)
     with pytest.raises(DomainError, match="not a prime"):
         next(auxiliary_primes([3, 5]))
 

@@ -144,9 +144,9 @@ def duality_ranks(record):
 
 
 def patch_cycle_space(monkeypatch, mutant):
-    """The sweep reads cycle_space directly and through verify_duality."""
+    """The sweep builds each graph's cycle space once, through its own
+    binding of cycle_space, and pairs it with the boundary space itself."""
     monkeypatch.setattr(sweeps, "cycle_space", mutant)
-    monkeypatch.setattr(f2graph, "cycle_space", mutant)
 
 
 def graphs_with_cycles():
@@ -161,7 +161,12 @@ def test_duality_oracle_rejects_a_dropped_cycle(monkeypatch):
     patch_cycle_space(monkeypatch, lambda vertices, edges: right(vertices, edges)[:-1])
     records = run_check("duality", SweepConfig())
     assert summarize(records) == {"pass": 73, "fail": 127}
-    assert {r.instance for r in records if r.verdict == "fail"} == expected
+    failed = [r for r in records if r.verdict == "fail"]
+    assert {r.instance for r in failed} == expected
+    # every pairing is still orthogonal: the rank sum alone catches it
+    for r in failed:
+        b, c, edges = duality_ranks(r)
+        assert b + c == edges - 1 and "not orthogonal" not in r.oracle, r
 
 
 def test_duality_oracle_rejects_a_cycle_missing_an_edge(monkeypatch):
@@ -181,6 +186,27 @@ def test_duality_oracle_rejects_a_cycle_missing_an_edge(monkeypatch):
     for r in failed:
         b, c, edges = duality_ranks(r)
         assert b + c == edges and r.oracle.endswith(", not orthogonal"), r
+
+
+def test_kuroda_oracle_rejects_a_flipped_index(monkeypatch):
+    right = sweeps.kuroda_example_check
+
+    def flipped(p, q, r):
+        res = right(p, q, r)
+        return replace(res, formula_value=3 - res.formula_value)
+
+    monkeypatch.setattr(sweeps, "kuroda_example_check", flipped)
+    records = run_check("kuroda", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 90}
+
+
+def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
+    predicted = {r.instance for r in run_check("norm-sign", SweepConfig())}
+    monkeypatch.setattr(sweeps, "norm_sign_predict", lambda m, n: 1)
+    records = run_check("norm-sign", SweepConfig())
+    failed = [r for r in records if r.verdict == "fail"]
+    assert failed and all(r.oracle == "-1" for r in failed)
+    assert predicted <= {r.instance for r in records if r.verdict == "pass"}
 
 
 def test_candm_sweep_has_both_outcomes():
