@@ -243,9 +243,11 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division by small primes, then is_prime on the cofactor; a
     composite cofactor goes on with trial division by odd numbers.  So a
-    product of two large primes is slow.  No caller passes one: every input
-    is bounded by the sweep bound, or is a unit modulus whose
-    continued-fraction period already costs more.
+    product of two large primes is slow.  No caller passes one: the inputs
+    are the moduli of single instances, their products and the find_d
+    candidates built from their primes, so every prime factor is one of an
+    instance's own.  The sweep enumerations do not call it;
+    sweeps._squarefrees reads the factorizations off a sieve.
     """
     if n < 1:
         raise DomainError("factorize needs a positive integer")

@@ -224,6 +224,9 @@ def triangle_decompose(order, aux: int | None) -> list[EdgeVector]:
     k = len(order)
     if k < 3 or len(set(order)) != k:
         raise DomainError("a cycle needs at least three distinct vertices")
+    if k > 3 and not isinstance(aux, int):
+        raise DomainError(f"a cycle of {k} vertices needs an integer auxiliary "
+                          f"prime, got {aux!r}")
     pairs = list(zip(order, order[1:] + order[:1]))
     for u, v in pairs:
         if v_symbol(u, v) != -1:

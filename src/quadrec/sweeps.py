@@ -11,15 +11,16 @@ skipped (record None), never silently weakened.
 from __future__ import annotations
 
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .arith import (
     DomainError,
-    prime_divisors,
     primes_in_v,
+    primes_up_to,
     v_symbol,
 )
 from .apps import (
@@ -101,12 +102,30 @@ class SweepRecord:
 
 
 def _squarefrees(lo: int, hi: int):
-    """Yield (s, its prime divisors) for each squarefree s in [lo, hi],
-    factorising every integer once."""
+    """Yield (s, its ascending prime divisors) for each squarefree s in
+    [lo, hi], 1 <= lo.
+
+    One smallest-prime-factor sieve up to hi, an array of 4 bytes per
+    integer (200 KB at hi = 50000): spf[n] is the least prime dividing a
+    composite n and 0 for a prime.  Each s is read off by following spf,
+    and dropped at its first repeated prime.  No trial division, so the
+    enumerations leave the up-to-32768-entry _factorize LRU untouched.
+    """
+    spf = array("I", [0]) * (hi + 1)
+    # largest prime first, so the least prime of each multiple is written last
+    for p in reversed(primes_up_to(isqrt(hi))):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, hi + 1, p))
     for s in range(lo, hi + 1):
-        ps = prime_divisors(s)
-        if prod(ps) == s:
-            yield s, ps
+        ps = []
+        n = s
+        while n > 1:
+            p = spf[n] or n
+            if ps and ps[-1] == p:
+                break
+            ps.append(p)
+            n //= p
+        else:
+            yield s, tuple(ps)
 
 
 # --- scholz -----------------------------------------------------------------

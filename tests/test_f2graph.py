@@ -301,6 +301,11 @@ def test_triangle_decompose_rejects_bad_input():
     aux = next(auxiliary_primes(order))
     with pytest.raises(DomainError, match="cycle vertex"):
         triangle_decompose(order, order[0])  # a vertex
+    for not_an_int in (None, 5.0, "13"):
+        with pytest.raises(DomainError, match="integer auxiliary prime"):
+            triangle_decompose(order, not_an_int)
+    with pytest.raises(DomainError, match="4 vertices needs an integer .* got None"):
+        triangle_decompose((2, 5, 37, 13), None)  # raised before any symbol
     with pytest.raises(DomainError, match="not a prime"):
         triangle_decompose(order, 3)  # not in V
     with pytest.raises(DomainError):

@@ -7,13 +7,15 @@ import subprocess
 import sys
 from dataclasses import replace
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
-from quadrec import f2graph, sweeps
-from quadrec.arith import DomainError, primes_in_v, v_symbol
+from quadrec import arith, f2graph, sweeps
+from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import build_graph, edge, first_v_primes
+from quadrec.mquad import is_square
 from quadrec.pell import (
     QuadUnit,
     UnitCache,
@@ -207,6 +209,66 @@ def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
     failed = [r for r in records if r.verdict == "fail"]
     assert failed and all(r.oracle == "-1" for r in failed)
     assert predicted <= {r.instance for r in records if r.verdict == "pass"}
+
+
+def times_a_prime_outside_the_field(check):
+    """`check` with its unit element multiplied by a prime whose square root
+    is not in the field, so that no element it tests is a square."""
+    def mutant(*args):
+        res = check(*args)
+        q = next(p for p in primes_in_v(100) if p not in res.field.primes)
+        element = res.element * res.field.rational(q)
+        return replace(res, element=element, root=is_square(element))
+    return mutant
+
+
+def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch):
+    monkeypatch.setattr(sweeps, "theorem_sq_check",
+                        times_a_prime_outside_the_field(sweeps.theorem_sq_check))
+    records = run_check("thm-sq", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 103}
+    assert {r.oracle for r in records} == {"not-square"}
+
+
+def test_pos_norm_oracle_rejects_a_unit_times_an_outside_prime(monkeypatch):
+    monkeypatch.setattr(sweeps, "positive_norm_square_check",
+                        times_a_prime_outside_the_field(sweeps.positive_norm_square_check))
+    records = run_check("pos-norm", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 228}
+    assert {r.oracle for r in records} == {"not-square"}
+
+
+def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
+    right = sweeps.candp_check
+
+    def one_more(m, n):
+        res = right(m, n)
+        return replace(res, intersection=res.intersection + (1,))
+
+    monkeypatch.setattr(sweeps, "candp_check", one_more)
+    records = run_check("candp", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 428}
+
+
+def squarefrees_by_trial_division(lo, hi):
+    """The enumeration _squarefrees replaced: factorise every integer."""
+    for s in range(lo, hi + 1):
+        ps = prime_divisors(s)
+        if prod(ps) == s:
+            yield s, ps
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 2), (3, 3), (3, 2), (1, 12), (2, 3),
+                                   (49_990, 50_010), (2, 20_000)])
+def test_squarefree_sieve_matches_trial_division(lo, hi):
+    assert list(sweeps._squarefrees(lo, hi)) == list(squarefrees_by_trial_division(lo, hi))
+
+
+def test_norm_sign_enumeration_does_not_factorize():
+    arith._factorize.cache_clear()
+    instances = sweeps._enum_norm_sign(SweepConfig(bound=50000))
+    assert len(instances) > 1000
+    assert arith._factorize.cache_info().misses == 0
 
 
 def test_candm_sweep_has_both_outcomes():
