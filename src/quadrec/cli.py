@@ -19,7 +19,7 @@ from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge, graph_to_lines
 from .invariants import general_invariant
 from .pell import UnitCache, swap_unit_cache, unit_cache, unit_symbol
-from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, run_check, summarize
+from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_check, summarize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cache", metavar="PATH", default=None,
                        help="fundamental unit cache file")
     p_ver.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes")
+                       help="worker processes, shared by every check of the run")
     p_ver.add_argument("--format", choices=["human", "json-lines", "csv"],
                        default="human")
     p_ver.add_argument("--seed", type=int, default=0,
@@ -129,9 +129,13 @@ def cmd_verify(args) -> int:
                          jobs=args.jobs, seed=args.seed)
     memo = UnitCache(args.cache) if args.cache else unit_cache()
     old = swap_unit_cache(memo)
+    # after the swap, so that workers start from this run's memo
+    pool = open_pool(config.jobs) if config.jobs > 1 else None
     try:
-        records = [r for name in checks for r in run_check(name, config)]
+        records = [r for name in checks for r in run_check(name, config, pool)]
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         swap_unit_cache(old)
     counts = summarize(records)
     _write_report(sys.stdout, args.format, records, counts)

@@ -4,8 +4,10 @@ Each named check enumerates its instances up to a bound, evaluates the
 prediction and the independent oracle for every instance, and emits one
 record per instance.  Evaluation functions are module-level and take only
 the instance, a plain tuple, so sweeps can run in a process pool; instance
-order is deterministic either way.  An instance whose hypotheses fail is
-skipped (record None), never silently weakened.
+order is deterministic either way.  One pool (open_pool) serves every check
+of a run, so its workers keep their memos and lru_caches from one check to
+the next.  An instance whose hypotheses fail is skipped (record None),
+never silently weakened.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from math import gcd, isqrt, prod
@@ -412,31 +415,40 @@ def _pool_eval(payload):
     return records, list(unit_cache())[before:]
 
 
-def run_check(name: str, config: SweepConfig) -> list[SweepRecord]:
+def open_pool(jobs: int) -> ProcessPoolExecutor:
+    """A pool of `jobs` workers, each starting from a copy of the unit memo
+    (pell.unit_cache) as it stands now.  A worker never writes the parent's
+    memo file; run_check adds what workers send back."""
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+                               initargs=(list(unit_cache()),))
+
+
+def run_check(name: str, config: SweepConfig,
+              pool: ProcessPoolExecutor | None = None) -> list[SweepRecord]:
     """All records for one check, in deterministic instance order.
 
-    Under jobs > 1, workers start from a copy of the unit memo
-    (pell.unit_cache) and send back the units they compute.  Only this
-    process adds them to the memo, so a file-backed memo ends up the same
-    as in a single-process run.
+    Under jobs > 1 every instance is evaluated in `pool`, which serves all
+    the checks of a run, so worker memos persist from check to check;
+    without one, a pool is opened for this call alone.  Workers send back
+    the units they compute and only this process adds them to the memo, so
+    a file-backed memo ends up the same as in a single-process run.
     """
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}")
     enum, evaluate = CHECKS[name]
     instances = enum(config)
-    if config.jobs > 1 and len(instances) > 1:
+    if config.jobs == 1:
+        results = [evaluate(args) for args in instances]
+    else:
         size = max(1, len(instances) // (config.jobs * 8))
         payloads = [(name, instances[i:i + size]) for i in range(0, len(instances), size)]
         memo = unit_cache()
         results = []
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_pool_init,
-                                 initargs=(list(memo),)) as pool:
-            for records, fresh in pool.map(_pool_eval, payloads):
+        with nullcontext(pool) if pool is not None else open_pool(config.jobs) as workers:
+            for records, fresh in workers.map(_pool_eval, payloads):
                 results += records
                 for unit in fresh:
                     memo.add(unit)
-    else:
-        results = [evaluate(args) for args in instances]
     return [r for r in results if r is not None]
 
 

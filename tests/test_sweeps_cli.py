@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import prod
@@ -202,6 +205,22 @@ def test_kuroda_oracle_rejects_a_flipped_index(monkeypatch):
     assert summarize(records) == {"pass": 0, "fail": 90}
 
 
+def test_candm_oracle_rejects_a_flipped_invariant(monkeypatch):
+    right = sweeps.candm_check
+
+    def flipped(pairs, P):
+        res = right(pairs, P)
+        return replace(res, invariant=replace(res.invariant, value=1 - res.invariant.value))
+
+    expected = {r.instance: r.predicted for r in run_check("candm", SweepConfig())}
+    monkeypatch.setattr(sweeps, "candm_check", flipped)
+    records = run_check("candm", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 9}
+    swapped = {"square": "nonsquare", "nonsquare": "square"}
+    assert {r.instance: r.predicted for r in records} == {
+        i: swapped[p] for i, p in expected.items()}
+
+
 def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
     predicted = {r.instance for r in run_check("norm-sign", SweepConfig())}
     monkeypatch.setattr(sweeps, "norm_sign_predict", lambda m, n: 1)
@@ -285,18 +304,126 @@ def test_parallel_matches_sequential():
     assert seq == par
 
 
-def test_parent_memo_gains_the_units_workers_computed():
+def stamp_pid(monkeypatch, name):
+    """Make the records of check `name` carry, as their prediction, the id
+    of the process that evaluated them.  Pool workers are forked, so they
+    inherit the patch."""
+    enum, evaluate = sweeps.CHECKS[name]
+
+    def stamped(args):
+        record = evaluate(args)
+        return record and replace(record, predicted=str(os.getpid()))
+
+    monkeypatch.setitem(sweeps.CHECKS, name, (enum, stamped))
+
+
+def test_parent_memo_gains_the_units_workers_computed(monkeypatch):
+    stamp_pid(monkeypatch, "pos-norm")
     old = swap_unit_cache(UnitCache())
     try:
         records = run_check("pos-norm", SweepConfig(bound=60, jobs=2))
         memo = unit_cache()
     finally:
         swap_unit_cache(old)
-    # under jobs > 1 this process evaluates no instance, so every unit in
-    # the fresh memo was computed by a worker and sent back
+    # without a pool, run_check opens one for the call: no instance is
+    # evaluated here, so every unit in the fresh memo came from a worker
+    assert {r.predicted for r in records}.isdisjoint({str(os.getpid())})
     ms = [int(r.instance.removeprefix("eps_")) for r in records]
     assert len(ms) > 5
     assert all(memo.get(m) == compute_fundamental_unit(m) for m in ms)
+
+
+def test_one_pool_serves_check_after_check(monkeypatch):
+    stamp_pid(monkeypatch, "scholz")
+    stamp_pid(monkeypatch, "lemma-e")
+    config = SweepConfig(bound=200, jobs=2)
+    with sweeps.open_pool(2) as pool:
+        pids = {r.predicted for name in ("scholz", "lemma-e", "scholz")
+                for r in run_check(name, config, pool)}
+    # the same two workers evaluate every instance of all three calls
+    assert 1 <= len(pids) <= 2
+    assert str(os.getpid()) not in pids
+
+
+class CountingPool(ProcessPoolExecutor):
+    """A ProcessPoolExecutor that logs each pool built, the futures it
+    is given and how it is shut down."""
+
+    built = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.futures, self.shutdowns = [], []
+        CountingPool.built.append(self)
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, *args, **kwargs):
+        self.shutdowns.append(kwargs)
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "built", [])
+    return CountingPool.built
+
+
+def test_verify_under_jobs_builds_one_pool_per_run(counting_pool, capsys):
+    checks = ["--check", "scholz", "--check", "candm", "--check", "lemma-e"]
+    assert main(["verify", "--jobs", "2", *checks]) == 0
+    assert len(counting_pool) == 1
+    assert counting_pool[0].shutdowns == [{"cancel_futures": True}]
+    counting_pool.clear()
+    assert main(["verify", "--jobs", "1", *checks]) == 0
+    assert counting_pool == []
+
+
+def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_pool,
+                                                          capsys):
+    enum, _ = sweeps.CHECKS["candp"]
+    first = enum(SweepConfig())[0]
+
+    def broken(args):
+        if args == first:
+            raise DomainError(f"no instance {args}")
+        time.sleep(0.005)  # the other chunks are still pending when it raises
+
+    later = []
+    duality_enum, duality_eval = sweeps.CHECKS["duality"]
+    monkeypatch.setitem(sweeps.CHECKS, "candp", (enum, broken))
+    monkeypatch.setitem(sweeps.CHECKS, "duality",
+                        (lambda config: later.append(config) or duality_enum(config),
+                         duality_eval))
+    errors = {}
+    for jobs in ("1", "2"):
+        argv = ["verify", "--jobs", jobs, "--check", "candm", "--check", "candp",
+                "--check", "duality"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors[jobs] = out.err
+    assert errors["2"] == errors["1"] == f"error: no instance {first}\n"
+    assert later == []
+    (pool,) = counting_pool
+    assert pool.shutdowns == [{"cancel_futures": True}]
+    assert all(f.done() for f in pool.futures)
+    assert any(f.cancelled() for f in pool.futures)
+
+
+def test_verify_jobs2_records_equal_jobs1_over_all_checks():
+    streams = {}
+    for jobs in ("1", "2"):
+        out = run_cli("verify", "--jobs", jobs, "--format", "csv")
+        assert out.returncode == 0
+        assert out.stdout.startswith("# quadrec verify ")
+        streams[jobs] = out.stdout.splitlines()[1:]
+    assert len(streams["1"]) > 2000
+    assert streams["2"] == streams["1"]
 
 
 def test_unknown_check_rejected():
