@@ -155,9 +155,30 @@ def v_symbol(p: int, q: int) -> int:
     return legendre(p, q)
 
 
+@lru_cache(maxsize=1 << 10)
+def _tonelli_constants(p: int) -> tuple[int, int, int]:
+    """(q, s, c) for Tonelli-Shanks mod an odd prime p: p - 1 = q * 2^s with
+    q odd, and c = z^q for the least quadratic non-residue z."""
+    q = p - 1
+    s = 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return q, s, pow(z, q, p)
+
+
 def sqrt_mod(m: int, p: int) -> int:
     """The canonical square root of m mod an odd prime p (the smaller of the
-    two roots), via Tonelli-Shanks with a deterministic non-residue search.
+    two roots).
+
+    One exponentiation after the Euler test, except for p = 1 (mod 8):
+    a^((p+1)/4) for p = 3 (mod 4); Atkin's formula for p = 5 (mod 8), with
+    b = (2a)^((p-5)/8) and i = 2a*b^2 (a square root of -1), r = a*b*(i - 1);
+    Tonelli-Shanks for p = 1 (mod 8), with the per-prime constants (the
+    deterministic non-residue search included) memoised.
     """
     if p < 3 or not is_prime(p):
         raise DomainError(f"modulus {p} is not an odd prime")
@@ -166,16 +187,11 @@ def sqrt_mod(m: int, p: int) -> int:
         raise DomainError(f"{m} is not a nonzero quadratic residue mod {p}")
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        b = pow(2 * a, (p - 5) // 8, p)
+        r = a * b * (2 * a * b * b - 1) % p
     else:
-        q = p - 1
-        s = 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
+        q, s, c = _tonelli_constants(p)
         r = pow(a, (q + 1) // 2, p)
         t = pow(a, q, p)
         while t != 1:

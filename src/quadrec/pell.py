@@ -3,11 +3,13 @@
 Units live in the maximal order of Q(sqrt(m)) for squarefree m > 1 and are
 written (x + y*sqrt(m))/den with den in {1, 2}.  They are computed exactly
 from the continued fraction of the standard quadratic irrationality at the
-field discriminant; one minimal period of the reduced cycle yields the
-fundamental unit, and the parity of the period gives the norm sign.  The
-process keeps one memo of computed units: unit_cache() returns it, and
-swap_unit_cache() installs another (a file-backed one for a run, say) and
-returns the memo it replaced.
+field discriminant.  Its first complete quotient (P_1 + sqrt(D))/Q_1 is
+already reduced, so the walk starts there and stops when (P_1, Q_1)
+returns.  That one minimal period yields the fundamental unit from the
+bottom row of the convergent matrix alone, and the parity of the period
+gives the norm sign.  The process keeps one memo of computed units:
+unit_cache() returns it, and swap_unit_cache() installs another (a
+file-backed one for a run, say) and returns the memo it replaced.
 """
 
 from __future__ import annotations
@@ -77,38 +79,37 @@ class QuadUnit:
 def _cf_fundamental_triple(m: int) -> tuple[int, int, int]:
     """(x, y, den) for the fundamental unit, from one continued-fraction period.
 
-    Expands alpha = (P0 + sqrt(D))/Q0 at the field discriminant D; all
-    complete quotients keep discriminant D, so the first repeated (P, Q)
-    state closes one minimal period of the reduced cycle and the convergent
-    matrix over that period fixes alpha_j, i.e. is the fundamental automorph.
+    Expands alpha_0 = (P0 + sqrt(D))/2 at the field discriminant D; all
+    complete quotients alpha_k = (P_k + sqrt(D))/Q_k keep discriminant D.
+    alpha_0 has a negative conjugate, so alpha_1 is reduced and purely
+    periodic: the walk takes the first partial quotient, starts at
+    (P_1, Q_1) and stops when that state returns, after one minimal period.
+    The convergent matrix over the period fixes alpha_1, i.e. is the
+    fundamental automorph, and the unit C*alpha_1 + D reads only its bottom
+    row (C, D), so only that row is carried.
     """
     if m % 4 == 1:
-        delta = m
-        p_state, q_state = 1, 2
+        delta, p0 = m, 1
     else:
-        delta = 4 * m
-        p_state, q_state = 0, 2
+        delta, p0 = 4 * m, 0
     s = isqrt(delta)
-    seen: dict[tuple[int, int], int] = {}
-    history: list[tuple[int, int, int]] = []
-    while (p_state, q_state) not in seen:
-        seen[(p_state, q_state)] = len(history)
+    a = (p0 + s) // 2
+    p1 = 2 * a - p0
+    q1 = (delta - p1 * p1) // 2
+    p_state, q_state = p1, q1
+    mat_c, mat_d = 0, 1
+    while True:
         a = (p_state + s) // q_state
-        history.append((p_state, q_state, a))
-        p_next = a * q_state - p_state
-        q_next = (delta - p_next * p_next) // q_state
-        p_state, q_state = p_next, q_next
-    j = seen[(p_state, q_state)]
-    mat_a, mat_b, mat_c, mat_d = 1, 0, 0, 1
-    for _, _, a in history[j:]:
-        mat_a, mat_b, mat_c, mat_d = mat_a * a + mat_b, mat_a, mat_c * a + mat_d, mat_c
-    pj, qj = history[j][0], history[j][1]
-    # unit = C*alpha_j + D with alpha_j = (pj + sqrt(delta))/qj
-    x2 = mat_c * pj + mat_d * qj
+        mat_c, mat_d = mat_c * a + mat_d, mat_c
+        p_state = a * q_state - p_state
+        q_state = (delta - p_state * p_state) // q_state
+        if p_state == p1 and q_state == q1:
+            break
+    # unit = C*alpha_1 + D with alpha_1 = (p1 + sqrt(delta))/q1
+    x2 = mat_c * p1 + mat_d * q1
     y2 = mat_c if delta == m else 2 * mat_c
-    den2 = qj
-    g = gcd(gcd(x2, y2), den2)
-    return x2 // g, y2 // g, den2 // g
+    g = gcd(gcd(x2, y2), q1)
+    return x2 // g, y2 // g, q1 // g
 
 
 def compute_fundamental_unit(m: int) -> QuadUnit:

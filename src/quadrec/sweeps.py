@@ -254,6 +254,9 @@ def _enum_thm_sq(config: SweepConfig) -> list[tuple]:
 
 def _eval_thm_sq(args: tuple) -> SweepRecord | None:
     m1, m2 = args
+    # the small units first: only then does the pair pay for the unit of m1*m2
+    if fundamental_unit(m1).norm != -1 or fundamental_unit(m2).norm != -1:
+        return None
     family = unit_family((m1, m2, m1 * m2))
     if any(n != -1 for n in family.norms):
         return None

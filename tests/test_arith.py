@@ -171,6 +171,61 @@ def test_sqrt_mod_accepts_multiples_of_p_not():
         sqrt_mod(29, 29)
 
 
+def tonelli_shanks(a, p):
+    """sqrt_mod's root as it stood before Atkin's formula and the memoised
+    constants: Tonelli-Shanks with the non-residue search on every call
+    (p = 3 (mod 4) takes a^((p+1)/4)), the smaller root returned."""
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q = p - 1
+        s = 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c = pow(z, q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        while t != 1:
+            t2 = t
+            for i in range(1, s):
+                t2 = t2 * t2 % p
+                if t2 == 1:
+                    break
+            b = pow(c, 1 << (s - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            s = i
+    assert r * r % p == a
+    return min(r, p - r)
+
+
+# p - 1 = 2^8, 2^9 * 15, 2^12 * 3, 2^13 * 5, 2^16: long Tonelli-Shanks ladders
+HIGH_TWO_ADIC_PRIMES = (257, 7681, 12289, 40961, 65537)
+
+
+def rejects(m, p):
+    try:
+        sqrt_mod(m, p)
+    except DomainError:
+        return True
+    return False
+
+
+def test_sqrt_mod_matches_tonelli_shanks():
+    for p in primes_up_to(2000)[1:] + list(HIGH_TWO_ADIC_PRIMES):
+        residues = {x * x % p for x in range(1, (p + 1) // 2)}
+        assert len(residues) == (p - 1) // 2
+        for a in residues:
+            assert sqrt_mod(a, p) == tonelli_shanks(a, p), (a, p)
+        assert rejects(0, p) and rejects(p, p) and rejects(-3 * p, p)
+        assert all(rejects(m, p) for m in range(1, p) if m not in residues)
+
+
 def test_sqrt_2adic_spot_and_properties():
     assert sqrt_2adic(17, 5) == 9
     rng = random.Random(11)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from math import isqrt
+from math import gcd, isqrt
 
 from quadrec.arith import (
     DomainError,
@@ -17,6 +17,7 @@ from quadrec.arith import (
 from quadrec.pell import (
     QuadUnit,
     UnitCache,
+    _cf_fundamental_triple,
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
@@ -62,6 +63,50 @@ def smallest_unit_by_scan(m):
 def test_fundamental_unit_matches_scan(m):
     u = fundamental_unit(m)
     assert (u.x, u.y, u.den, u.norm) == smallest_unit_by_scan(m)
+
+
+def full_walk_triple(m):
+    """The continued-fraction routine as it stood before the one-column walk:
+    from (P0, Q0), key every state until one repeats, then multiply the full
+    2x2 convergent matrix over the period that starts at the repeated state."""
+    if m % 4 == 1:
+        delta = m
+        p_state, q_state = 1, 2
+    else:
+        delta = 4 * m
+        p_state, q_state = 0, 2
+    s = isqrt(delta)
+    seen = {}
+    history = []
+    while (p_state, q_state) not in seen:
+        seen[(p_state, q_state)] = len(history)
+        a = (p_state + s) // q_state
+        history.append((p_state, q_state, a))
+        p_next = a * q_state - p_state
+        q_next = (delta - p_next * p_next) // q_state
+        p_state, q_state = p_next, q_next
+    j = seen[(p_state, q_state)]
+    mat_a, mat_b, mat_c, mat_d = 1, 0, 0, 1
+    for _, _, a in history[j:]:
+        mat_a, mat_b, mat_c, mat_d = mat_a * a + mat_b, mat_a, mat_c * a + mat_d, mat_c
+    pj, qj = history[j][0], history[j][1]
+    x2 = mat_c * pj + mat_d * qj
+    y2 = mat_c if delta == m else 2 * mat_c
+    g = gcd(gcd(x2, y2), qj)
+    return x2 // g, y2 // g, qj // g
+
+
+def test_one_column_walk_matches_full_walk_below_20000():
+    for m in range(2, 20000):
+        if is_squarefree(m):
+            assert _cf_fundamental_triple(m) == full_walk_triple(m), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 7))
+def test_one_column_walk_matches_full_walk_up_to_ten_million(m):
+    assume(is_squarefree(m))
+    assert _cf_fundamental_triple(m) == full_walk_triple(m)
 
 
 def test_frozen_textbook_units():

@@ -249,6 +249,24 @@ def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch
     assert {r.oracle for r in records} == {"not-square"}
 
 
+def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one():
+    old = swap_unit_cache(UnitCache())
+    try:
+        records = run_check("thm-sq", SweepConfig())
+        memo = unit_cache()
+    finally:
+        swap_unit_cache(old)
+    assert summarize(records) == {"pass": 103, "fail": 0}
+    bound = CHECK_DEFAULT_BOUNDS["thm-sq"]
+    computed = {u.m for u in memo}
+    pairs = sweeps._enum_thm_sq(SweepConfig())
+    both_minus = {m1 * m2 for m1, m2 in pairs
+                  if memo.get(m1).norm == memo.get(m2).norm == -1}
+    # a product above the bound is no modulus of its own: only pairs ask for it
+    unasked = {m1 * m2 for m1, m2 in pairs if m1 * m2 > bound} - both_minus
+    assert unasked and computed.isdisjoint(unasked)
+
+
 def test_pos_norm_oracle_rejects_a_unit_times_an_outside_prime(monkeypatch):
     monkeypatch.setattr(sweeps, "positive_norm_square_check",
                         times_a_prime_outside_the_field(sweeps.positive_norm_square_check))
