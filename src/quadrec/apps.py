@@ -32,9 +32,12 @@ from .pell import QuadUnit, fundamental_unit
 
 
 def unit_element(unit: QuadUnit, field: MQField) -> MQElement:
-    """The unit (x + y*sqrt(m))/den as an exact element of the given field."""
+    """The unit (x + y*sqrt(m))/den as an exact element of the given field:
+    with sqrt(m) = r/e, it is (x*e + y*r)/(den*e)."""
     root = field.sqrt_radicand(unit.m)
-    return (field.rational(unit.x) + root * unit.y) / unit.den
+    vec = [unit.y * c for c in root.vec]
+    vec[0] += unit.x * root.den
+    return MQElement(field, vec, unit.den * root.den)
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,9 @@ def theorem_sq_check(family: UnitFamily) -> SquareCheck:
     assert all(p % 4 != 3 for p in primes), \
         "norm -1 already excludes primes = 3 mod 4"
     field = field_containing(primes)
-    element = field.rational(1)
-    for m in family.moduli:
+    first, *rest = family.moduli
+    element = unit_element(fundamental_unit(first), field)
+    for m in rest:
         element = element * unit_element(fundamental_unit(m), field)
     root = is_square(element)
     label = "*".join(f"eps_{m}" for m in family.moduli)
@@ -177,8 +181,9 @@ def candm_check(pairs, P) -> CandmResult:
     report = general_invariant(query)
 
     field = field_containing([m * n for m, n in pairs])
-    element = field.rational(1)
-    for m, n in pairs:
+    (m, n), *rest = pairs
+    element = unit_element(fundamental_unit(m * n), field)
+    for m, n in rest:
         element = element * unit_element(fundamental_unit(m * n), field)
     allowed = prime_divisors(total)
     d = find_d(element, allowed)
@@ -271,7 +276,9 @@ def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
     quadratic subfields, computed by exact square tests of the seven
     nontrivial unit products.  Each unit, so each product, is > 1 under the
     embedding with every sqrt(g_i) > 0; minus a product is negative there
-    and never a square, so only the products themselves are tested."""
+    and never a square, so only the products themselves are tested.
+    Product e is product e-without-its-lowest-unit times that unit, one
+    multiplication each."""
     ds = (d1, d2, d3)
     for d in ds:
         if d < 2 or not is_squarefree(d):
@@ -283,15 +290,14 @@ def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
                           "the product of the first two")
     field = field_containing(ds)
     units = [unit_element(fundamental_unit(d), field) for d in ds]
+    products = [None] * 8
     witnesses = set()
     for e in range(1, 8):
-        exps = (e & 1, e >> 1 & 1, e >> 2 & 1)
-        element = field.rational(1)
-        for u, k in zip(units, exps):
-            if k:
-                element = element * u
-        if is_square(element) is not None:
-            witnesses.add(exps)
+        low = e & -e
+        unit = units[low.bit_length() - 1]
+        products[e] = unit if e == low else products[e ^ low] * unit
+        if is_square(products[e]) is not None:
+            witnesses.add((e & 1, e >> 1 & 1, e >> 2 & 1))
     return QIndex(len(witnesses) + 1, frozenset(witnesses))
 
 

@@ -20,6 +20,12 @@ integer square root decides.  Every step is an equivalence, so None is a
 proof that x is not a square, not a search that ran out.  On the product
 basis, splitting off the last generator is cutting the vector in half, so
 the recursion runs on the element's own vector.
+
+The recursion bottoms out at a quadratic field, x = a + b*sqrt(d) with a, b
+integers, in closed form: c^2 = a^2 - d*b^2, ru^2 = 2*(a +- c), root
+(ru^2 + 2b*sqrt(d))/(2*ru).  _mul and _inverse have the matching length-2
+formulas, so the generic tower loops start at degree 4.  A product of two
+elements of the same MQField object skips the operand coercion.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ class MQField:
         return gf2_echelon((self._prime_vector(d), 1 << i)
                            for i, d in enumerate(self.gens))
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return 1 << len(self.gens)
 
@@ -241,12 +247,13 @@ class MQElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MQElement(self.field, [c * other.numerator for c in self.vec],
-                             self.den * other.denominator)
-        other = self._operand(other)
-        if not isinstance(other, MQElement):
-            return NotImplemented
+        if not (isinstance(other, MQElement) and other.field is self.field):
+            if isinstance(other, (int, Fraction)):
+                return MQElement(self.field, [c * other.numerator for c in self.vec],
+                                 self.den * other.denominator)
+            other = self._operand(other)
+            if not isinstance(other, MQElement):
+                return NotImplemented
         return MQElement(self.field,
                          _mul(self.vec, other.vec, self.field.weights),
                          self.den * other.den)
@@ -299,6 +306,10 @@ class MQElement:
 # w[2^(j-1)] is the j-th generator.
 
 def _mul(x: list[int], y: list[int], w) -> list[int]:
+    if len(x) == 2:
+        a, b = x
+        c, e = y
+        return [a * c + w[1] * b * e, a * e + b * c]
     out = [0] * len(x)
     ys = [(j, c) for j, c in enumerate(y) if c]
     for i, a in enumerate(x):
@@ -337,6 +348,10 @@ def _sign(x: list[int], w) -> int:
 def _inverse(x: list[int], w) -> tuple[list[int], int]:
     """(r, e) with x*r = e > 0, for x != 0: 1/(a + b*sqrt(d)) is
     (a - b*sqrt(d)) over the norm a^2 - d*b^2, inverted one level down."""
+    if len(x) == 2:
+        a, b = x
+        n = a * a - w[1] * b * b
+        return _reduced([a, -b], n) if n > 0 else _reduced([-a, b], -n)
     if len(x) == 1:
         return ([1], x[0]) if x[0] > 0 else ([-1], -x[0])
     h = len(x) >> 1
@@ -348,6 +363,8 @@ def _inverse(x: list[int], w) -> tuple[list[int], int]:
 def _sqrt(x: list[int], w) -> tuple[list[int], int] | None:
     """(r, e) with (r/e)^2 = x and e > 0, or None when the nonzero vector x
     is not a square in its field."""
+    if len(x) == 2:
+        return _sqrt_quadratic(x[0], x[1], w[1])
     if len(x) == 1:
         n = x[0]
         s = isqrt(n) if n >= 0 else -1
@@ -383,6 +400,34 @@ def _sqrt(x: list[int], w) -> tuple[list[int], int] | None:
     scale = 2 * ec * ec * eu * eu
     return _reduced([c * den for c in ru] + [c * scale for c in v],
                     2 * ec * eu * den)
+
+
+def _sqrt_quadratic(a: int, b: int, d: int) -> tuple[list[int], int] | None:
+    """_sqrt of a + b*sqrt(d) over Q in closed form.  For b != 0: the norm
+    a^2 - d*b^2 must be c^2, and then u = ru/2 with ru^2 = 2*(a +- c) gives
+    the root u + b/(2u)*sqrt(d) = (ru^2 + 2b*sqrt(d))/(2ru).  a + c and
+    a - c are nonzero (else b = 0) and share the sign of a."""
+    if not b:
+        if a >= 0:
+            s = isqrt(a)
+            if s * s == a:
+                return [s, 0], 1
+        # a = (s*sqrt(d)/d)^2 with s^2 = a*d
+        n = a * d
+        s = isqrt(n) if n > 0 else -1
+        return ([0, s], d) if s * s == n else None
+    n = a * a - d * b * b
+    if n < 0:
+        return None
+    c = isqrt(n)
+    if c * c != n:
+        return None
+    for t in (2 * (a + c), 2 * (a - c)):
+        if t > 0:
+            ru = isqrt(t)
+            if ru * ru == t:
+                return _reduced([t, 2 * b], 2 * ru)
+    return None
 
 
 def is_square(x: MQElement) -> MQElement | None:

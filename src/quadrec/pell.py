@@ -245,9 +245,11 @@ def unit_symbol(m: int, p: int) -> Sign:
         return legendre(u, 2)
     if not is_prime(p) or p % 4 != 1:
         raise DomainError(f"unit symbols need p = 2 or p prime with p = 1 (mod 4), got {p}")
-    if legendre(m, p) != 1:
-        raise DomainError(f"{p} does not split in Q(sqrt({m}))")
-    u = (unit.x + unit.y * sqrt_mod(m, p)) * pow(unit.den, -1, p) % p
+    try:
+        r = sqrt_mod(m, p)  # its Euler test is the splitting test
+    except DomainError:
+        raise DomainError(f"{p} does not split in Q(sqrt({m}))") from None
+    u = (unit.x + unit.y * r) * pow(unit.den, -1, p) % p
     assert u != 0, "a unit cannot reduce to zero at an unramified prime"
     return legendre(u, p)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadrec.arith import DomainError
+from quadrec.arith import DomainError, is_squarefree, prime_divisors
 from quadrec.apps import (
     candm_check,
     candp_check,
@@ -29,6 +29,21 @@ def test_unit_element_embeds_the_unit():
     assert eps * 2 == field.rational(1) + field.sqrt_radicand(5)
     # its norm relation transfers: eps * conj(eps) = -1
     assert eps * eps.conjugate(0b1) == field.rational(-1)
+
+
+def test_unit_element_matches_the_four_operation_chain():
+    # unit_element builds one vector; the chain it replaced is
+    # (x + sqrt(m)*y)/den through rational, multiply, add and divide
+    count = 0
+    for m in range(2, 2000):
+        if not is_squarefree(m):
+            continue
+        unit = fundamental_unit(m)
+        for field in (MQField((m,)), field_containing([*prime_divisors(m), 3])):
+            chain = (field.rational(unit.x) + field.sqrt_radicand(m) * unit.y) / unit.den
+            assert unit_element(unit, field) == chain, (m, field)
+        count += 1
+    assert count == 1214
 
 
 def test_unit_family():

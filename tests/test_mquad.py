@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -10,6 +10,10 @@ from quadrec.arith import DomainError, gf2_reduce, prime_divisors, squarefree_ke
 from quadrec.mquad import (
     MQElement,
     MQField,
+    _inverse,
+    _mul,
+    _reduced,
+    _sqrt,
     field_containing,
     find_d,
     is_square,
@@ -77,6 +81,20 @@ def test_multiplication_table():
     assert (R3 + R5) * (R3 - R5) == F35.rational(-2)
     x = R3 + R5
     assert x * x == F35.rational(8) + 2 * R15
+
+
+def test_products_across_field_objects():
+    # an equal field built anew takes the coercion path, not the
+    # same-object one, and agrees with it; a different field is refused
+    twin = MQField((3, 5))
+    assert twin is not F35
+    assert R3 * twin.sqrt_radicand(5) == R15 == R3 * R5
+    assert R3 + twin.sqrt_radicand(5) == R3 + R5
+    other = MQField((3, 7))
+    with pytest.raises(DomainError, match="different fields"):
+        R3 * other.sqrt_radicand(7)
+    with pytest.raises(DomainError, match="different fields"):
+        R3 + other.sqrt_radicand(7)
 
 
 def test_rational_arithmetic_and_division():
@@ -206,3 +224,137 @@ def test_element_hash_and_str():
     assert a == b and hash(a) == hash(b)
     assert "sqrt(3)" in str(a)
     assert a != R3
+
+
+# The generic tower kernels with no closed-form quadratic base case, the
+# reference that the base cases must match: vectors of length 2^j over the
+# first j generators, w the field's weight table.
+
+def reference_mul(x, y, w):
+    out = [0] * len(x)
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    for i, a in enumerate(x):
+        if a:
+            for j, c in ys:
+                out[i ^ j] += a * c * w[i & j]
+    return out
+
+
+def reference_norm(a, b, d, w):
+    return [p - d * q for p, q in zip(reference_mul(a, a, w), reference_mul(b, b, w))]
+
+
+def reference_inverse(x, w):
+    if len(x) == 1:
+        return ([1], x[0]) if x[0] > 0 else ([-1], -x[0])
+    h = len(x) >> 1
+    a, b = x[:h], x[h:]
+    r, e = reference_inverse(reference_norm(a, b, w[h], w), w)
+    return _reduced(reference_mul(a, r, w) + [-c for c in reference_mul(b, r, w)], e)
+
+
+def reference_sqrt(x, w):
+    if len(x) == 1:
+        n = x[0]
+        s = isqrt(n) if n >= 0 else -1
+        return ([s], 1) if s * s == n else None
+    h = len(x) >> 1
+    d = w[h]
+    a, b = x[:h], x[h:]
+    if not any(b):
+        got = reference_sqrt(a, w)
+        if got is not None:
+            return got[0] + [0] * h, got[1]
+        got = reference_sqrt([d * c for c in a], w)
+        if got is None:
+            return None
+        return [0] * h + got[0], got[1] * d
+    got = reference_sqrt(reference_norm(a, b, d, w), w)
+    if got is None:
+        return None
+    rc, ec = got
+    for s in (1, -1):
+        got = reference_sqrt([2 * ec * (ec * p + s * q) for p, q in zip(a, rc)], w)
+        if got is not None:
+            break
+    else:
+        return None
+    ru, eu = got
+    inv, den = reference_inverse(ru, w)
+    v = reference_mul(b, inv, w)
+    scale = 2 * ec * ec * eu * eu
+    return _reduced([c * den for c in ru] + [c * scale for c in v],
+                    2 * ec * eu * den)
+
+
+KERNEL_WEIGHTS = [MQField(gens).weights for gens in
+                  ((2,), (3,), (13,), (2, 3), (5, 13), (2, 7), (2, 3, 5), (3, 7, 11))]
+
+
+def kernel_cases(seed):
+    """(x, w) pairs: seeded random integer vectors of length 1, 2, 4 and 8,
+    as squares, generator-times-squares, negated squares, fresh-prime
+    multiples of squares, squares with a zero upper half, and plain random
+    vectors (nearly all non-squares)."""
+    rng = random.Random(seed)
+    for w in KERNEL_WEIGHTS:
+        for n in (1, 2, 4, 8):
+            if n > len(w):
+                continue
+            for _ in range(60):
+                y = [rng.randint(-12, 12) for _ in range(n)]
+                if not any(y):
+                    continue
+                y2 = reference_mul(y, y, w)
+                gen = w[1 << rng.randrange(n.bit_length() - 1)] if n > 1 else 1
+                # an element of the subfield one generator down
+                sub = [rng.randint(-12, 12) for _ in range(n // 2)] + [0] * (n - n // 2)
+                u2 = reference_mul(sub, sub, w) if any(sub) else y2
+                yield y2, w
+                yield [gen * c for c in y2], w
+                yield [-c for c in y2], w
+                yield [17 * c for c in y2], w
+                yield u2, w
+                yield [gen * c for c in u2], w
+                yield y, w
+
+
+def test_mul_and_inverse_match_the_generic_kernels():
+    rng = random.Random(5)
+    for x, w in kernel_cases(11):
+        y = [rng.randint(-30, 30) for _ in x]
+        assert _mul(x, y, w) == reference_mul(x, y, w), (x, y, w)
+        assert _mul(x, x, w) == reference_mul(x, x, w), (x, w)
+        assert _inverse(x, w) == reference_inverse(x, w), (x, w)
+
+
+def test_sqrt_matches_the_generic_kernel_up_to_sign():
+    found = missing = 0
+    for x, w in kernel_cases(12):
+        got, want = _sqrt(x, w), reference_sqrt(x, w)
+        assert (got is None) == (want is None), (x, w)
+        if got is None:
+            missing += 1
+            continue
+        found += 1
+        (r, e), (rr, ee) = got, want
+        assert e > 0
+        # r/e = +-rr/ee, cross-multiplied
+        scaled, ref = [c * ee for c in r], [c * e for c in rr]
+        assert scaled in (ref, [-c for c in ref]), (x, w)
+        assert reference_mul(r, r, w) == [c * e * e for c in x], (x, w)
+    assert found > 1000 and missing > 1000
+
+
+def test_quadratic_sqrt_worked_cases():
+    w = MQField((2,)).weights
+    assert _sqrt([3, 2], w) == ([1, 1], 1)  # (1 + sqrt2)^2
+    assert _sqrt([3, -2], w) == ([1, -1], 1)
+    assert _sqrt([9, 0], w) == ([3, 0], 1)
+    assert _sqrt([18, 0], w) == ([0, 6], 2)  # (3*sqrt2)^2
+    assert _sqrt([9, 6], w) is None  # 3*(1 + sqrt2)^2: square norm, no root
+    assert _sqrt([-3, 2], w) is None  # negative under both embeddings
+    assert _sqrt([2, 1], w) is None  # norm 2 is not a square
+    assert _sqrt([1, 1], w) is None  # norm -1
+    assert _sqrt([3, 0], w) is None
+    assert _sqrt([-18, 0], w) is None

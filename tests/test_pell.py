@@ -199,6 +199,13 @@ def test_unit_symbol_divides_modulus():
         unit_symbol(29, 29)
 
 
+@pytest.mark.parametrize("m,p", [(2, 5), (5, 13), (3, 17),  # (m/p) = -1
+                                 (29, 29), (65, 13), (10, 5)])  # p | m
+def test_unit_symbol_rejects_a_prime_that_does_not_split(m, p):
+    with pytest.raises(DomainError, match="does not split"):
+        unit_symbol(m, p)
+
+
 def test_check_unit_congruences_known_good():
     for m in (5, 13, 17, 29, 37, 41, 53, 61, 65, 85):
         report = check_unit_congruences(m)
