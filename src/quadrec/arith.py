@@ -144,14 +144,22 @@ def v_symbol(p: int, q: int) -> int:
     """Legendre symbol between two distinct primes of V.
 
     Symmetric on V: for odd p, q both = 1 (mod 4) reciprocity gives
-    (p/q) = (q/p), and the mod-8 table makes (2/q) = (q/2).
+    (p/q) = (q/p), and the mod-8 table makes (2/q) = (q/2).  So the memo
+    behind it is keyed on the sorted pair, and one slot serves both orders.
     """
+    return _v_symbol(p, q) if p < q else _v_symbol(q, p)
+
+
+@lru_cache(maxsize=1 << 11)
+def _v_symbol(p: int, q: int) -> int:
+    """`v_symbol` of p <= q, so 2 is never the modulus.  The graph layer
+    re-checks the same few hundred edges once per record; the bound keeps
+    the memory of a scan over tens of thousands of pairs (scholz) fixed.
+    An invalid pair is never stored, so it raises on every call."""
     if p == q:
         raise DomainError("v_symbol needs distinct primes")
     require_v_prime(p)
     require_v_prime(q)
-    if q == 2:
-        p, q = q, p
     return legendre(p, q)
 
 

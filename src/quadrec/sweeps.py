@@ -155,16 +155,40 @@ def _eval_scholz(args: tuple) -> SweepRecord | None:
 
 # --- scholz2 ----------------------------------------------------------------
 
-def _enum_scholz2(config: SweepConfig) -> list[tuple]:
-    ps = primes_in_v(config.bound_for("scholz2"))
+def _nonresidue_triples(bound: int) -> list[tuple[int, int, int]]:
+    """The pairwise non-residue triples p < q < r of V-primes up to bound,
+    in `combinations` order.  Each pair's symbol is read once, to list the
+    non-residue partners above each prime."""
+    ps = primes_in_v(bound)
+    above = {p: [] for p in ps}
+    for p, q in combinations(ps, 2):
+        if v_symbol(p, q) == -1:
+            above[p].append(q)
+    above_set = {p: set(qs) for p, qs in above.items()}
     out = []
-    for p, q, r in combinations(ps, 3):
-        if v_symbol(p, q) == v_symbol(q, r) == v_symbol(r, p) == -1:
-            out.extend([(p, q, r), (p, r, q), (q, r, p)])
+    for p in ps:
+        partners = above[p]
+        for j, q in enumerate(partners):
+            out += [(p, q, r) for r in partners[j + 1:] if r in above_set[q]]
+    return out
+
+
+def _enum_scholz2(config: SweepConfig) -> list[tuple]:
+    out = []
+    for p, q, r in _nonresidue_triples(config.bound_for("scholz2")):
+        out.extend([(p, q, r), (p, r, q), (q, r, p)])
     return out
 
 
 def _eval_scholz2(args: tuple) -> SweepRecord | None:
+    """Prediction: minus the triple quartic product of the pairwise
+    non-residue triple, (-1) to its triangle invariant (`scholz2_predict`).
+    Oracle: the residue symbol of the fundamental unit of a*b at c
+    (`pell.unit_symbol`), from the continued-fraction unit reduced at a
+    square root of a*b mod c.  The two share only the triple, whose
+    hypothesis `_nonresidue_triples` tested, and `arith`'s primality test
+    and Legendre symbol; no quartic symbol enters the oracle and no unit
+    the prediction."""
     a, b, c = args
     m = a * b
     if c == 2 and m % 8 != 1:
@@ -183,6 +207,14 @@ def _enum_duality(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_duality(args: tuple) -> SweepRecord | None:
+    """Prediction: the boundary space and the cycle space of a random graph
+    annihilate each other under the GF(2) pairing and their ranks sum to
+    the number of edges.  Oracle: every pair of basis vectors meets in an
+    even number of edges, and the two basis lengths are counted.  The
+    bases share `f2graph._edges` and `arith`'s GF(2) elimination: the
+    boundary basis echelons the vertex stars, the cycle basis reduces each
+    edge against the spanning forest.  Neither basis reads the other, and
+    the pairing is recomputed here on int masks over the edge list."""
     seed, i, bound = args
     rng = random.Random(f"duality:{seed}:{i}")
     nv = rng.randint(1, bound)
@@ -190,7 +222,10 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
     edges = [e for e in combinations(vertices, 2) if rng.getrandbits(1)]
     bnd = boundary_space(vertices, edges)
     cyc = cycle_space(vertices, edges)
-    orthogonal = all(len(b & c) % 2 == 0 for b in bnd for c in cyc)
+    # the basis vectors as int masks over the edges: a pairing is one AND
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    bmasks, cmasks = ([sum(bit[e] for e in vec) for vec in space] for space in (bnd, cyc))
+    orthogonal = all((b & c).bit_count() % 2 == 0 for b in bmasks for c in cmasks)
     oracle = (f"ranks {len(bnd)}+{len(cyc)} of {len(edges)}"
               + ("" if orthogonal else ", not orthogonal"))
     ok = orthogonal and len(bnd) + len(cyc) == len(edges)
@@ -225,6 +260,15 @@ def _enum_triangles(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_triangles(order: tuple) -> SweepRecord | None:
+    """Prediction: the invariant of the non-residue cycle from the general
+    formula over its support (`general_invariant`).  Oracle: the XOR of
+    the triangle invariants of its decomposition through each of the two
+    least auxiliary primes (`triangle_decompose`, `triangle_invariant`);
+    a 3-cycle is its own triangle.  Both sides read `quartic` and
+    `v_symbol`, on different arguments: the general formula one
+    symbol per support vertex, of the product of its partners; each
+    triangle three symbols of pair products, with the auxiliary prime
+    among its vertices.  They agree only through the product formula."""
     cycle = [edge(p, q) for p, q in zip(order, order[1:] + order[:1])]
     instance = "-".join(map(str, order))
     base = general_invariant(cycle).value
@@ -303,10 +347,7 @@ def _eval_lemma_e(args: tuple) -> SweepRecord | None:
 # --- candm ------------------------------------------------------------------
 
 def _enum_candm(config: SweepConfig) -> list[tuple]:
-    ps = primes_in_v(config.bound_for("candm"))
-    return [t for t in combinations(ps, 3)
-            if v_symbol(t[0], t[1]) == v_symbol(t[1], t[2])
-            == v_symbol(t[2], t[0]) == -1]
+    return _nonresidue_triples(config.bound_for("candm"))
 
 
 def _eval_candm(args: tuple) -> SweepRecord | None:

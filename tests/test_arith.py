@@ -1,9 +1,11 @@
 """Symbol and modular arithmetic tests against brute-force oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from quadrec import arith
 from quadrec.arith import (
     DomainError,
     factorize,
@@ -138,6 +140,39 @@ def test_v_symbol_spot_values():
         v_symbol(3, 5)
     with pytest.raises(DomainError):
         v_symbol(5, 5)
+
+
+def independent_symbol(p, q):
+    """(p/q) on V without legendre: the mod-8 table when 2 is one of the
+    pair, else jacobi, which reciprocity makes symmetric on V."""
+    if 2 in (p, q):
+        odd = p * q // 2
+        return 1 if odd % 8 in (1, 7) else -1
+    return jacobi(p, q)
+
+
+def test_v_symbol_memo_cold_and_warm_in_both_orders():
+    pairs = list(combinations(primes_in_v(500), 2))
+    memo = arith._v_symbol
+    memo.cache_clear()
+    for p, q in pairs:
+        want = independent_symbol(p, q)
+        assert memo.__wrapped__(p, q) == want
+        assert v_symbol(p, q) == want  # cold: a miss
+        assert v_symbol(q, p) == want  # the swapped order reads the same slot
+    assert memo.cache_info()[:2] == (len(pairs), len(pairs))
+    for p, q in pairs:
+        assert v_symbol(q, p) == v_symbol(p, q) == independent_symbol(p, q)
+    assert memo.cache_info()[:2] == (3 * len(pairs), len(pairs))
+
+
+@pytest.mark.parametrize("p,q", [(5, 5), (3, 5), (5, 9), (1, 65)])
+def test_v_symbol_raises_on_every_call(p, q):
+    arith._v_symbol.cache_clear()
+    for a, b in ((p, q), (q, p), (p, q)):
+        with pytest.raises(DomainError):
+            v_symbol(a, b)
+    assert arith._v_symbol.cache_info().currsize == 0
 
 
 def test_primes_in_v_prefix():

@@ -28,9 +28,12 @@ PINNED = {
     ("candm", 120): (74, "48bdff69d080a447e92451a9cc1cdbb663af596d9c077767c6352559aedb688b"),
     ("lemma-e", 1000): (104, "2e3a3d67b73040d320338f82191aa3af4d03ea62fb65ecf9d6d2e9a2bc0398b3"),
     ("triangles", 8): (141, "c3576b55b519ffd151194b3e4bb0365ba122394259e2ab6f8cff81096692f27a"),
+    ("triangles", 11): (1223, "5ee1fb0cece5591bafc8095d57345eac5a9a9de72e744d74eebfbed6adc648ee"),
     ("triangles", 12): (2255, "57fd0d18a1a212ca4c510216222ac9a666eeafa2b869e162cf8639eeacc1b29f"),
     ("scholz", 300): (413, "a24d109d77989a8ddba268da050ecb628b7f7c2bd2159982cc5fea6cb134f587"),
+    ("scholz", 3000): (21981, "9a5488d1f84682386cf1307365f040ab879c3e844ad89fca253074584211e9bd"),
     ("scholz2", 100): (108, "0bce50b97c45d2643c099c8a3454f6b136818a8dab756e95f43f47fe7ba13d18"),
+    ("scholz2", 200): (678, "0fece47907d24d22e7c69bc057615080baf9ed932bde27a94c5acbe79592b21d"),
     ("norm-sign", 5000): (110, "95f1d025f39893c61fbb75373df13cd864b3d68d1a38fc7f62adb3b9adbb9541"),
     ("norm-sign", 50000): (1122, "509bd4bfede8808e683d8c024de2318e3276e40f8e752e5934f2ce34a0215fb5"),
     ("duality", 10): (203, "f34a98328df4ec073eb699e65ad35ec17306182b809fe2fb87f39f6b20ffb3d5"),

@@ -308,6 +308,13 @@ def test_norm_sign_enumeration_does_not_factorize():
     assert arith._factorize.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("bound", [2, 13, 100, 400])
+def test_nonresidue_triples_match_the_combinations_filter(bound):
+    brute = [(p, q, r) for p, q, r in combinations(primes_in_v(bound), 3)
+             if v_symbol(p, q) == v_symbol(q, r) == v_symbol(r, p) == -1]
+    assert sweeps._nonresidue_triples(bound) == brute
+
+
 def test_candm_sweep_has_both_outcomes():
     cfg = SweepConfig(bound=60)
     records = run_check("candm", cfg)
