@@ -3,8 +3,10 @@
 A PrimeGraph splits the complete graph on a set of eligible primes into
 residue edges (Legendre symbol +1) and non-residue edges (-1).  Edge sets are
 vectors over GF(2) under symmetric difference; this module computes boundary
-and cycle space bases, and decomposes non-residue cycles, given as their
-vertex order, into triangles through an auxiliary prime.  Both bases come
+and cycle space bases, each returned as the sorted distinct edges and one
+int mask per basis vector over them (bit i is edge i), and decomposes
+non-residue cycles, given as their vertex order, into triangles, given as
+sorted vertex triples, through an auxiliary prime.  Both bases come
 from the GF(2) elimination of `arith`.  An edge's vertex vector is
 independent of the earlier edges' exactly when it closes no cycle with
 them, so ascending elimination keeps the ascending spanning forest and
@@ -36,7 +38,6 @@ from .arith import (
 )
 
 Edge = tuple[int, int]
-EdgeVector = frozenset  # of Edge
 
 
 def edge(p: int, q: int) -> Edge:
@@ -102,29 +103,21 @@ def _edges(vertices, edges) -> tuple[list[int], list[Edge]]:
     return vs, es
 
 
-def _from_mask(mask: int, edges_sorted) -> EdgeVector:
-    """The edges at the set bits, in time linear in their number."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(edges_sorted[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
-
-
-def boundary_space(vertices, edges) -> list[EdgeVector]:
-    """A GF(2) basis of the span of the vertex stars (edges at one vertex)."""
+def boundary_space(vertices, edges) -> tuple[list[Edge], list[int]]:
+    """A GF(2) basis of the span of the vertex stars (edges at one vertex):
+    the sorted distinct edges, and the basis vectors as masks over them."""
     vs, es = _edges(vertices, edges)
     stars = dict.fromkeys(vs, 0)
     for i, (u, v) in enumerate(es):
         stars[u] |= 1 << i
         stars[v] |= 1 << i
-    return [_from_mask(m, es) for m, _ in gf2_echelon((star, 0) for star in stars.values())]
+    return es, [m for m, _ in gf2_echelon((star, 0) for star in stars.values())]
 
 
-def cycle_space(vertices, edges) -> list[EdgeVector]:
-    """Basis of the even-degree edge sets: one fundamental cycle per edge
-    outside the ascending-order spanning forest, in ascending edge order.
+def cycle_space(vertices, edges) -> tuple[list[Edge], list[int]]:
+    """Basis of the even-degree edge sets: the sorted distinct edges, and
+    as masks over them one fundamental cycle per edge outside the
+    ascending-order spanning forest, in ascending edge order.
 
     Each edge, ascending, is the vertex vector bit(u) | bit(v) tagged with
     its own edge bit, reduced against the forest edges kept so far.  It is
@@ -143,8 +136,8 @@ def cycle_space(vertices, edges) -> list[EdgeVector]:
         if vec:
             forest.append((vec, tag))
         else:
-            cycles.append(_from_mask(tag, es))
-    return cycles
+            cycles.append(tag)
+    return es, cycles
 
 
 # Ascending primes of V, and per vertex p the bitset over that list of the
@@ -210,9 +203,10 @@ def auxiliary_primes(vertices):
         start = end
 
 
-def triangle_decompose(order, aux: int | None) -> list[EdgeVector]:
+def triangle_decompose(order, aux: int | None) -> list[tuple[int, int, int]]:
     """Write a simple non-residue cycle as a symmetric difference of
-    non-residue triangles through the auxiliary prime `aux`.
+    non-residue triangles through the auxiliary prime `aux`, each given as
+    its sorted vertex triple.
 
     The cycle is its vertices in traversal order; the closing edge from the
     last vertex back to the first is implied.  Each edge (p, q) of it gives
@@ -231,21 +225,20 @@ def triangle_decompose(order, aux: int | None) -> list[EdgeVector]:
     for u, v in pairs:
         if v_symbol(u, v) != -1:
             raise DomainError(f"({u}/{v}) = +1; cycle must be non-residue")
-    cyc = frozenset(edge(u, v) for u, v in pairs)
     if k == 3:
-        return [cyc]
+        return [tuple(sorted(order))]
     if aux in order:
         raise DomainError(f"auxiliary prime {aux} is a cycle vertex")
     for p in order:
         if v_symbol(p, aux) != -1:
             raise DomainError(f"({p}/{aux}) = +1; the auxiliary prime must be "
                               "a non-residue against every cycle vertex")
-    triangles = [frozenset({edge(p, q), edge(q, aux), edge(aux, p)})
-                 for p, q in pairs]
-    acc: frozenset = frozenset()
-    for t in triangles:
-        acc = acc ^ t
-    assert acc == cyc, "triangle symmetric difference must reproduce the cycle"
+    triangles = [tuple(sorted((p, q, aux))) for p, q in pairs]
+    acc: set = set()
+    for a, b, c in triangles:
+        acc ^= {(a, b), (b, c), (a, c)}
+    assert acc == {edge(u, v) for u, v in pairs}, \
+        "triangle symmetric difference must reproduce the cycle"
     return triangles
 
 

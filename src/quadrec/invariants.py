@@ -11,7 +11,6 @@ the independently computed unit symbol.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -40,15 +39,26 @@ class InvariantReport:
                 f"query [{pairs}] P {list(self.P)} k {self.k}")
 
 
+def _tally(query) -> tuple[list[int], dict[int, int], int]:
+    """One pass over the edges, reading each symbol once: the sorted
+    vertices of odd non-residue degree, the product of each vertex's
+    partners, and k, the number of non-residue edges."""
+    odd: set[int] = set()
+    partners: dict[int, int] = {}
+    k = 0
+    for u, v in query:
+        if v_symbol(u, v) == -1:
+            k += 1
+            odd ^= {u, v}
+        partners[u] = partners.get(u, 1) * v
+        partners[v] = partners.get(v, 1) * u
+    return sorted(odd), partners, k
+
+
 def odd_nonresidue_vertices(query) -> list[int]:
     """Vertices with odd degree in the non-residue part of the edge set;
     empty exactly when the invariant is defined."""
-    degrees = Counter()
-    for u, v in query:
-        if v_symbol(u, v) == -1:
-            degrees[u] += 1
-            degrees[v] += 1
-    return sorted(x for x, d in degrees.items() if d % 2)
+    return _tally(query)[0]
 
 
 def edge_invariant(p: int, q: int) -> int:
@@ -84,17 +94,12 @@ def general_invariant(query) -> InvariantReport:
     symbol in the product defined.
     """
     vec = frozenset(edge(u, v) for u, v in query)
-    odd = odd_nonresidue_vertices(vec)
+    odd, partners, k = _tally(vec)
     if odd:
         raise DomainError(f"edge set is outside the invariant group: odd "
                           f"non-residue degree at {odd}")
-    support = sorted({x for e in vec for x in e})
-    k = sum(1 for u, v in vec if v_symbol(u, v) == -1)
-    sign = 1
-    for p in support:
-        partners = prod(q for e in vec if p in e for q in e if q != p)
-        if partners > 1:
-            sign *= quartic(partners, p)
+    support = sorted(partners)
+    sign = prod(quartic(partners[p], p) for p in support)
     value = 0 if sign == (-1) ** k else 1
 
     if len(vec) == 1 and k == 0:

@@ -38,9 +38,7 @@ from .apps import (
 from .f2graph import (
     auxiliary_primes,
     boundary_space,
-    build_graph,
     cycle_space,
-    edge,
     first_v_primes,
     triangle_decompose,
 )
@@ -213,19 +211,19 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
     even number of edges, and the two basis lengths are counted.  The
     bases share `f2graph._edges` and `arith`'s GF(2) elimination: the
     boundary basis echelons the vertex stars, the cycle basis reduces each
-    edge against the spanning forest.  Neither basis reads the other, and
-    the pairing is recomputed here on int masks over the edge list."""
+    edge against the spanning forest.  Neither basis reads the other: each
+    space returns its own sorted edge list and its masks over that list,
+    and the pairing, one AND per pair of masks, is computed here once the
+    two lists agree."""
     seed, i, bound = args
     rng = random.Random(f"duality:{seed}:{i}")
     nv = rng.randint(1, bound)
     vertices = list(range(1, nv + 1))
     edges = [e for e in combinations(vertices, 2) if rng.getrandbits(1)]
-    bnd = boundary_space(vertices, edges)
-    cyc = cycle_space(vertices, edges)
-    # the basis vectors as int masks over the edges: a pairing is one AND
-    bit = {e: 1 << k for k, e in enumerate(edges)}
-    bmasks, cmasks = ([sum(bit[e] for e in vec) for vec in space] for space in (bnd, cyc))
-    orthogonal = all((b & c).bit_count() % 2 == 0 for b in bmasks for c in cmasks)
+    bnd_edges, bnd = boundary_space(vertices, edges)
+    cyc_edges, cyc = cycle_space(vertices, edges)
+    orthogonal = bnd_edges == cyc_edges and all(
+        (b & c).bit_count() % 2 == 0 for b in bnd for c in cyc)
     oracle = (f"ranks {len(bnd)}+{len(cyc)} of {len(edges)}"
               + ("" if orthogonal else ", not orthogonal"))
     ok = orthogonal and len(bnd) + len(cyc) == len(edges)
@@ -237,13 +235,12 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
 
 def _enum_triangles(config: SweepConfig) -> list[tuple]:
     vs = first_v_primes(config.bound_for("triangles"))
-    non = build_graph(vs).edges_N
-    nbrs = {v: [w for w in vs if w != v and edge(v, w) in non] for v in vs}
+    nbrs = {v: [w for w in vs if w != v and v_symbol(v, w) == -1] for v in vs}
     out = []
 
     def walk(path):
         last = path[-1]
-        if len(path) >= 3 and path[1] < last and edge(last, path[0]) in non:
+        if len(path) >= 3 and path[1] < last and path[0] in nbrs[last]:
             out.append(tuple(path))
         if len(path) < 6:
             for w in nbrs[last]:
@@ -269,15 +266,11 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
     symbol per support vertex, of the product of its partners; each
     triangle three symbols of pair products, with the auxiliary prime
     among its vertices.  They agree only through the product formula."""
-    cycle = [edge(p, q) for p, q in zip(order, order[1:] + order[:1])]
     instance = "-".join(map(str, order))
-    base = general_invariant(cycle).value
+    base = general_invariant(zip(order, order[1:] + order[:1])).value
 
     def decomposition_sum(aux):
-        total = 0
-        for tri in triangle_decompose(order, aux):
-            total ^= triangle_invariant(*sorted({x for e in tri for x in e}))
-        return total
+        return sum(triangle_invariant(*tri) for tri in triangle_decompose(order, aux)) % 2
 
     if len(order) == 3:
         s1 = s2 = decomposition_sum(None)

@@ -49,8 +49,18 @@ def test_prime_graph_rejects_wrong_labels():
                    edges_N=frozenset({(3, 5)}))  # 3 is not in V
 
 
+def edge_sets(space):
+    """A space's basis masks as edge sets, bit i standing for the i-th of
+    its sorted distinct edges, which are checked to be exactly that."""
+    es, masks = space
+    assert es == sorted(set(es)) and all(u < v for u, v in es)
+    assert all(0 < m < 1 << len(es) for m in masks)
+    return [frozenset(e for i, e in enumerate(es) if m >> i & 1) for m in masks]
+
+
 def rank_pair(vertices, edges):
-    return len(boundary_space(vertices, edges)), len(cycle_space(vertices, edges))
+    return (len(edge_sets(boundary_space(vertices, edges))),
+            len(edge_sets(cycle_space(vertices, edges))))
 
 
 def test_space_ranks_on_small_graphs():
@@ -70,7 +80,7 @@ def test_space_ranks_on_small_graphs():
 def test_cycle_space_elements_have_even_degrees():
     vs = list(range(8))
     es = [e for i, e in enumerate(combinations(vs, 2)) if i % 3 != 1]
-    for cyc in cycle_space(vs, es):
+    for cyc in edge_sets(cycle_space(vs, es)):
         degree = {}
         for u, v in cyc:
             degree[u] = degree.get(u, 0) + 1
@@ -84,7 +94,7 @@ def test_boundary_cycle_orthogonality_random():
         n = rng.randint(1, 9)
         vs = list(range(n))
         es = [e for e in combinations(vs, 2) if rng.random() < 0.5]
-        bnd, cyc = boundary_space(vs, es), cycle_space(vs, es)
+        bnd, cyc = edge_sets(boundary_space(vs, es)), edge_sets(cycle_space(vs, es))
         assert len(bnd) + len(cyc) == len(es), (trial, es)
         assert all(len(b & c) % 2 == 0 for b in bnd for c in cyc), (trial, es)
 
@@ -101,9 +111,10 @@ def test_spaces_take_either_orientation_and_reject_loops():
     reversed_triangle = [(2, 1), (3, 2), (3, 1)]
     triangle = [(1, 2), (2, 3), (1, 3)]
     assert boundary_space([1, 2, 3], reversed_triangle) == boundary_space([1, 2, 3], triangle)
-    assert cycle_space([1, 2, 3], reversed_triangle) == [frozenset(triangle)]
+    assert cycle_space([1, 2, 3], reversed_triangle) == (sorted(triangle), [0b111])
+    assert edge_sets(cycle_space([1, 2, 3], reversed_triangle)) == [frozenset(triangle)]
     assert all(len(b & frozenset(triangle)) == 2
-               for b in boundary_space([1, 2, 3], reversed_triangle))
+               for b in edge_sets(boundary_space([1, 2, 3], reversed_triangle)))
     # both orientations of one edge are one edge, rank sum included
     assert rank_pair([1, 2], [(1, 2), (2, 1)]) == (1, 0)
     for space in (boundary_space, cycle_space):
@@ -182,8 +193,8 @@ def test_cycle_space_matches_the_forest_construction():
         density = rng.random()
         es = [edge(u, v) for u, v in combinations(vs, 2) if rng.random() < density]
         expected = forest_cycle_space(vs, es)
-        assert cycle_space(vs, es) == expected, (trial, vs, es)
-        components = len(vs) - len(boundary_space(vs, es))
+        assert edge_sets(cycle_space(vs, es)) == expected, (trial, vs, es)
+        components = len(vs) - len(edge_sets(boundary_space(vs, es)))
         disconnected += components > 1
         isolated += any(all(v not in e for e in es) for v in vs)
     assert disconnected > 50 and isolated > 50
@@ -209,19 +220,27 @@ def cycle_edges(order):
     return frozenset(edge(order[i - 1], order[i]) for i in range(len(order)))
 
 
+def xor_of_triangles(triples):
+    """The symmetric difference of the triangles on the given vertex
+    triples, each checked to be sorted and distinct."""
+    acc = frozenset()
+    for t in triples:
+        assert len(t) == 3 and list(t) == sorted(set(t)), t
+        acc ^= frozenset(edge(u, v) for u, v in combinations(t, 2))
+    return acc
+
+
 @pytest.mark.parametrize("length", [3, 4, 5])
 def test_triangle_decompose_properties(length):
     order = find_nonresidue_cycle(length)
     aux = next(auxiliary_primes(order))
     tris = triangle_decompose(order, aux)
     assert len(tris) == (1 if length == 3 else length)
-    acc = frozenset()
     for tri in tris:
-        assert len(tri) == 3
-        for u, v in tri:
+        for u, v in combinations(tri, 2):
             assert v_symbol(u, v) == -1
-        acc ^= tri
-    assert acc == cycle_edges(order)
+        assert length == 3 or aux in tri
+    assert xor_of_triangles(tris) == cycle_edges(order)
     # the same cycle from another vertex or in the other direction
     for other in (order[1:] + order[:1], order[::-1]):
         assert set(triangle_decompose(other, aux)) == set(tris)
@@ -237,10 +256,7 @@ def test_auxiliary_primes_match_brute_force():
     tris2 = triangle_decompose(order, expected[1])
     assert set(tris1) != set(tris2)
     for tris in (tris1, tris2):
-        acc = frozenset()
-        for tri in tris:
-            acc ^= tri
-        assert acc == cycle_edges(order)
+        assert xor_of_triangles(tris) == cycle_edges(order)
 
 
 @pytest.fixture

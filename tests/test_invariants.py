@@ -1,11 +1,14 @@
 """The quartic invariant: clauses, membership, additivity, predictions."""
 
 import random
+import re
+from collections import Counter
 from itertools import combinations
+from math import prod
 
 import pytest
 
-from quadrec.arith import DomainError, primes_in_v, v_symbol
+from quadrec.arith import DomainError, primes_in_v, quartic, v_symbol
 from quadrec.f2graph import build_graph, cycle_space, edge
 from quadrec.invariants import (
     edge_invariant,
@@ -96,7 +99,8 @@ def test_general_invariant_empty_set():
 def member_vectors(graph, rng, count):
     """Random members: residue edges are free, non-residue parts come from
     the cycle space of the Gamma_N restriction."""
-    basis = cycle_space(graph.vertices, sorted(graph.edges_N))
+    es, masks = cycle_space(graph.vertices, sorted(graph.edges_N))
+    basis = [frozenset(e for i, e in enumerate(es) if m >> i & 1) for m in masks]
     out = []
     for _ in range(count):
         vec = frozenset()
@@ -120,6 +124,66 @@ def test_general_invariant_is_additive():
             vb = general_invariant(b).value
             vab = general_invariant(a ^ b).value
             assert vab == (va + vb) % 2, (sorted(a), sorted(b))
+
+
+def slow_invariant(vec):
+    """The general formula the long way: odd non-residue vertices from
+    Counter degrees, else (value, clause, P, k) with each vertex's partners
+    found by a scan over every edge and k counted on its own."""
+    degrees = Counter()
+    for u, v in vec:
+        if v_symbol(u, v) == -1:
+            degrees[u] += 1
+            degrees[v] += 1
+    odd = sorted(x for x, d in degrees.items() if d % 2)
+    if odd:
+        return odd
+    support = sorted({x for e in vec for x in e})
+    sign = 1
+    for p in support:
+        sign *= quartic(prod(q for e in vec if p in e for q in e if q != p), p)
+    k = 0
+    for u, v in vec:
+        k += v_symbol(u, v) == -1
+    value = 0 if sign == (-1) ** k else 1
+    if len(vec) == 1 and k == 0:
+        clause = "edge"
+    elif len(vec) == 3 and len(support) == 3 and k == 3:
+        clause = "triangle"
+    else:
+        clause = "general"
+    return value, clause, tuple(support), k
+
+
+def test_general_invariant_matches_a_slow_reference():
+    rng = random.Random(16)
+    ps = primes_in_v(200)[:12]
+    pairs = list(combinations(ps, 2))
+    residue = [e for e in pairs if v_symbol(*e) == 1]
+    nonresidue = [e for e in pairs if v_symbol(*e) == -1]
+    triangles = [t for t in combinations(ps, 3)
+                 if all(v_symbol(u, v) == -1 for u, v in combinations(t, 2))]
+    assert len(triangles) > 20
+    clauses = Counter()
+    for trial in range(240):
+        vec = frozenset()
+        for t in rng.sample(triangles, rng.randint(0, 3)):
+            vec ^= frozenset(combinations(t, 2))
+        for e in rng.sample(residue, rng.randint(0, 3)):
+            vec ^= {e}
+        # either orientation of an edge is the same edge
+        query = [(v, u) if rng.getrandbits(1) else (u, v) for u, v in sorted(vec)]
+        rep = general_invariant(query)
+        assert rep.query == vec
+        assert (rep.value, rep.clause, rep.P, rep.k) == slow_invariant(vec), (trial, sorted(vec))
+        clauses[rep.clause] += 1
+        # one more non-residue edge leaves the group
+        bad = vec ^ {rng.choice(nonresidue)}
+        odd = slow_invariant(bad)
+        assert odd_nonresidue_vertices(bad) == odd and len(odd) >= 2
+        with pytest.raises(DomainError, match=re.escape(f"degree at {odd}")):
+            general_invariant(bad)
+    assert min(clauses[c] for c in ("edge", "triangle", "general")) >= 5, clauses
 
 
 def test_scholz_predictions_match_invariant_complement():

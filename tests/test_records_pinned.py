@@ -30,6 +30,7 @@ PINNED = {
     ("triangles", 8): (141, "c3576b55b519ffd151194b3e4bb0365ba122394259e2ab6f8cff81096692f27a"),
     ("triangles", 11): (1223, "5ee1fb0cece5591bafc8095d57345eac5a9a9de72e744d74eebfbed6adc648ee"),
     ("triangles", 12): (2255, "57fd0d18a1a212ca4c510216222ac9a666eeafa2b869e162cf8639eeacc1b29f"),
+    ("triangles", 14): (6484, "7f0fd1af3db97a4e256357b2a6dd8d45ca041d78b9d314b445cf4ac3e158b7bc"),
     ("scholz", 300): (413, "a24d109d77989a8ddba268da050ecb628b7f7c2bd2159982cc5fea6cb134f587"),
     ("scholz", 3000): (21981, "9a5488d1f84682386cf1307365f040ab879c3e844ad89fca253074584211e9bd"),
     ("scholz2", 100): (108, "0bce50b97c45d2643c099c8a3454f6b136818a8dab756e95f43f47fe7ba13d18"),
@@ -38,6 +39,7 @@ PINNED = {
     ("norm-sign", 50000): (1122, "509bd4bfede8808e683d8c024de2318e3276e40f8e752e5934f2ce34a0215fb5"),
     ("duality", 10): (203, "f34a98328df4ec073eb699e65ad35ec17306182b809fe2fb87f39f6b20ffb3d5"),
     ("duality", 16): (203, "bda0bbac4ecc77452f059f48ed980fbe9eb3711990e3e104570e71a1c25d03be"),
+    ("duality", 60): (203, "4d226de783c7618787be95c7745e5c0be82cb5f3ed846b1f8cdffb67945f86d5"),
 }
 
 

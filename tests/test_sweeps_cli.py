@@ -148,9 +148,16 @@ def duality_ranks(record):
     return int(b), int(c), int(edges)
 
 
-def patch_cycle_space(monkeypatch, mutant):
+def patch_cycle_space(monkeypatch, mutate):
     """The sweep builds each graph's cycle space once, through its own
-    binding of cycle_space, and pairs it with the boundary space itself."""
+    binding of cycle_space, and pairs it with the boundary space itself.
+    `mutate` rewrites the list of basis masks; the edge list stays."""
+    right = f2graph.cycle_space
+
+    def mutant(vertices, edges):
+        es, masks = right(vertices, edges)
+        return es, mutate(masks)
+
     monkeypatch.setattr(sweeps, "cycle_space", mutant)
 
 
@@ -160,10 +167,9 @@ def graphs_with_cycles():
 
 
 def test_duality_oracle_rejects_a_dropped_cycle(monkeypatch):
-    right = f2graph.cycle_space
     expected = graphs_with_cycles()
     assert len(expected) == 127
-    patch_cycle_space(monkeypatch, lambda vertices, edges: right(vertices, edges)[:-1])
+    patch_cycle_space(monkeypatch, lambda masks: masks[:-1])
     records = run_check("duality", SweepConfig())
     assert summarize(records) == {"pass": 73, "fail": 127}
     failed = [r for r in records if r.verdict == "fail"]
@@ -175,11 +181,9 @@ def test_duality_oracle_rejects_a_dropped_cycle(monkeypatch):
 
 
 def test_duality_oracle_rejects_a_cycle_missing_an_edge(monkeypatch):
-    right = f2graph.cycle_space
-
-    def broken_first(vertices, edges):
-        basis = right(vertices, edges)
-        return [basis[0] - {min(basis[0])}] + basis[1:] if basis else basis
+    def broken_first(masks):
+        # the lowest set bit is the least edge of the first cycle
+        return [masks[0] & (masks[0] - 1)] + masks[1:] if masks else masks
 
     expected = graphs_with_cycles()
     patch_cycle_space(monkeypatch, broken_first)
