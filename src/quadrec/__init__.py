@@ -26,11 +26,9 @@ from .arith import (
 from .pell import (
     CubeCongruenceReport,
     QuadUnit,
-    UnitCache,
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
-    swap_unit_cache,
     unit_cache,
     unit_symbol,
 )

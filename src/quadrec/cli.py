@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge, graph_to_lines
 from .invariants import general_invariant
-from .pell import UnitCache, swap_unit_cache, unit_cache, unit_symbol
+from .pell import unit_symbol
 from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_check, summarize
 
 
@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the per-check instance bound")
     p_ver.add_argument("--samples", type=_positive_int, default=200,
                        help="random graphs for the duality check")
-    p_ver.add_argument("--cache", metavar="PATH", default=None,
-                       help="fundamental unit cache file")
     p_ver.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes, shared by every check of the run")
     p_ver.add_argument("--format", choices=["human", "json-lines", "csv"],
@@ -127,19 +125,14 @@ def cmd_verify(args) -> int:
     checks = args.check or sorted(CHECK_DEFAULT_BOUNDS)
     config = SweepConfig(bound=args.bound, samples=args.samples,
                          jobs=args.jobs, seed=args.seed)
-    memo = UnitCache(args.cache) if args.cache else unit_cache()
-    old = swap_unit_cache(memo)
-    # after the swap, so that workers start from this run's memo
     pool = open_pool(config.jobs) if config.jobs > 1 else None
     try:
         records = [r for name in checks for r in run_check(name, config, pool)]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        swap_unit_cache(old)
     counts = summarize(records)
     _write_report(sys.stdout, args.format, records, counts)
-    memo.compact()  # a no-op for a memo without a file
     return 3 if counts["fail"] else 0
 
 

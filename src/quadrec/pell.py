@@ -7,16 +7,13 @@ field discriminant.  Its first complete quotient (P_1 + sqrt(D))/Q_1 is
 already reduced, so the walk starts there and stops when (P_1, Q_1)
 returns.  That one minimal period yields the fundamental unit from the
 bottom row of the convergent matrix alone, and the parity of the period
-gives the norm sign.  The process keeps one memo of computed units:
-unit_cache() returns it, and swap_unit_cache() installs another (a
-file-backed one for a run, say) and returns the memo it replaced.
+gives the norm sign.  The process keeps one in-memory dict of computed
+units, keyed by m, which unit_cache() returns; a unit takes microseconds
+to compute, so nothing persists it between runs.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import tempfile
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -121,93 +118,12 @@ def compute_fundamental_unit(m: int) -> QuadUnit:
     return QuadUnit(m=m, x=x, y=y, den=den, norm=norm)
 
 
-class UnitCache:
-    """A memo of fundamental units, in memory or backed by a file.
-
-    The file holds one unit per line, `m x y den norm`, decimal integers.
-    Each new unit is appended and flushed; compact() rewrites the file
-    sorted and deduplicated.  Loaded records are revalidated through
-    QuadUnit, so a corrupt file fails loudly instead of poisoning results.
-    A file that cannot be written warns once and leaves the memo in memory.
-    """
-
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = os.fspath(path) if path is not None else None
-        self._units: dict[int, QuadUnit] = {}
-        self._append = None
-        if self.path is not None and os.path.exists(self.path):
-            with open(self.path, encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    parts = line.split()
-                    if len(parts) != 5:
-                        raise DomainError(f"malformed unit cache line: {line!r}")
-                    m, x, y, den, norm = (int(t) for t in parts)
-                    self._units[m] = QuadUnit(m=m, x=x, y=y, den=den, norm=norm)
-
-    def __len__(self):
-        return len(self._units)
-
-    def __iter__(self):
-        """The units held, in the order they were loaded or added."""
-        return iter(self._units.values())
-
-    def get(self, m: int) -> QuadUnit | None:
-        return self._units.get(m)
-
-    def add(self, unit: QuadUnit) -> None:
-        if unit.m in self._units:
-            return
-        self._units[unit.m] = unit
-        if self.path is None:
-            return
-        if self._append is None:
-            try:
-                self._append = open(self.path, "a", encoding="ascii")
-            except OSError as exc:
-                print(f"warning: unit cache {self.path} not writable ({exc}); "
-                      f"continuing in memory", file=sys.stderr)
-                self.path = None  # memory only from now on, so one warning
-                return
-        print(f"{unit.m} {unit.x} {unit.y} {unit.den} {unit.norm}", file=self._append)
-        self._append.flush()
-
-    def compact(self) -> None:
-        """Rewrite the backing file sorted by m, one record per unit."""
-        if self.path is None:
-            return
-        if self._append is not None:
-            self._append.close()
-            self._append = None
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".unitcache-")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                for m in sorted(self._units):
-                    u = self._units[m]
-                    print(f"{u.m} {u.x} {u.y} {u.den} {u.norm}", file=fh)
-            os.replace(tmp, self.path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+_memo: dict[int, QuadUnit] = {}
 
 
-_memo = UnitCache()
-
-
-def unit_cache() -> UnitCache:
-    """The memo fundamental_unit reads and fills."""
+def unit_cache() -> dict[int, QuadUnit]:
+    """The memo fundamental_unit reads and fills, keyed by m."""
     return _memo
-
-
-def swap_unit_cache(memo: UnitCache) -> UnitCache:
-    """Install `memo` as the process's memo and return the one it replaces."""
-    global _memo
-    old, _memo = _memo, memo
-    return old
 
 
 def fundamental_unit(m: int) -> QuadUnit:
@@ -217,8 +133,7 @@ def fundamental_unit(m: int) -> QuadUnit:
     """
     unit = _memo.get(m)
     if unit is None:
-        unit = compute_fundamental_unit(m)
-        _memo.add(unit)
+        unit = _memo[m] = compute_fundamental_unit(m)
     return unit
 
 

@@ -43,14 +43,7 @@ from .f2graph import (
     triangle_decompose,
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
-from .pell import (
-    UnitCache,
-    check_unit_congruences,
-    fundamental_unit,
-    swap_unit_cache,
-    unit_cache,
-    unit_symbol,
-)
+from .pell import check_unit_congruences, fundamental_unit, unit_symbol
 
 CHECK_DEFAULT_BOUNDS = {
     "scholz": 300,
@@ -290,6 +283,11 @@ def _enum_thm_sq(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_thm_sq(args: tuple) -> SweepRecord | None:
+    """Prediction: the constant claim "square": when the units of m1, m2
+    and m1*m2 all have norm -1, their product is a square in the field of
+    the roots of the primes of m1*m2 (`theorem_sq_check`).  Oracle:
+    `mquad.is_square` of that product of continued-fraction units.  The
+    two share the units, whose norms select the instance."""
     m1, m2 = args
     # the small units first: only then does the pair pay for the unit of m1*m2
     if fundamental_unit(m1).norm != -1 or fundamental_unit(m2).norm != -1:
@@ -310,6 +308,11 @@ def _enum_pos_norm(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_pos_norm(args: tuple) -> SweepRecord | None:
+    """Prediction: the constant claim "square": a unit of norm +1 is a
+    square in the field of the roots of the primes of m, with sqrt(2) when
+    m = 3 (mod 4) (`positive_norm_square_check`).  Oracle:
+    `mquad.is_square` of the continued-fraction unit in that field.  The
+    two share the unit, whose norm selects the instance."""
     (m,) = args
     if fundamental_unit(m).norm != 1:
         return None
@@ -327,6 +330,11 @@ def _enum_lemma_e(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_lemma_e(args: tuple) -> SweepRecord | None:
+    """Prediction: the constant claim "congruent": for a unit of norm -1,
+    eps_m^3 = x + y*sqrt(m) has x even, 4 | x exactly when m = 1 (mod 8),
+    and y = 1 (mod 4).  Oracle: the cube of the continued-fraction unit,
+    with the congruences read off it (`check_unit_congruences`).  The
+    prediction computes nothing, so the two share only m."""
     (m,) = args
     if fundamental_unit(m).norm != -1:
         return None
@@ -366,6 +374,11 @@ def _enum_candp(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_candp(args: tuple) -> SweepRecord | None:
+    """Prediction: the constant claim "even": for a unit of norm +1, the
+    primes of d meet P evenly.  Oracle: `candp_check`, which finds d by
+    exact square tests of d*eps_{m*n} (`mquad.find_d`) and P from Legendre
+    symbols, and counts the primes of d in P.  The two share the
+    continued-fraction unit, whose norm selects the instance."""
     m, n = args
     if fundamental_unit(m * n).norm != 1:
         return None
@@ -392,6 +405,11 @@ def _enum_norm_sign(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_norm_sign(args: tuple) -> SweepRecord | None:
+    """Prediction: norm +1 when every cross Legendre symbol is +1 and the
+    paired quartic product is -1 (`norm_sign_predict`); otherwise none,
+    and the split is skipped.  Oracle: the norm of the continued-fraction
+    unit of m*n.  The two share only the split and `arith`'s factorisation:
+    no unit enters the prediction and no residue symbol the oracle."""
     m, n = args
     if norm_sign_predict(m, n) is None:
         return None
@@ -434,30 +452,19 @@ CHECKS = {
 }
 
 
-def _pool_init(units) -> None:
-    """Give a pool worker a memo of its own, seeded with the parent's units."""
-    memo = UnitCache()
-    for unit in units:
-        memo.add(unit)
-    swap_unit_cache(memo)
-
-
-def _pool_eval(payload):
-    """Records for one chunk of instances, and the units the worker's memo
-    gained meanwhile, for the parent to add to its own."""
+def _pool_eval(payload) -> list[SweepRecord | None]:
+    """Records for one chunk of instances, evaluated in a pool worker."""
     name, chunk = payload
     evaluate = CHECKS[name][1]
-    before = len(unit_cache())
-    records = [evaluate(args) for args in chunk]
-    return records, list(unit_cache())[before:]
+    return [evaluate(args) for args in chunk]
 
 
 def open_pool(jobs: int) -> ProcessPoolExecutor:
-    """A pool of `jobs` workers, each starting from a copy of the unit memo
-    (pell.unit_cache) as it stands now.  A worker never writes the parent's
-    memo file; run_check adds what workers send back."""
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                               initargs=(list(unit_cache()),))
+    """A pool of `jobs` worker processes for run_check.  Forked workers
+    inherit the parent's unit memo as it stands now; under another start
+    method they start empty.  Either way each worker fills its own memo,
+    which never changes a record."""
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def run_check(name: str, config: SweepConfig,
@@ -466,9 +473,8 @@ def run_check(name: str, config: SweepConfig,
 
     Under jobs > 1 every instance is evaluated in `pool`, which serves all
     the checks of a run, so worker memos persist from check to check;
-    without one, a pool is opened for this call alone.  Workers send back
-    the units they compute and only this process adds them to the memo, so
-    a file-backed memo ends up the same as in a single-process run.
+    without one, a pool is opened for this call alone.  The units workers
+    compute stay in the workers.
     """
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}")
@@ -479,13 +485,8 @@ def run_check(name: str, config: SweepConfig,
     else:
         size = max(1, len(instances) // (config.jobs * 8))
         payloads = [(name, instances[i:i + size]) for i in range(0, len(instances), size)]
-        memo = unit_cache()
-        results = []
         with nullcontext(pool) if pool is not None else open_pool(config.jobs) as workers:
-            for records, fresh in workers.map(_pool_eval, payloads):
-                results += records
-                for unit in fresh:
-                    memo.add(unit)
+            results = [r for records in workers.map(_pool_eval, payloads) for r in records]
     return [r for r in results if r is not None]
 
 

@@ -1,10 +1,11 @@
-"""Fundamental unit computation, unit symbols, cube congruences, cache."""
+"""Fundamental unit computation, unit symbols, cube congruences, memo."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from math import gcd, isqrt
 
+from quadrec import pell
 from quadrec.arith import (
     DomainError,
     is_squarefree,
@@ -16,12 +17,11 @@ from quadrec.arith import (
 )
 from quadrec.pell import (
     QuadUnit,
-    UnitCache,
     _cf_fundamental_triple,
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
-    swap_unit_cache,
+    unit_cache,
     unit_symbol,
 )
 
@@ -236,50 +236,13 @@ def test_check_unit_congruences_domain():
         check_unit_congruences(2)
 
 
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "units.txt"
-    cache = UnitCache(str(path))
-    old = swap_unit_cache(cache)
-    try:
-        u = fundamental_unit(65)
-        v = fundamental_unit(65)
-    finally:
-        assert swap_unit_cache(old) is cache
-    assert u == v
-    # the unit was appended and flushed once, before any compaction
-    assert path.read_text() == "65 8 1 1 -1\n"
-    cache.compact()
-    text = path.read_text()
-    assert "65 8 1 1 -1" in text
-    # a fresh cache object reads the same unit back without recomputing
-    reloaded = UnitCache(str(path))
-    assert reloaded.get(65) == u
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "units.txt"
-    path.write_text("65 8 1 1 -1\nnot a record\n")
-    with pytest.raises(DomainError):
-        UnitCache(str(path))
-    path.write_text("65 9 1 1 -1\n")  # fails the norm identity
-    with pytest.raises(DomainError):
-        UnitCache(str(path))
-
-
-def test_cache_survives_unwritable_location(tmp_path, capsys):
-    # a path below a regular file cannot be opened, whatever the user's rights
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    cache = UnitCache(str(blocker / "units.txt"))
-    old = swap_unit_cache(cache)
-    try:
-        u = fundamental_unit(10)
-        w = fundamental_unit(13)
-    finally:
-        swap_unit_cache(old)
-    assert capsys.readouterr().err.count("not writable") == 1
-    assert u == compute_fundamental_unit(10) and u.norm == -1
-    assert cache.get(10) == u and cache.get(13) == w  # kept in memory
-    cache.compact()
-    assert [f.name for f in tmp_path.iterdir()] == ["file"]
-    assert blocker.read_text() == ""
+def test_fundamental_unit_fills_and_reads_the_memo(monkeypatch):
+    monkeypatch.setattr(pell, "_memo", {})
+    computed = []
+    compute = pell.compute_fundamental_unit
+    # looked up through the module global, where a tracer can wrap it
+    monkeypatch.setattr(pell, "compute_fundamental_unit",
+                        lambda m: computed.append(m) or compute(m))
+    u = fundamental_unit(65)
+    assert fundamental_unit(65) is u and computed == [65]
+    assert unit_cache() == {65: u} and u == compute(65)

@@ -14,18 +14,12 @@ from math import prod
 
 import pytest
 
-from quadrec import arith, f2graph, sweeps
+from quadrec import arith, f2graph, pell, sweeps
 from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import build_graph, edge, first_v_primes
 from quadrec.mquad import is_square
-from quadrec.pell import (
-    QuadUnit,
-    UnitCache,
-    compute_fundamental_unit,
-    swap_unit_cache,
-    unit_cache,
-)
+from quadrec.pell import QuadUnit, unit_cache
 from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, SweepRecord, run_check, summarize
 
 
@@ -253,16 +247,13 @@ def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch
     assert {r.oracle for r in records} == {"not-square"}
 
 
-def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one():
-    old = swap_unit_cache(UnitCache())
-    try:
-        records = run_check("thm-sq", SweepConfig())
-        memo = unit_cache()
-    finally:
-        swap_unit_cache(old)
+def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(monkeypatch):
+    monkeypatch.setattr(pell, "_memo", {})
+    records = run_check("thm-sq", SweepConfig())
+    memo = unit_cache()
     assert summarize(records) == {"pass": 103, "fail": 0}
     bound = CHECK_DEFAULT_BOUNDS["thm-sq"]
-    computed = {u.m for u in memo}
+    computed = set(memo)
     pairs = sweeps._enum_thm_sq(SweepConfig())
     both_minus = {m1 * m2 for m1, m2 in pairs
                   if memo.get(m1).norm == memo.get(m2).norm == -1}
@@ -346,20 +337,14 @@ def stamp_pid(monkeypatch, name):
     monkeypatch.setitem(sweeps.CHECKS, name, (enum, stamped))
 
 
-def test_parent_memo_gains_the_units_workers_computed(monkeypatch):
-    stamp_pid(monkeypatch, "pos-norm")
-    old = swap_unit_cache(UnitCache())
-    try:
-        records = run_check("pos-norm", SweepConfig(bound=60, jobs=2))
-        memo = unit_cache()
-    finally:
-        swap_unit_cache(old)
-    # without a pool, run_check opens one for the call: no instance is
-    # evaluated here, so every unit in the fresh memo came from a worker
-    assert {r.predicted for r in records}.isdisjoint({str(os.getpid())})
-    ms = [int(r.instance.removeprefix("eps_")) for r in records]
-    assert len(ms) > 5
-    assert all(memo.get(m) == compute_fundamental_unit(m) for m in ms)
+def test_workers_leave_an_empty_parent_memo_empty(monkeypatch):
+    config = SweepConfig(bound=300)
+    single = run_check("pos-norm", config)
+    monkeypatch.setattr(pell, "_memo", {})
+    records = run_check("pos-norm", replace(config, jobs=2))
+    assert len(records) > 100 and records == single
+    # every unit was computed in a worker, and none came back
+    assert unit_cache() == {}
 
 
 def test_one_pool_serves_check_after_check(monkeypatch):
@@ -489,6 +474,16 @@ def test_cli_usage_errors_are_exit_1():
     assert run_cli("invariant", "five-29").returncode == 1
 
 
+def test_verify_rejects_the_removed_cache_option(capsys):
+    # units live only in memory; a unit file option must not be ignored
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--cache", "units.txt", "--check", "scholz"])
+    assert exit_info.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --cache units.txt" in out.err
+
+
 def test_cli_invariant():
     out = run_cli("invariant", "2-5", "5-13", "13-2")
     assert out.returncode == 0
@@ -526,44 +521,6 @@ def test_cli_verify_json_lines_round_trip():
     assert {r["verdict"] for r in records} == {"pass"}
     assert all(set(r) == {"check", "instance", "predicted", "oracle", "verdict"}
                for r in records)
-
-
-def test_cli_verify_warm_cache_reruns_identically(tmp_path):
-    cache = tmp_path / "units.txt"
-    args = ("verify", "--check", "lemma-e", "--bound", "120",
-            "--cache", str(cache), "--format", "csv")
-    first = run_cli(*args)
-    assert first.returncode == 0
-    assert cache.exists()
-    second = run_cli(*args)
-    strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("# quadrec")]
-    assert strip(first.stdout) == strip(second.stdout)
-
-
-def test_verify_cache_restores_the_process_memo(tmp_path, capsys):
-    memo = unit_cache()
-    path = tmp_path / "units.txt"
-    assert main(["verify", "--check", "pos-norm", "--bound", "40",
-                 "--cache", str(path)]) == 0
-    assert unit_cache() is memo
-    assert len(UnitCache(str(path))) > 5  # the run's units went to the file
-
-
-def test_cli_verify_cache_under_jobs_matches_one_process(tmp_path):
-    files = {}
-    for jobs in ("1", "2"):
-        files[jobs] = tmp_path / f"units-{jobs}.txt"
-        out = run_cli("verify", "--check", "pos-norm", "--bound", "300",
-                      "--jobs", jobs, "--cache", str(files[jobs]))
-        assert out.returncode == 0
-    single = files["1"].read_bytes()
-    assert len(single.splitlines()) > 100
-    assert files["2"].read_bytes() == single
-    # warm workers start from the file and add nothing twice
-    out = run_cli("verify", "--check", "pos-norm", "--bound", "300",
-                  "--jobs", "2", "--cache", str(files["2"]))
-    assert out.returncode == 0
-    assert files["2"].read_bytes() == single
 
 
 def test_cli_verify_pos_norm_past_four_generators():
