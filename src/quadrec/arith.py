@@ -268,10 +268,13 @@ def factorize(n: int) -> dict[int, int]:
     Trial division by small primes, then is_prime on the cofactor; a
     composite cofactor goes on with trial division by odd numbers.  So a
     product of two large primes is slow.  No caller passes one: the inputs
-    are the moduli of single instances, their products and the find_d
-    candidates built from their primes, so every prime factor is one of an
-    instance's own.  The sweep enumerations do not call it;
-    sweeps._squarefrees reads the factorizations off a sieve.
+    are the moduli of single instances and their products (the hypothesis
+    checks and prime sets of apps), and in mquad the generators
+    (is_squarefree) and the squarefree kernels of radicands and find_d
+    candidates, so every prime factor is one of an instance's own.  A field
+    keeps no factorization, only its radicand table.  The sweep
+    enumerations do not call it; sweeps._squarefrees reads the
+    factorizations off a sieve.
     """
     if n < 1:
         raise DomainError("factorize needs a positive integer")

@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=_positive_int, default=200,
                        help="random graphs for the duality check")
     p_ver.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes, shared by every check of the run")
+                       help="worker processes, shared by every check of the run; "
+                            "at most the CPUs this process may use")
     p_ver.add_argument("--format", choices=["human", "json-lines", "csv"],
                        default="human")
     p_ver.add_argument("--seed", type=int, default=0,

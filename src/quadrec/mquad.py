@@ -7,6 +7,17 @@ w[S] = prod_{i in S} g_i, since
 sqrt(g_S) * sqrt(g_T) = w[S & T] * sqrt(g_(S ^ T)).  Everything is exact,
 square detection included.
 
+The field keeps no factorisation.  By Kummer theory the squarefree d with
+sqrt(d) in the field are exactly the 2^t squarefree kernels of the
+subproducts g_S, so one table radicands[S] = kernel(g_S), filled with gcds
+(the kernel of a product of squarefree a, b is (a/c)*(b/c), c = gcd(a, b)),
+answers every question the field is asked.  The generators are independent
+exactly when the 2^t entries are distinct.  sqrt(m) lies in the field
+exactly when kernel(m) is an entry, and its index is the basis mask.  a/b is
+a field square exactly when kernel(a*b) is an entry, that is when the cosets
+{kernel(a*r)} and {kernel(b*r)} over the entries r agree; the least member
+names the coset.
+
 is_square takes square roots by recursion through quadratic subextensions
 (Bauch, Bernstein, de Valence, Lange, van Vredendaal, "Short generators
 without quantum computers: the case of multiquadratics", EUROCRYPT 2017).
@@ -35,15 +46,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
-from .arith import (
-    DomainError,
-    gf2_echelon,
-    gf2_reduce,
-    is_prime,
-    is_squarefree,
-    prime_divisors,
-    squarefree_kernel,
-)
+from .arith import DomainError, is_prime, is_squarefree, squarefree_kernel
+
+
+def _kernel_product(a: int, b: int) -> int:
+    """The squarefree kernel of a*b for squarefree a and b."""
+    c = gcd(a, b)
+    return (a // c) * (b // c)
 
 
 @dataclass(frozen=True)
@@ -60,34 +69,9 @@ class MQField:
                 raise DomainError(f"generator {d} is not squarefree > 1")
         if len(set(self.gens)) != len(self.gens):
             raise DomainError("generators must be distinct")
-        if len(self._gen_rows) != len(self.gens):
+        if len(set(self.radicands)) != self.degree:
             raise DomainError("generators are multiplicatively dependent "
                               "(some subproduct is a perfect square)")
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        ps: set[int] = set()
-        for d in self.gens:
-            ps.update(prime_divisors(d))
-        return tuple(sorted(ps))
-
-    @cached_property
-    def _prime_index(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.primes)}
-
-    def _prime_vector(self, n: int) -> int:
-        index = self._prime_index
-        vec = 0
-        for p in prime_divisors(n):
-            if p not in index:
-                raise DomainError(f"{n} involves a prime outside the field: {p}")
-            vec |= 1 << index[p]
-        return vec
-
-    @cached_property
-    def _gen_rows(self) -> list[tuple[int, int]]:
-        return gf2_echelon((self._prime_vector(d), 1 << i)
-                           for i, d in enumerate(self.gens))
 
     @cached_property
     def degree(self) -> int:
@@ -103,33 +87,31 @@ class MQField:
             w[mask] = w[mask ^ low] * self.gens[low.bit_length() - 1]
         return tuple(w)
 
+    @cached_property
+    def radicands(self) -> tuple[int, ...]:
+        """radicands[S] = the squarefree kernel of g_S: the squarefree d with
+        sqrt(d) in the field, one per subset S (module docstring)."""
+        table = [1]
+        for g in self.gens:
+            table += [_kernel_product(g, r) for r in table]
+        return tuple(table)
+
     def subset_with_kernel(self, m: int) -> int:
         """The generator-subset mask S with m*g_S a perfect square, i.e.
         sqrt(m) a rational multiple of sqrt(g_S) (error if there is none)."""
-        target, combo = gf2_reduce(self._prime_vector(squarefree_kernel(m)),
-                                   self._gen_rows)
-        if target != 0:
-            raise DomainError(f"sqrt({m}) does not lie in {self}")
-        return combo
+        try:
+            return self.radicands.index(squarefree_kernel(m))
+        except ValueError:
+            raise DomainError(f"sqrt({m}) does not lie in {self}") from None
 
-    def square_class_signature(self, n: int) -> tuple[int, int]:
+    def square_class_signature(self, n: int) -> int:
         """Canonical form of n > 0 modulo squares of the field: two values
-        get equal signatures exactly when their ratio is a field square.
-        Primes outside the field must match on the nose (first component);
-        the rest reduces over the generators' GF(2) span (second component).
-        """
+        get equal signatures exactly when their ratio is a field square:
+        the least kernel of n*r over the radicands r."""
         if n <= 0:
             raise DomainError("square classes are defined for positive values")
-        index = self._prime_index
-        inside = 0
-        outside = 1
-        for p in prime_divisors(squarefree_kernel(n)):
-            if p in index:
-                inside |= 1 << index[p]
-            else:
-                outside *= p
-        inside, _ = gf2_reduce(inside, self._gen_rows)
-        return outside, inside
+        k = squarefree_kernel(n)
+        return min(_kernel_product(k, r) for r in self.radicands)
 
     def element(self, coeffs) -> "MQElement":
         """The element sum c_S*sqrt(g_S) for rational coefficients given as
@@ -168,20 +150,20 @@ def field_containing(values) -> MQField:
     """The multiquadratic field generated by the square roots of the given
     positive values, with a deterministic (ascending, greedy-independent)
     generator choice.  Values reduce to their squarefree kernels; perfect
-    squares contribute nothing."""
-    vals = []
+    squares contribute nothing.  A kernel is kept when it is not yet a
+    radicand of the kept ones, so the table grows as MQField.radicands
+    builds it."""
+    kernels = set()
     for v in values:
         if v < 1:
             raise DomainError(f"radicand {v} is not positive")
-        k = squarefree_kernel(v)
-        if k > 1:
-            vals.append(k)
-    vals = sorted(set(vals))
-    primes = sorted({p for v in vals for p in prime_divisors(v)})
-    index = {p: i for i, p in enumerate(primes)}
-    rows = gf2_echelon((sum(1 << index[p] for p in prime_divisors(v)), 1 << i)
-                       for i, v in enumerate(vals))
-    return MQField([vals[tag.bit_length() - 1] for _, tag in rows])
+        kernels.add(squarefree_kernel(v))
+    gens, table = [], [1]
+    for k in sorted(kernels):
+        if k not in table:
+            gens.append(k)
+            table += [_kernel_product(k, r) for r in table]
+    return MQField(gens)
 
 
 class MQElement:
@@ -472,7 +454,7 @@ def find_d(x: MQElement, allowed_primes) -> int:
         candidates += [c * p for c in candidates]
     candidates.sort()
     field = x.field
-    tested: set[tuple[int, int]] = set()
+    tested: set[int] = set()
     hit: int | None = None
     for d in candidates:
         sig = field.square_class_signature(d)

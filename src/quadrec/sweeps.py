@@ -12,6 +12,7 @@ never silently weakened.
 
 from __future__ import annotations
 
+import os
 import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -76,6 +77,12 @@ class SweepConfig:
             raise DomainError("samples must be positive")
         if self.jobs < 1:
             raise DomainError("jobs must be positive")
+        # a fork pool starts every worker at its first submit, so refuse
+        # more workers than usable CPUs before a pool exists
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if self.jobs > cpus:
+            raise DomainError(f"jobs must be at most {cpus}, the CPUs this process may use")
 
     def bound_for(self, check: str) -> int:
         return self.bound if self.bound is not None else CHECK_DEFAULT_BOUNDS[check]
@@ -135,6 +142,14 @@ def _enum_scholz(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_scholz(args: tuple) -> SweepRecord | None:
+    """Prediction: Scholz's law for a residue pair of V-primes, the product
+    of the quartic symbols (p/q)_4 (q/p)_4, (-1) to its edge invariant
+    (`scholz_predict`).  Oracle: the residue symbol of the fundamental unit
+    of p at q (`pell.unit_symbol`), from the continued-fraction unit
+    reduced at a square root of p mod q.  The two share only the pair,
+    whose hypothesis `_enum_scholz` tested, and `arith`'s primality test
+    and Legendre symbol; no quartic symbol enters the oracle and no unit
+    the prediction."""
     p, q = args
     if q == 2 and p % 8 != 1:
         return None  # the unit symbol at 2 needs m = 1 mod 8
@@ -352,6 +367,15 @@ def _enum_candm(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_candm(args: tuple) -> SweepRecord | None:
+    """Prediction: the general invariant of the non-residue triangle
+    p-q-r, "square" when it is 0 (`general_invariant`).  Oracle: the least
+    squarefree d over p, q, r that makes d*eps_pq*eps_qr*eps_rp a square in
+    the field of sqrt(pq), sqrt(qr), sqrt(rp), by exact square tests
+    (`mquad.find_d`); "square" when d = 1.  A record passes when d has an
+    even number of primes exactly when the invariant is 0 (`candm_check`,
+    with P = {p, q, r}).  The two share only the triple, whose hypothesis
+    `_nonresidue_triples` tested, and `arith`'s Legendre symbol; no quartic
+    symbol enters the oracle and no unit the prediction."""
     p, q, r = args
     res = candm_check(((p, q), (q, r), (r, p)), {p, q, r})
     predicted = "square" if res.invariant.value == 0 else "nonsquare"
@@ -430,6 +454,14 @@ def _enum_kuroda(config: SweepConfig) -> list[tuple]:
 
 
 def _eval_kuroda(args: tuple) -> SweepRecord | None:
+    """Prediction: the unit index Q of Q(sqrt(p), sqrt(qr)) for a residue
+    pair p, q and a non-residue pair q, r is 1 exactly when the unit of pqr
+    has norm -1 and (p/q)_4 (q/p)_4 = -1, else 2 (`kuroda_example_check`).
+    Oracle: Q counted by exact square tests (`mquad.is_square`) of the
+    seven products of the units of p, qr and pqr in that field
+    (`kuroda_q`).  The two share the continued-fraction unit of pqr: the
+    prediction reads its norm, the oracle its coordinates; no quartic
+    symbol enters the oracle."""
     p, q, r = args
     res = kuroda_example_check(p, q, r)
     return SweepRecord("kuroda", f"{p},{q},{r}", f"Q={res.formula_value}",

@@ -2,11 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import isqrt, prod
 
 import pytest
 
-from quadrec.arith import DomainError, gf2_reduce, prime_divisors, squarefree_kernel
+from quadrec.arith import (
+    DomainError,
+    gf2_reduce,
+    is_perfect_square,
+    prime_divisors,
+    squarefree_kernel,
+)
 from quadrec.mquad import (
     MQElement,
     MQField,
@@ -194,6 +201,42 @@ def test_square_class_signature():
     assert sig(2) == sig(30)
     assert sig(3) != sig(6)
     assert sig(1) != sig(3)
+
+
+def test_radicand_table_against_brute_force():
+    # generator lists over small primes, many of them dependent, and values
+    # that also carry primes outside the field, checked by perfect-square
+    # tests on the plain products
+    rng = random.Random(18)
+    primes = (2, 3, 5, 7, 11)
+    built = refused = 0
+    for _ in range(400):
+        gens = [prod(rng.sample(primes, rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 5))]
+        dependent = any(is_perfect_square(prod(g for i, g in enumerate(gens) if mask >> i & 1))
+                        for mask in range(1, 1 << len(gens)))
+        if dependent:
+            with pytest.raises(DomainError):
+                MQField(gens)
+            refused += 1
+            continue
+        field = MQField(gens)
+        built += 1
+        values = [prod(rng.sample(primes + (13, 17), rng.randint(0, 3))) * rng.randint(1, 3) ** 2
+                  for _ in range(6)]
+        for m in values:
+            hits = [S for S, w in enumerate(field.weights) if is_perfect_square(m * w)]
+            assert len(hits) <= 1
+            if hits:
+                assert field.subset_with_kernel(m) == hits[0]
+            else:
+                with pytest.raises(DomainError):
+                    field.subset_with_kernel(m)
+        sig = field.square_class_signature
+        for a, b in combinations_with_replacement(values, 2):
+            same = any(is_perfect_square(a * b * w) for w in field.weights)
+            assert (sig(a) == sig(b)) == same, (gens, a, b)
+    assert built > 200 and refused > 50
 
 
 def test_find_d_unit_instance():

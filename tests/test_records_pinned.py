@@ -23,12 +23,16 @@ PINNED = {
     ("thm-sq", 100): (106, "e17a657edcaded7c4c02f570d27966dda72088ccf016d7ddf73f5347e59eae9c"),
     ("thm-sq", 200): (373, "6d5fb7b0b33cc67c6b6539fe19fc7eedaeeb765553d58790cdc1583ae3db6d9d"),
     ("pos-norm", 1200): (557, "b0d6113b14f27cae3be5b949a5296a702373ac429766fbbfa739314fa942e7df"),
+    # five generators, a 32-entry radicand table
+    ("pos-norm", 4000): (1902, "e7b3da9e70c6abc6db2890e80618e7fb014f7b02fd455f1ed1ae5a0cc550666d"),
     ("kuroda", 60): (93, "0b298429aa82f559eaa9f3db0056f59dc21665479636f6c8172d6273023fad76"),
     ("kuroda", 120): (707, "c486d521ac40183f04ad6766a89f541c338431aa23b4c108482ef921bbbe4c6b"),
+    ("kuroda", 240): (3105, "822aefd5b301faba4931ddc10e9ed9a43d6ef6b9f2854eb8e9cf7d7808cf0471"),
     ("candp", 600): (431, "abe02ae87daa11b552453718d9a2e298cacf431ccf6de377c14b9ebbc4a6fa2b"),
     ("candp", 1200): (889, "33221acb264dec00c070d4044c2d57168a09ae79765c44f207c2f6c5722b1907"),
     ("candm", 60): (12, "1d01e46a5838ed20139622c746da8fb50d3f947d6e7724649ba7d97c5f331d1c"),
     ("candm", 120): (74, "48bdff69d080a447e92451a9cc1cdbb663af596d9c077767c6352559aedb688b"),
+    ("candm", 480): (1899, "c55e8ac0e79901e26c694f1460ad08aa109c158b5e5216583037d5a6b0bd51f6"),
     ("lemma-e", 1000): (104, "2e3a3d67b73040d320338f82191aa3af4d03ea62fb65ecf9d6d2e9a2bc0398b3"),
     ("triangles", 8): (141, "c3576b55b519ffd151194b3e4bb0365ba122394259e2ab6f8cff81096692f27a"),
     ("triangles", 11): (1223, "5ee1fb0cece5591bafc8095d57345eac5a9a9de72e744d74eebfbed6adc648ee"),

@@ -14,7 +14,7 @@ from math import prod
 
 import pytest
 
-from quadrec import arith, f2graph, pell, sweeps
+from quadrec import arith, cli, f2graph, pell, sweeps
 from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import build_graph, edge, first_v_primes
@@ -36,6 +36,20 @@ def test_config_validation():
         SweepConfig(samples=0)
     with pytest.raises(DomainError):
         SweepConfig(jobs=0)
+
+
+def test_jobs_above_the_available_cpus_is_refused_before_any_pool(monkeypatch, capsys):
+    # one more than the CPUs, so a mistake here starts one process at most
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    SweepConfig(jobs=cpus)
+    with pytest.raises(DomainError, match=f"at most {cpus}"):
+        SweepConfig(jobs=cpus + 1)
+
+    def no_pool(jobs):
+        raise AssertionError("a pool was opened")
+    monkeypatch.setattr(cli, "open_pool", no_pool)
+    assert main(["verify", "--check", "scholz", "--jobs", str(cpus + 1)]) == 2
+    assert f"at most {cpus}" in capsys.readouterr().err
 
 
 def test_default_bounds_cover_all_checks():
@@ -233,7 +247,7 @@ def times_a_prime_outside_the_field(check):
     is not in the field, so that no element it tests is a square."""
     def mutant(*args):
         res = check(*args)
-        q = next(p for p in primes_in_v(100) if p not in res.field.primes)
+        q = next(p for p in primes_in_v(100) if all(g % p for g in res.field.gens))
         element = res.element * res.field.rational(q)
         return replace(res, element=element, root=is_square(element))
     return mutant
