@@ -40,13 +40,11 @@ from .mquad import (
     is_square,
 )
 from .f2graph import (
-    PrimeGraph,
     auxiliary_primes,
     boundary_space,
     build_graph,
     cycle_space,
     edge,
-    graph_to_lines,
     triangle_decompose,
 )
 from .invariants import (

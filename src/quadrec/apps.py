@@ -26,7 +26,7 @@ from .arith import (
     v_symbol,
 )
 from .f2graph import edge
-from .invariants import InvariantReport, general_invariant, triangle_invariant
+from .invariants import InvariantReport, edge_invariant, general_invariant, triangle_invariant
 from .mquad import MQElement, MQField, field_containing, find_d, is_square
 from .pell import QuadUnit, fundamental_unit
 
@@ -318,8 +318,9 @@ class KurodaExampleResult:
 
 def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
     """For Q(sqrt(p), sqrt(qr)) with (p/q) = +1 and (q/r) = -1: the index
-    is 1 exactly when the unit of pqr has norm -1 and the paired quartic
-    product is -1, else 2.  Both sides computed independently."""
+    is 1 exactly when the unit of pqr has norm -1 and the edge invariant of
+    (p, q) is 1 (the paired quartic product is -1), else 2.  Both sides
+    computed independently."""
     if len({p, q, r}) != 3:
         raise DomainError("need three distinct primes")
     if v_symbol(p, q) != 1:
@@ -327,8 +328,7 @@ def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
     if v_symbol(q, r) != -1:
         raise DomainError(f"({q}/{r}) = +1; the example needs a non-residue pair")
     norm = fundamental_unit(p * q * r).norm
-    quartic_product = quartic(p, q) * quartic(q, p)
-    formula = 1 if (norm == -1 and quartic_product == -1) else 2
+    formula = 1 if (norm == -1 and edge_invariant(p, q) == 1) else 2
     computed = kuroda_q(p, q * r, p * q * r)
     return KurodaExampleResult(p, q, r, formula, computed)
 

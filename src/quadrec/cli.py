@@ -16,7 +16,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from .arith import DomainError, jacobi, legendre, quartic
-from .f2graph import build_graph, edge, graph_to_lines
+from .f2graph import build_graph, edge
 from .invariants import general_invariant
 from .pell import unit_symbol
 from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_check, summarize
@@ -144,9 +144,9 @@ def cmd_invariant(args) -> int:
     report = general_invariant(sorted(vec))
     print(report)
     if args.show_graph:
-        support = sorted({x for e in vec for x in e})
-        for line in graph_to_lines(build_graph(support)):
-            print(line)
+        residue, nonresidue = build_graph({x for e in vec for x in e})
+        for p, q in sorted(residue | nonresidue):
+            print(p, q, "R" if (p, q) in residue else "N")
     return 0
 
 

@@ -1,7 +1,7 @@
 """GF(2) edge-space machinery on prime residue graphs.
 
-A PrimeGraph splits the complete graph on a set of eligible primes into
-residue edges (Legendre symbol +1) and non-residue edges (-1).  Edge sets are
+`build_graph` splits the complete graph on a set of primes of V into its
+residue edges (symbol +1) and its non-residue edges (-1).  Edge sets are
 vectors over GF(2) under symmetric difference; this module computes boundary
 and cycle space bases, each returned as the sorted distinct edges and one
 int mask per basis vector over them (bit i is edge i), and decomposes
@@ -24,7 +24,6 @@ same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import (
@@ -46,46 +45,18 @@ def edge(p: int, q: int) -> Edge:
     return (p, q) if p < q else (q, p)
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
-    """Complete graph on eligible primes, edges partitioned by symbol."""
-
-    vertices: tuple[int, ...]
-    edges_R: frozenset
-    edges_N: frozenset
-
-    def __post_init__(self):
-        if list(self.vertices) != sorted(set(self.vertices)):
-            raise DomainError("vertices must be sorted and distinct")
-        for p in self.vertices:
-            require_v_prime(p)
-        all_pairs = {edge(p, q) for p, q in combinations(self.vertices, 2)}
-        if self.edges_R | self.edges_N != all_pairs or self.edges_R & self.edges_N:
-            raise DomainError("edge sets must partition all vertex pairs")
-        for p, q in self.edges_R:
-            if v_symbol(p, q) != 1:
-                raise DomainError(f"({p}/{q}) = -1, not a residue edge")
-        for p, q in self.edges_N:
-            if v_symbol(p, q) != -1:
-                raise DomainError(f"({p}/{q}) = +1, not a non-residue edge")
-
-    def label(self, e: Edge) -> str:
-        if e in self.edges_R:
-            return "R"
-        if e in self.edges_N:
-            return "N"
-        raise DomainError(f"edge {e} is not in the graph")
-
-
-def build_graph(primes) -> PrimeGraph:
-    """Partition all pairs of the given eligible primes by Legendre symbol."""
+def build_graph(primes) -> tuple[frozenset, frozenset]:
+    """The residue edges and the non-residue edges of the complete graph on
+    the given distinct primes of V, each edge as a sorted pair."""
     vs = sorted(primes)
     if len(set(vs)) != len(vs):
         raise DomainError("vertices must be distinct")
+    for p in vs:
+        require_v_prime(p)
     res, non = set(), set()
     for p, q in combinations(vs, 2):
-        (res if v_symbol(p, q) == 1 else non).add(edge(p, q))
-    return PrimeGraph(tuple(vs), frozenset(res), frozenset(non))
+        (res if v_symbol(p, q) == 1 else non).add((p, q))
+    return frozenset(res), frozenset(non)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +174,28 @@ def auxiliary_primes(vertices):
         start = end
 
 
-def triangle_decompose(order, aux: int | None) -> list[tuple[int, int, int]]:
+def triangle_decompose(order, aux: int) -> list[tuple[int, int, int]]:
     """Write a simple non-residue cycle as a symmetric difference of
     non-residue triangles through the auxiliary prime `aux`, each given as
     its sorted vertex triple.
 
     The cycle is its vertices in traversal order; the closing edge from the
     last vertex back to the first is implied.  Each edge (p, q) of it gives
-    the triangle (p, q, aux).  A 3-cycle is its own decomposition and `aux`
-    is not used.  Otherwise `aux` must be a prime of V, not a vertex, and a
+    the triangle (p, q, aux), so a cycle of k vertices, a 3-cycle too, gives
+    k triangles.  `aux` must be a prime of V, not a vertex, and a
     non-residue against every vertex; `auxiliary_primes` yields exactly
     those, and any two of them give two different decompositions.
     """
     k = len(order)
     if k < 3 or len(set(order)) != k:
         raise DomainError("a cycle needs at least three distinct vertices")
-    if k > 3 and not isinstance(aux, int):
+    if not isinstance(aux, int):
         raise DomainError(f"a cycle of {k} vertices needs an integer auxiliary "
                           f"prime, got {aux!r}")
     pairs = list(zip(order, order[1:] + order[:1]))
     for u, v in pairs:
         if v_symbol(u, v) != -1:
             raise DomainError(f"({u}/{v}) = +1; cycle must be non-residue")
-    if k == 3:
-        return [tuple(sorted(order))]
     if aux in order:
         raise DomainError(f"auxiliary prime {aux} is a cycle vertex")
     for p in order:
@@ -240,14 +209,4 @@ def triangle_decompose(order, aux: int | None) -> list[tuple[int, int, int]]:
     assert acc == {edge(u, v) for u, v in pairs}, \
         "triangle symmetric difference must reproduce the cycle"
     return triangles
-
-
-# ---------------------------------------------------------------------------
-# line-based serialization: one edge per line, "p q R" or "p q N"
-
-def graph_to_lines(graph: PrimeGraph) -> list[str]:
-    lines = []
-    for e in sorted(graph.edges_R | graph.edges_N):
-        lines.append(f"{e[0]} {e[1]} {graph.label(e)}")
-    return lines
 

@@ -268,10 +268,10 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
     """Prediction: the invariant of the non-residue cycle from the general
     formula over its support (`general_invariant`).  Oracle: the XOR of
     the triangle invariants of its decomposition through each of the two
-    least auxiliary primes (`triangle_decompose`, `triangle_invariant`);
-    a 3-cycle is its own triangle.  Both sides read `quartic` and
-    `v_symbol`, on different arguments: the general formula one
-    symbol per support vertex, of the product of its partners; each
+    least auxiliary primes (`triangle_decompose`, `triangle_invariant`),
+    one triangle per cycle edge, a 3-cycle included.  Both sides read
+    `quartic` and `v_symbol`, on different arguments: the general formula
+    one symbol per support vertex, of the product of its partners; each
     triangle three symbols of pair products, with the auxiliary prime
     among its vertices.  They agree only through the product formula."""
     instance = "-".join(map(str, order))
@@ -280,10 +280,7 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
     def decomposition_sum(aux):
         return sum(triangle_invariant(*tri) for tri in triangle_decompose(order, aux)) % 2
 
-    if len(order) == 3:
-        s1 = s2 = decomposition_sum(None)
-    else:
-        s1, s2 = map(decomposition_sum, islice(auxiliary_primes(order), 2))
+    s1, s2 = map(decomposition_sum, islice(auxiliary_primes(order), 2))
     verdict = "pass" if base == s1 == s2 else "fail"
     return SweepRecord("triangles", instance, f"{base}", f"{s1}|{s2}", verdict)
 

@@ -1,4 +1,4 @@
-"""GF(2) boundary/cycle spaces, duality, triangle decomposition, serialization."""
+"""Residue graphs, GF(2) boundary/cycle spaces, triangle decomposition."""
 
 import random
 from collections import deque
@@ -9,13 +9,11 @@ import pytest
 from quadrec import f2graph
 from quadrec.arith import DomainError, primes_in_v, v_symbol
 from quadrec.f2graph import (
-    PrimeGraph,
     auxiliary_primes,
     boundary_space,
     build_graph,
     cycle_space,
     edge,
-    graph_to_lines,
     triangle_decompose,
 )
 
@@ -28,25 +26,27 @@ def test_edge_normalizes():
 
 
 def test_build_graph_examples():
-    g = build_graph([2, 5, 13])
-    assert g.edges_N == frozenset({(2, 5), (2, 13), (5, 13)})
-    assert g.edges_R == frozenset()
-    h = build_graph([5, 29])
-    assert h.edges_R == frozenset({(5, 29)})
-    assert h.label((5, 29)) == "R"
-    assert g.label((2, 13)) == "N"
+    assert build_graph([2, 5, 13]) == (frozenset(), frozenset({(2, 5), (2, 13), (5, 13)}))
+    assert build_graph([29, 5]) == (frozenset({(5, 29)}), frozenset())
+    assert build_graph([5]) == (frozenset(), frozenset())
 
 
-def test_prime_graph_rejects_wrong_labels():
-    with pytest.raises(DomainError):
-        PrimeGraph(vertices=(5, 29), edges_R=frozenset(),
-                   edges_N=frozenset({(5, 29)}))  # (5/29) = +1 really
-    with pytest.raises(DomainError):
-        PrimeGraph(vertices=(2, 5, 13), edges_R=frozenset(),
-                   edges_N=frozenset({(2, 5), (2, 13)}))  # missing a pair
-    with pytest.raises(DomainError):
-        PrimeGraph(vertices=(3, 5), edges_R=frozenset(),
-                   edges_N=frozenset({(3, 5)}))  # 3 is not in V
+def test_build_graph_partitions_every_pair_by_its_symbol():
+    vs = primes_in_v(40)
+    residue, nonresidue = build_graph(reversed(vs))
+    assert not residue & nonresidue
+    assert residue | nonresidue == set(combinations(vs, 2))
+    for p, q in combinations(vs, 2):
+        assert ((p, q) in residue) == (v_symbol(p, q) == 1)
+
+
+def test_build_graph_rejects_bad_vertices():
+    with pytest.raises(DomainError, match="not a prime"):
+        build_graph([3])  # a lone vertex outside V
+    with pytest.raises(DomainError, match="not a prime"):
+        build_graph([5, 3])
+    with pytest.raises(DomainError, match="distinct"):
+        build_graph([5, 5])
 
 
 def edge_sets(space):
@@ -235,11 +235,11 @@ def test_triangle_decompose_properties(length):
     order = find_nonresidue_cycle(length)
     aux = next(auxiliary_primes(order))
     tris = triangle_decompose(order, aux)
-    assert len(tris) == (1 if length == 3 else length)
+    assert len(tris) == length
     for tri in tris:
         for u, v in combinations(tri, 2):
             assert v_symbol(u, v) == -1
-        assert length == 3 or aux in tri
+        assert aux in tri
     assert xor_of_triangles(tris) == cycle_edges(order)
     # the same cycle from another vertex or in the other direction
     for other in (order[1:] + order[:1], order[::-1]):
@@ -303,42 +303,34 @@ def test_auxiliary_primes_skip_a_vertex_two():
 
 def test_triangle_decompose_rejects_bad_input():
     with pytest.raises(DomainError, match="non-residue"):
-        triangle_decompose([5, 29, 61], None)  # residue edges
+        triangle_decompose([5, 29, 61], 2)  # residue edges
     with pytest.raises(DomainError, match=r"\(17/2\) = \+1"):
-        triangle_decompose([2, 5, 17], None)  # only the closing edge is residue
+        triangle_decompose([2, 5, 17], 13)  # only the closing edge is residue
     for too_short in ([2, 5], [2], []):
         with pytest.raises(DomainError, match="three distinct"):
-            triangle_decompose(too_short, None)
+            triangle_decompose(too_short, 37)
     with pytest.raises(DomainError, match="three distinct"):
-        triangle_decompose([2, 5, 13, 5], None)  # non-residue edges, 5 twice
+        triangle_decompose([2, 5, 13, 5], 37)  # non-residue edges, 5 twice
     with pytest.raises(DomainError, match="not a prime"):
-        triangle_decompose([3, 5, 13], None)  # 3 is not in V
-    order = find_nonresidue_cycle(4)
-    aux = next(auxiliary_primes(order))
-    with pytest.raises(DomainError, match="cycle vertex"):
-        triangle_decompose(order, order[0])  # a vertex
-    for not_an_int in (None, 5.0, "13"):
-        with pytest.raises(DomainError, match="integer auxiliary prime"):
-            triangle_decompose(order, not_an_int)
-    with pytest.raises(DomainError, match="4 vertices needs an integer .* got None"):
-        triangle_decompose((2, 5, 37, 13), None)  # raised before any symbol
-    with pytest.raises(DomainError, match="not a prime"):
-        triangle_decompose(order, 3)  # not in V
-    with pytest.raises(DomainError):
-        triangle_decompose(order, aux + 1)  # not a prime
-    residue = next(q for q in primes_in_v(1000) if q not in order
-                   and v_symbol(order[0], q) == 1)
-    with pytest.raises(DomainError, match="auxiliary prime must be"):
-        triangle_decompose(order, residue)
+        triangle_decompose([3, 5, 13], 37)  # 3 is not in V
+    for order in (find_nonresidue_cycle(3), find_nonresidue_cycle(4)):
+        aux = next(auxiliary_primes(order))
+        with pytest.raises(DomainError, match="cycle vertex"):
+            triangle_decompose(order, order[0])  # a vertex
+        for not_an_int in (None, 5.0, "13"):
+            with pytest.raises(DomainError, match="integer auxiliary prime"):
+                triangle_decompose(order, not_an_int)
+        with pytest.raises(DomainError, match="not a prime"):
+            triangle_decompose(order, 3)  # not in V
+        with pytest.raises(DomainError):
+            triangle_decompose(order, aux + 1)  # not a prime
+        residue = next(q for q in primes_in_v(1000) if q not in order
+                       and v_symbol(order[0], q) == 1)
+        with pytest.raises(DomainError, match="auxiliary prime must be"):
+            triangle_decompose(order, residue)
+    for cycle in ((2, 5, 13), (2, 5, 37, 13)):  # raised before any symbol
+        with pytest.raises(DomainError, match=f"{len(cycle)} vertices needs an "
+                           "integer .* got None"):
+            triangle_decompose(cycle, None)
     with pytest.raises(DomainError, match="not a prime"):
         next(auxiliary_primes([3, 5]))
-
-
-def test_graph_serialization_round_trip():
-    g = build_graph(primes_in_v(40))
-    lines = graph_to_lines(g)
-    n = len(g.vertices)
-    assert len(lines) == n * (n - 1) // 2
-    for line in lines:
-        p, q, label = line.split()
-        assert label == ("R" if v_symbol(int(p), int(q)) == 1 else "N")

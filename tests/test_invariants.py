@@ -96,10 +96,11 @@ def test_general_invariant_empty_set():
     assert rep.value == 0 and rep.k == 0
 
 
-def member_vectors(graph, rng, count):
+def member_vectors(vertices, rng, count):
     """Random members: residue edges are free, non-residue parts come from
     the cycle space of the Gamma_N restriction."""
-    es, masks = cycle_space(graph.vertices, sorted(graph.edges_N))
+    residue, nonresidue = build_graph(vertices)
+    es, masks = cycle_space(vertices, sorted(nonresidue))
     basis = [frozenset(e for i, e in enumerate(es) if m >> i & 1) for m in masks]
     out = []
     for _ in range(count):
@@ -107,7 +108,7 @@ def member_vectors(graph, rng, count):
         for cyc in basis:
             if rng.random() < 0.5:
                 vec ^= cyc
-        for e in sorted(graph.edges_R):
+        for e in sorted(residue):
             if rng.random() < 0.3:
                 vec ^= {e}
         out.append(vec)
@@ -116,8 +117,7 @@ def member_vectors(graph, rng, count):
 
 def test_general_invariant_is_additive():
     rng = random.Random(451)
-    graph = build_graph(primes_in_v(45))
-    vecs = member_vectors(graph, rng, 12)
+    vecs = member_vectors(primes_in_v(45), rng, 12)
     for a in vecs:
         for b in vecs[:6]:
             va = general_invariant(a).value

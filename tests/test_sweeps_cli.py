@@ -98,7 +98,7 @@ def brute_force_triangles(bound):
     of V: each vertex subset, each order of its vertices after the least,
     one direction per cycle."""
     vs = first_v_primes(bound)
-    non = build_graph(vs).edges_N
+    _, non = build_graph(vs)
     out = []
     for k in range(3, 7):
         for subset in combinations(vs, k):
@@ -128,6 +128,23 @@ def test_triangles_oracle_rejects_a_flipped_invariant(monkeypatch):
     monkeypatch.setattr(sweeps, "general_invariant", flipped)
     records = run_check("triangles", SweepConfig(bound=8))
     assert summarize(records) == {"pass": 0, "fail": 138}
+
+
+def test_triangles_oracle_rejects_a_flipped_triangle_of_a_3_cycle(monkeypatch):
+    """A triangle invariant flipped on every triple holding a prime beyond
+    the cycle vertices reaches the oracle of each 3-cycle too: a 3-cycle
+    decomposes into three such triangles through its auxiliary prime."""
+    right = sweeps.triangle_invariant
+    inside = set(first_v_primes(8))
+
+    def flipped(*tri):
+        return right(*tri) ^ (not inside.issuperset(tri))
+
+    monkeypatch.setattr(sweeps, "triangle_invariant", flipped)
+    records = run_check("triangles", SweepConfig(bound=8))
+    three = [r for r in records if r.instance.count("-") == 2]
+    assert len(three) == 9
+    assert {r.verdict for r in three} == {"fail"}
 
 
 def test_triangles_oracle_rejects_a_residue_auxiliary_prime(monkeypatch):
@@ -506,7 +523,15 @@ def test_cli_invariant():
     assert out.returncode == 2
     assert "odd" in out.stderr
     out = run_cli("invariant", "2-5", "5-13", "13-2", "--show-graph")
-    assert "2 5 N" in out.stdout
+    assert out.stdout == (
+        "value 0 (triangle clause) query [2-5 2-13 5-13] P [2, 5, 13] k 3\n"
+        "2 5 N\n2 13 N\n5 13 N\n")
+    out = run_cli("invariant", "2-5", "5-13", "13-2", "5-29", "--show-graph")
+    assert out.returncode == 0
+    assert out.stdout == (
+        "value 0 (general clause) query [2-5 2-13 5-13 5-29] P [2, 5, 13, 29] k 3\n"
+        "2 5 N\n2 13 N\n2 29 N\n5 13 N\n5 29 R\n13 29 R\n")
+
 
 
 def test_cli_verify_csv_shape():
