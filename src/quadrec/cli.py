@@ -19,7 +19,7 @@ from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge
 from .invariants import general_invariant
 from .pell import unit_symbol
-from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_check, summarize
+from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_checks, summarize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
                          jobs=args.jobs, seed=args.seed)
     pool = open_pool(config.jobs) if config.jobs > 1 else None
     try:
-        records = [r for name in checks for r in run_check(name, config, pool)]
+        records = run_checks(checks, config, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

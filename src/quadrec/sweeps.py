@@ -4,10 +4,11 @@ Each named check enumerates its instances up to a bound, evaluates the
 prediction and the independent oracle for every instance, and emits one
 record per instance.  Evaluation functions are module-level and take only
 the instance, a plain tuple, so sweeps can run in a process pool; instance
-order is deterministic either way.  One pool (open_pool) serves every check
-of a run, so its workers keep their memos and lru_caches from one check to
-the next.  An instance whose hypotheses fail is skipped (record None),
-never silently weakened.
+order is deterministic either way.  Under jobs > 1, run_checks enumerates
+every check of a run first and sends all their instances to one pool
+(open_pool) as a single ordered stream of chunks, with no wait between
+checks.  An instance whose hypotheses fail is skipped (record None), never
+silently weakened.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from math import gcd, isqrt, prod
+from math import ceil, gcd, isqrt, prod
 
 from .arith import (
     DomainError,
@@ -481,42 +482,48 @@ CHECKS = {
 }
 
 
-def _pool_eval(payload) -> list[SweepRecord | None]:
-    """Records for one chunk of instances, evaluated in a pool worker."""
-    name, chunk = payload
-    evaluate = CHECKS[name][1]
-    return [evaluate(args) for args in chunk]
+def _evaluate(item: tuple) -> SweepRecord | None:
+    """The record of one (check name, instance) item, in a pool worker."""
+    name, args = item
+    return CHECKS[name][1](args)
 
 
 def open_pool(jobs: int) -> ProcessPoolExecutor:
-    """A pool of `jobs` worker processes for run_check.  Forked workers
-    inherit the parent's unit memo as it stands now; under another start
-    method they start empty.  Either way each worker fills its own memo,
-    which never changes a record."""
+    """A pool of `jobs` worker processes for one run_checks call.  Forked
+    workers inherit the parent's unit memo as it stands now; under another
+    start method they start empty.  Either way each worker fills its own
+    memo, which never changes a record."""
     return ProcessPoolExecutor(max_workers=jobs)
+
+
+def run_checks(names, config: SweepConfig,
+               pool: ProcessPoolExecutor | None = None) -> list[SweepRecord]:
+    """All records for the checks `names`, in order, each check in
+    deterministic instance order.
+
+    Under jobs == 1 each check is enumerated only when it is reached.  Under
+    jobs > 1 every selected check is enumerated first, so all their
+    instances are held at once, and go to `pool` (or a pool opened for this
+    call alone) as one ordered stream of about 8 chunks per worker; a chunk
+    may span two checks, and no check waits for the one before it.
+    """
+    for name in names:
+        if name not in CHECKS:
+            raise DomainError(f"unknown check {name!r}")
+    if config.jobs == 1:
+        results = (CHECKS[name][1](args) for name in names for args in CHECKS[name][0](config))
+    else:
+        items = [(name, args) for name in names for args in CHECKS[name][0](config)]
+        size = ceil(len(items) / (config.jobs * 8)) or 1
+        with nullcontext(pool) if pool is not None else open_pool(config.jobs) as workers:
+            results = list(workers.map(_evaluate, items, chunksize=size))
+    return [r for r in results if r is not None]
 
 
 def run_check(name: str, config: SweepConfig,
               pool: ProcessPoolExecutor | None = None) -> list[SweepRecord]:
-    """All records for one check, in deterministic instance order.
-
-    Under jobs > 1 every instance is evaluated in `pool`, which serves all
-    the checks of a run, so worker memos persist from check to check;
-    without one, a pool is opened for this call alone.  The units workers
-    compute stay in the workers.
-    """
-    if name not in CHECKS:
-        raise DomainError(f"unknown check {name!r}")
-    enum, evaluate = CHECKS[name]
-    instances = enum(config)
-    if config.jobs == 1:
-        results = [evaluate(args) for args in instances]
-    else:
-        size = max(1, len(instances) // (config.jobs * 8))
-        payloads = [(name, instances[i:i + size]) for i in range(0, len(instances), size)]
-        with nullcontext(pool) if pool is not None else open_pool(config.jobs) as workers:
-            results = [r for records in workers.map(_pool_eval, payloads) for r in records]
-    return [r for r in results if r is not None]
+    """All records for one check: run_checks for that check alone."""
+    return run_checks([name], config, pool)
 
 
 def summarize(records) -> dict[str, int]:

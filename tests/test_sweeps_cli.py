@@ -444,7 +444,7 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
     monkeypatch.setitem(sweeps.CHECKS, "duality",
                         (lambda config: later.append(config) or duality_enum(config),
                          duality_eval))
-    errors = {}
+    errors, enumerated = {}, {}
     for jobs in ("1", "2"):
         argv = ["verify", "--jobs", jobs, "--check", "candm", "--check", "candp",
                 "--check", "duality"]
@@ -452,12 +452,37 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
         out = capsys.readouterr()
         assert out.out == ""
         errors[jobs] = out.err
+        enumerated[jobs] = len(later)
+        later.clear()
     assert errors["2"] == errors["1"] == f"error: no instance {first}\n"
-    assert later == []
+    # --jobs 1 stops before it reaches duality; --jobs 2 enumerates every
+    # check before the first chunk runs, but prints none of their records
+    assert enumerated == {"1": 0, "2": 1}
     (pool,) = counting_pool
     assert pool.shutdowns == [{"cancel_futures": True}]
     assert all(f.done() for f in pool.futures)
     assert any(f.cancelled() for f in pool.futures)
+
+
+def test_verify_jobs2_sends_about_8_chunks_per_worker_for_the_whole_run(counting_pool,
+                                                                        capsys):
+    assert main(["verify", "--jobs", "2"]) == 0
+    (pool,) = counting_pool
+    assert 0 < len(pool.futures) <= 2 * 8
+
+
+def test_run_checks_chunks_span_checks_and_keep_their_order():
+    names = ["candm", "scholz2", "lemma-e", "duality"]
+    assert len(sweeps.CHECKS["candm"][0](SweepConfig())) == 9
+    expected = [r for name in names for r in run_check(name, SweepConfig())]
+    assert sweeps.run_checks(names, SweepConfig(jobs=2)) == expected
+    assert sweeps.run_checks(["kuroda"], SweepConfig(bound=2, jobs=2)) == []
+
+
+def test_run_checks_rejects_an_unknown_name_before_opening_a_pool(counting_pool):
+    with pytest.raises(DomainError, match="made-up"):
+        sweeps.run_checks(["candm", "made-up"], SweepConfig(jobs=2))
+    assert counting_pool == []
 
 
 def test_verify_jobs2_records_equal_jobs1_over_all_checks():
