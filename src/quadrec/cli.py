@@ -4,6 +4,12 @@ Three subcommands: ``symbol`` evaluates a single residue or unit symbol,
 ``verify`` runs the prediction-vs-oracle sweeps, ``invariant`` evaluates the
 quartic invariant of an edge set.  Exit codes: 0 clean, 1 usage, 2 domain
 error, 3 at least one sweep failure.
+
+``verify`` writes each record as the sweeps produce it, after a timestamp
+line, and ends with a summary line counted while writing, so it never holds
+a run's records.  A domain error in an instance stops the run with exit 2:
+the records before it are already written, and no summary line follows
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge
 from .invariants import general_invariant
 from .pell import unit_symbol
-from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_checks, summarize
+from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_checks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,26 +106,38 @@ def cmd_symbol(args) -> int:
     return 0
 
 
-def _write_report(out, fmt: str, records, counts) -> None:
+def _write_report(out, fmt: str, records) -> dict[str, int]:
+    """Print the timestamp line, each record as it arrives, then the summary
+    line; return the verdict counts.  An error raised by `records` leaves
+    the lines before it and no summary line."""
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     print(f"# quadrec verify {stamp}", file=out)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["check", "instance", "predicted", "oracle", "verdict"])
-        for r in records:
+
+        def write(r):
             writer.writerow([r.check, r.instance, r.predicted, r.oracle, r.verdict])
-        print(f"# summary pass={counts['pass']} fail={counts['fail']}", file=out)
     elif fmt == "json-lines":
-        for r in records:
+        def write(r):
             print(json.dumps(asdict(r), sort_keys=True), file=out)
-        print(json.dumps({"summary": counts}, sort_keys=True), file=out)
     else:
-        for r in records:
+        def write(r):
             print(f"{r.check:<9} {r.instance:<22} {r.predicted:>10} vs "
                   f"{r.oracle:<22} {r.verdict}", file=out)
+    counts = {"pass": 0, "fail": 0}
+    for r in records:
+        counts[r.verdict] += 1
+        write(r)
+    if fmt == "csv":
+        print(f"# summary pass={counts['pass']} fail={counts['fail']}", file=out)
+    elif fmt == "json-lines":
+        print(json.dumps({"summary": counts}, sort_keys=True), file=out)
+    else:
         total = sum(counts.values())
         print(f"{total} instances: {counts['pass']} pass, {counts['fail']} fail",
               file=out)
+    return counts
 
 
 def cmd_verify(args) -> int:
@@ -128,12 +146,10 @@ def cmd_verify(args) -> int:
                          jobs=args.jobs, seed=args.seed)
     pool = open_pool(config.jobs) if config.jobs > 1 else None
     try:
-        records = run_checks(checks, config, pool)
+        counts = _write_report(sys.stdout, args.format, run_checks(checks, config, pool))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    counts = summarize(records)
-    _write_report(sys.stdout, args.format, records, counts)
     return 3 if counts["fail"] else 0
 
 

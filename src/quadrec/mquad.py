@@ -443,7 +443,9 @@ def find_d(x: MQElement, allowed_primes) -> int:
 
     Candidates are tested once per square class of the field (two candidates
     whose ratio is a field square succeed or fail together); exactly one
-    class may pass, and its smallest member is returned.
+    class may pass, and its smallest member is returned.  Every candidate is
+    a product of distinct primes, its own squarefree kernel, so its class
+    (square_class_signature) is read off the radicands without factorising.
     """
     primes = sorted(set(allowed_primes))
     for p in primes:
@@ -453,11 +455,11 @@ def find_d(x: MQElement, allowed_primes) -> int:
     for p in primes:
         candidates += [c * p for c in candidates]
     candidates.sort()
-    field = x.field
+    radicands = x.field.radicands
     tested: set[int] = set()
     hit: int | None = None
     for d in candidates:
-        sig = field.square_class_signature(d)
+        sig = min(_kernel_product(d, r) for r in radicands)
         if sig in tested:
             continue
         tested.add(sig)

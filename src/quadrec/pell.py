@@ -8,13 +8,15 @@ already reduced, so the walk starts there and stops when (P_1, Q_1)
 returns.  That one minimal period yields the fundamental unit from the
 bottom row of the convergent matrix alone, and the parity of the period
 gives the norm sign.  The process keeps one in-memory dict of computed
-units, keyed by m, which unit_cache() returns; a unit takes microseconds
-to compute, so nothing persists it between runs.
+units, keyed by m, which unit_cache() returns; it holds at most _MEMO_SIZE
+units, dropping the older half when full.  A unit takes microseconds to
+compute, so nothing persists it between runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt
 
 from .arith import (
@@ -118,11 +120,13 @@ def compute_fundamental_unit(m: int) -> QuadUnit:
     return QuadUnit(m=m, x=x, y=y, den=den, norm=norm)
 
 
+# the size of arith._factorize's LRU
+_MEMO_SIZE = 1 << 15
 _memo: dict[int, QuadUnit] = {}
 
 
 def unit_cache() -> dict[int, QuadUnit]:
-    """The memo fundamental_unit reads and fills, keyed by m."""
+    """The memo fundamental_unit reads and fills, keyed by m, oldest first."""
     return _memo
 
 
@@ -130,9 +134,16 @@ def fundamental_unit(m: int) -> QuadUnit:
     """The fundamental unit of the maximal order of Q(sqrt(m)), memoized.
 
     Results never depend on memo hits; the memo only skips recomputation.
+    A new unit that finds _MEMO_SIZE units held first drops the older half
+    of them, in one pass: a dict keeps deleted slots in front of its oldest
+    key until it resizes, so dropping one key at a time would rescan them
+    on every new unit.
     """
     unit = _memo.get(m)
     if unit is None:
+        if len(_memo) >= _MEMO_SIZE:
+            for old in list(islice(_memo, len(_memo) // 2)):
+                del _memo[old]
         unit = _memo[m] = compute_fundamental_unit(m)
     return unit
 

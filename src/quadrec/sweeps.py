@@ -4,11 +4,13 @@ Each named check enumerates its instances up to a bound, evaluates the
 prediction and the independent oracle for every instance, and emits one
 record per instance.  Evaluation functions are module-level and take only
 the instance, a plain tuple, so sweeps can run in a process pool; instance
-order is deterministic either way.  Under jobs > 1, run_checks enumerates
-every check of a run first and sends all their instances to one pool
-(open_pool) as a single ordered stream of chunks, with no wait between
-checks.  An instance whose hypotheses fail is skipped (record None), never
-silently weakened.
+order is deterministic either way.  Every enumerator is a generator and
+run_checks yields each record as it is produced, so a run never holds all
+its instances or records: under jobs > 1 the instances of every check of a
+run go to one pool (open_pool) as a single ordered stream of fixed-size
+chunks, a fixed window of them in flight, with no wait between checks.  A DomainError stops the stream where it is raised:
+the records before it are already out.  An instance whose hypotheses fail
+is skipped (record None), never silently weakened.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from __future__ import annotations
 import os
 import random
 from array import array
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from math import ceil, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 
 from .arith import (
     DomainError,
@@ -132,14 +136,11 @@ def _squarefrees(lo: int, hi: int):
 
 # --- scholz -----------------------------------------------------------------
 
-def _enum_scholz(config: SweepConfig) -> list[tuple]:
-    ps = primes_in_v(config.bound_for("scholz"))
-    out = []
-    for p, q in combinations(ps, 2):
+def _enum_scholz(config: SweepConfig) -> Iterator[tuple]:
+    for p, q in combinations(primes_in_v(config.bound_for("scholz")), 2):
         if v_symbol(p, q) == 1:
-            out.append((p, q))
-            out.append((q, p))
-    return out
+            yield p, q
+            yield q, p
 
 
 def _eval_scholz(args: tuple) -> SweepRecord | None:
@@ -162,29 +163,25 @@ def _eval_scholz(args: tuple) -> SweepRecord | None:
 
 # --- scholz2 ----------------------------------------------------------------
 
-def _nonresidue_triples(bound: int) -> list[tuple[int, int, int]]:
-    """The pairwise non-residue triples p < q < r of V-primes up to bound,
-    in `combinations` order.  Each pair's symbol is read once, to list the
-    non-residue partners above each prime."""
+def _nonresidue_triples(bound: int) -> Iterator[tuple[int, int, int]]:
+    """Yield the pairwise non-residue triples p < q < r of V-primes up to
+    bound, in `combinations` order.  Each pair's symbol is read once, to
+    list the non-residue partners above each prime."""
     ps = primes_in_v(bound)
     above = {p: [] for p in ps}
     for p, q in combinations(ps, 2):
         if v_symbol(p, q) == -1:
             above[p].append(q)
     above_set = {p: set(qs) for p, qs in above.items()}
-    out = []
     for p in ps:
         partners = above[p]
         for j, q in enumerate(partners):
-            out += [(p, q, r) for r in partners[j + 1:] if r in above_set[q]]
-    return out
+            yield from ((p, q, r) for r in partners[j + 1:] if r in above_set[q])
 
 
-def _enum_scholz2(config: SweepConfig) -> list[tuple]:
-    out = []
+def _enum_scholz2(config: SweepConfig) -> Iterator[tuple]:
     for p, q, r in _nonresidue_triples(config.bound_for("scholz2")):
-        out.extend([(p, q, r), (p, r, q), (q, r, p)])
-    return out
+        yield from ((p, q, r), (p, r, q), (q, r, p))
 
 
 def _eval_scholz2(args: tuple) -> SweepRecord | None:
@@ -208,9 +205,10 @@ def _eval_scholz2(args: tuple) -> SweepRecord | None:
 
 # --- duality ----------------------------------------------------------------
 
-def _enum_duality(config: SweepConfig) -> list[tuple]:
+def _enum_duality(config: SweepConfig) -> Iterator[tuple]:
     bound = config.bound_for("duality")
-    return [(config.seed, i, bound) for i in range(config.samples)]
+    for i in range(config.samples):
+        yield config.seed, i, bound
 
 
 def _eval_duality(args: tuple) -> SweepRecord | None:
@@ -242,27 +240,30 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
 
 # --- triangles --------------------------------------------------------------
 
-def _enum_triangles(config: SweepConfig) -> list[tuple]:
+def _enum_triangles(config: SweepConfig) -> Iterator[tuple]:
     vs = first_v_primes(config.bound_for("triangles"))
     nbrs = {v: [w for w in vs if w != v and v_symbol(v, w) == -1] for v in vs}
-    out = []
 
-    def walk(path):
+    def walk(path, k, out):
         last = path[-1]
-        if len(path) >= 3 and path[1] < last and path[0] in nbrs[last]:
-            out.append(tuple(path))
-        if len(path) < 6:
-            for w in nbrs[last]:
-                if w > path[0] and w not in path:
-                    walk(path + [w])
+        if len(path) == k:
+            if path[1] < last and path[0] in nbrs[last]:
+                out.append(tuple(path))
+            return
+        for w in nbrs[last]:
+            if w > path[0] and w not in path:
+                walk(path + [w], k, out)
 
-    # each cycle once: from its least vertex, second vertex < last vertex
-    for s in vs:
-        walk([s])
-    # by length, then vertex subsets in combinations order, then each
-    # subset's cycles in permutations order of the vertices after the least
-    out.sort(key=lambda c: (len(c), sorted(c), c))
-    return out
+    # each cycle once: from its least vertex, second vertex < last vertex.
+    # By length, then least vertex; within that group vertex subsets in
+    # combinations order, then each subset's cycles in permutations order
+    # of the vertices after the least.  Only one group is held at a time.
+    for k in range(3, 7):
+        for s in vs:
+            group = []
+            walk([s], k, group)
+            group.sort(key=lambda c: (sorted(c), c))
+            yield from group
 
 
 def _eval_triangles(order: tuple) -> SweepRecord | None:
@@ -288,11 +289,11 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
 
 # --- thm-sq -----------------------------------------------------------------
 
-def _enum_thm_sq(config: SweepConfig) -> list[tuple]:
+def _enum_thm_sq(config: SweepConfig) -> Iterator[tuple]:
     bound = config.bound_for("thm-sq")
     ms = [m for m, ps in _squarefrees(2, bound) if all(p % 4 != 3 for p in ps)]
-    return [(m1, m2) for i, m1 in enumerate(ms)
-            for m2 in ms[i + 1:] if gcd(m1, m2) == 1]
+    for i, m1 in enumerate(ms):
+        yield from ((m1, m2) for m2 in ms[i + 1:] if gcd(m1, m2) == 1)
 
 
 def _eval_thm_sq(args: tuple) -> SweepRecord | None:
@@ -316,8 +317,9 @@ def _eval_thm_sq(args: tuple) -> SweepRecord | None:
 
 # --- pos-norm ---------------------------------------------------------------
 
-def _enum_pos_norm(config: SweepConfig) -> list[tuple]:
-    return [(m,) for m, _ in _squarefrees(3, config.bound_for("pos-norm"))]
+def _enum_pos_norm(config: SweepConfig) -> Iterator[tuple]:
+    for m, _ in _squarefrees(3, config.bound_for("pos-norm")):
+        yield (m,)
 
 
 def _eval_pos_norm(args: tuple) -> SweepRecord | None:
@@ -337,9 +339,10 @@ def _eval_pos_norm(args: tuple) -> SweepRecord | None:
 
 # --- lemma-e ----------------------------------------------------------------
 
-def _enum_lemma_e(config: SweepConfig) -> list[tuple]:
-    return [(m,) for m, _ in _squarefrees(3, config.bound_for("lemma-e"))
-            if m % 2 == 1]
+def _enum_lemma_e(config: SweepConfig) -> Iterator[tuple]:
+    for m, _ in _squarefrees(3, config.bound_for("lemma-e")):
+        if m % 2 == 1:
+            yield (m,)
 
 
 def _eval_lemma_e(args: tuple) -> SweepRecord | None:
@@ -360,8 +363,8 @@ def _eval_lemma_e(args: tuple) -> SweepRecord | None:
 
 # --- candm ------------------------------------------------------------------
 
-def _enum_candm(config: SweepConfig) -> list[tuple]:
-    return _nonresidue_triples(config.bound_for("candm"))
+def _enum_candm(config: SweepConfig) -> Iterator[tuple]:
+    yield from _nonresidue_triples(config.bound_for("candm"))
 
 
 def _eval_candm(args: tuple) -> SweepRecord | None:
@@ -384,15 +387,12 @@ def _eval_candm(args: tuple) -> SweepRecord | None:
 
 # --- candp ------------------------------------------------------------------
 
-def _enum_candp(config: SweepConfig) -> list[tuple]:
-    bound = config.bound_for("candp")
-    out = []
-    for s, ps in _squarefrees(2, bound):
+def _enum_candp(config: SweepConfig) -> Iterator[tuple]:
+    for s, ps in _squarefrees(2, config.bound_for("candp")):
         mprimes = [p for p in ps if p % 4 == 1]
         for bits in range(1 << len(mprimes)):
             m = prod(p for i, p in enumerate(mprimes) if bits >> i & 1)
-            out.append((m, s // m))
-    return out
+            yield m, s // m
 
 
 def _eval_candp(args: tuple) -> SweepRecord | None:
@@ -412,18 +412,15 @@ def _eval_candp(args: tuple) -> SweepRecord | None:
 
 # --- norm-sign --------------------------------------------------------------
 
-def _enum_norm_sign(config: SweepConfig) -> list[tuple]:
-    bound = config.bound_for("norm-sign")
-    out = []
-    for s, ps in _squarefrees(2, bound):
+def _enum_norm_sign(config: SweepConfig) -> Iterator[tuple]:
+    for s, ps in _squarefrees(2, config.bound_for("norm-sign")):
         if any(p % 4 == 3 for p in ps):
             continue
         for bits in range(1, (1 << len(ps)) - 1):
             m = prod(p for i, p in enumerate(ps) if bits >> i & 1)
             n = s // m
             if m < n:
-                out.append((m, n))
-    return out
+                yield m, n
 
 
 def _eval_norm_sign(args: tuple) -> SweepRecord | None:
@@ -442,13 +439,10 @@ def _eval_norm_sign(args: tuple) -> SweepRecord | None:
 
 # --- kuroda -----------------------------------------------------------------
 
-def _enum_kuroda(config: SweepConfig) -> list[tuple]:
-    ps = primes_in_v(config.bound_for("kuroda"))
-    out = []
-    for p, q, r in permutations(ps, 3):
+def _enum_kuroda(config: SweepConfig) -> Iterator[tuple]:
+    for p, q, r in permutations(primes_in_v(config.bound_for("kuroda")), 3):
         if v_symbol(p, q) == 1 and v_symbol(q, r) == -1:
-            out.append((p, q, r))
-    return out
+            yield p, q, r
 
 
 def _eval_kuroda(args: tuple) -> SweepRecord | None:
@@ -482,48 +476,85 @@ CHECKS = {
 }
 
 
-def _evaluate(item: tuple) -> SweepRecord | None:
-    """The record of one (check name, instance) item, in a pool worker."""
-    name, args = item
-    return CHECKS[name][1](args)
+# instances per chunk under jobs > 1, and chunks in flight per worker
+_CHUNK_SIZE = 256
+_CHUNKS_PER_WORKER = 8
+
+
+def _records(items) -> Iterator[SweepRecord]:
+    """The records of (check name, instance) items, in order, skipped
+    instances left out."""
+    for name, args in items:
+        record = CHECKS[name][1](args)
+        if record is not None:
+            yield record
+
+
+def _evaluate_chunk(items: list[tuple]) -> list[SweepRecord]:
+    """The records of one chunk of items, in a pool worker."""
+    return list(_records(items))
 
 
 def open_pool(jobs: int) -> ProcessPoolExecutor:
-    """A pool of `jobs` worker processes for one run_checks call.  Forked
-    workers inherit the parent's unit memo as it stands now; under another
-    start method they start empty.  Either way each worker fills its own
-    memo, which never changes a record."""
+    """A pool of `jobs` worker processes for one run_checks stream.  Forked
+    workers inherit the parent's unit memo as it stands at the first chunk;
+    under another start method they start empty.  Either way each worker
+    fills its own memo, which never changes a record.  The caller shuts it
+    down, with cancel_futures=True once a DomainError has stopped the
+    stream."""
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-def run_checks(names, config: SweepConfig,
-               pool: ProcessPoolExecutor | None = None) -> list[SweepRecord]:
-    """All records for the checks `names`, in order, each check in
-    deterministic instance order.
+def _pooled(items, jobs: int, pool: ProcessPoolExecutor | None) -> Iterator[SweepRecord]:
+    """The records of `items` evaluated by `pool` (or a pool opened here),
+    in order: chunks of _CHUNK_SIZE items, at most _CHUNKS_PER_WORKER per
+    worker unfinished, read back in submission order.  Chunks still queued
+    when the stream stops are cancelled."""
+    window = jobs * _CHUNKS_PER_WORKER
+    pending = deque()
+    it = iter(items)
+    with nullcontext(pool) if pool is not None else open_pool(jobs) as workers:
+        try:
+            while chunk := list(islice(it, _CHUNK_SIZE)):
+                done = pending.popleft().result() if len(pending) == window else ()
+                pending.append(workers.submit(_evaluate_chunk, chunk))
+                yield from done
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
-    Under jobs == 1 each check is enumerated only when it is reached.  Under
-    jobs > 1 every selected check is enumerated first, so all their
-    instances are held at once, and go to `pool` (or a pool opened for this
-    call alone) as one ordered stream of about 8 chunks per worker; a chunk
-    may span two checks, and no check waits for the one before it.
+
+def run_checks(names, config: SweepConfig,
+               pool: ProcessPoolExecutor | None = None) -> Iterator[SweepRecord]:
+    """An iterator of the records for the checks `names`, in order, each
+    check in deterministic instance order, each record yielded as soon as
+    it and those before it are done.
+
+    An unknown name raises DomainError here, before anything is enumerated
+    or a pool is opened.  Every check is enumerated lazily, when the stream
+    reaches it.  Under jobs == 1 each instance is evaluated in this process.
+    Under jobs > 1 the instances go to `pool` (or a pool opened for this
+    stream alone) as one ordered stream of _CHUNK_SIZE-item chunks, at most
+    _CHUNKS_PER_WORKER per worker in flight; a chunk may span two checks, and
+    no check waits for the one before it.  A DomainError from an instance
+    ends the stream: the records before it have been yielded, later ones
+    are never produced.
     """
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown check {name!r}")
+    items = ((name, args) for name in names for args in CHECKS[name][0](config))
     if config.jobs == 1:
-        results = (CHECKS[name][1](args) for name in names for args in CHECKS[name][0](config))
-    else:
-        items = [(name, args) for name in names for args in CHECKS[name][0](config)]
-        size = ceil(len(items) / (config.jobs * 8)) or 1
-        with nullcontext(pool) if pool is not None else open_pool(config.jobs) as workers:
-            results = list(workers.map(_evaluate, items, chunksize=size))
-    return [r for r in results if r is not None]
+        return _records(items)
+    return _pooled(items, config.jobs, pool)
 
 
 def run_check(name: str, config: SweepConfig,
               pool: ProcessPoolExecutor | None = None) -> list[SweepRecord]:
     """All records for one check: run_checks for that check alone."""
-    return run_checks([name], config, pool)
+    return list(run_checks([name], config, pool))
 
 
 def summarize(records) -> dict[str, int]:

@@ -200,7 +200,7 @@ def test_kuroda_example_instances():
 def test_kuroda_unit_products_have_no_negative_square():
     # kuroda_q tests the seven unit products and not their negatives:
     # each is > 1 under the embedding with every sqrt(g_i) > 0
-    instances = _enum_kuroda(SweepConfig(bound=60))
+    instances = list(_enum_kuroda(SweepConfig(bound=60)))
     assert len(instances) == 90
     for p, q, r in instances:
         ds = (p, q * r, p * q * r)

@@ -7,6 +7,7 @@ from math import isqrt, prod
 
 import pytest
 
+from quadrec import mquad
 from quadrec.arith import (
     DomainError,
     gf2_reduce,
@@ -246,6 +247,17 @@ def test_find_d_unit_instance():
     assert find_d(eps, (2, 3, 5)) == 6
     # 6 * eps15 = 24 + 6 sqrt15 = (3 + sqrt15)^2, and d is the least in class
     assert find_d(eps * 6, (2, 3, 5)) == 1
+
+
+def test_find_d_reads_candidate_classes_without_factorising(monkeypatch):
+    field = MQField((15,))
+    u = fundamental_unit(15)
+    eps = (field.rational(u.x) + field.sqrt_radicand(15) * u.y) / u.den
+    calls = []
+    monkeypatch.setattr(mquad, "squarefree_kernel",
+                        lambda n: calls.append(n) or squarefree_kernel(n))
+    assert find_d(eps, (2, 3, 5, 7)) == 6
+    assert calls == []
 
 
 def test_find_d_trivial_class():

@@ -69,7 +69,7 @@ def test_verify_records_match_pinned_digest(check, bound, capsys):
 
 @pytest.mark.parametrize("check,bound", [("thm-sq", 100), ("kuroda", 60),
                                          ("lemma-e", 1000), ("triangles", 8),
-                                         ("duality", 16)])
+                                         ("duality", 16), ("scholz", 3000)])
 def test_verify_records_under_jobs_match_pinned_digest(check, bound, capsys):
     assert_pinned(capsys, check, bound, "--jobs", "2")
 

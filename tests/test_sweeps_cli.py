@@ -10,7 +10,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import combinations, permutations
-from math import prod
+from math import ceil, prod
 
 import pytest
 
@@ -115,7 +115,7 @@ def brute_force_triangles(bound):
 @pytest.mark.parametrize("bound", range(5, 13))
 def test_triangles_enumeration_matches_brute_force(bound):
     expected = brute_force_triangles(bound)
-    assert sweeps._enum_triangles(SweepConfig(bound=bound)) == expected
+    assert list(sweeps._enum_triangles(SweepConfig(bound=bound))) == expected
 
 
 def test_triangles_oracle_rejects_a_flipped_invariant(monkeypatch):
@@ -285,12 +285,34 @@ def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(monkeypatch
     assert summarize(records) == {"pass": 103, "fail": 0}
     bound = CHECK_DEFAULT_BOUNDS["thm-sq"]
     computed = set(memo)
-    pairs = sweeps._enum_thm_sq(SweepConfig())
+    pairs = list(sweeps._enum_thm_sq(SweepConfig()))
     both_minus = {m1 * m2 for m1, m2 in pairs
                   if memo.get(m1).norm == memo.get(m2).norm == -1}
     # a product above the bound is no modulus of its own: only pairs ask for it
     unasked = {m1 * m2 for m1, m2 in pairs if m1 * m2 > bound} - both_minus
     assert unasked and computed.isdisjoint(unasked)
+
+
+def test_unit_memo_drops_its_older_half_at_its_cap(monkeypatch):
+    expected = run_check("thm-sq", SweepConfig())
+    monkeypatch.setattr(pell, "_memo", {})
+    monkeypatch.setattr(pell, "_MEMO_SIZE", 16)
+    right = pell.compute_fundamental_unit
+    computed, sizes = [], []
+
+    def logged(m):
+        computed.append(m)
+        sizes.append(len(unit_cache()))
+        return right(m)
+
+    monkeypatch.setattr(pell, "compute_fundamental_unit", logged)
+    assert run_check("thm-sq", SweepConfig()) == expected
+    # each unit is computed with 8 to 15 others held once the memo is full,
+    # and the memo ends with the last units computed, oldest first
+    assert len(computed) > 100 and max(sizes) == 15
+    assert min(sizes[16:]) == 8
+    held = list(unit_cache())
+    assert held == computed[-len(held):]
 
 
 def test_pos_norm_oracle_rejects_a_unit_times_an_outside_prime(monkeypatch):
@@ -329,7 +351,7 @@ def test_squarefree_sieve_matches_trial_division(lo, hi):
 
 def test_norm_sign_enumeration_does_not_factorize():
     arith._factorize.cache_clear()
-    instances = sweeps._enum_norm_sign(SweepConfig(bound=50000))
+    instances = list(sweeps._enum_norm_sign(SweepConfig(bound=50000)))
     assert len(instances) > 1000
     assert arith._factorize.cache_info().misses == 0
 
@@ -338,7 +360,7 @@ def test_norm_sign_enumeration_does_not_factorize():
 def test_nonresidue_triples_match_the_combinations_filter(bound):
     brute = [(p, q, r) for p, q, r in combinations(primes_in_v(bound), 3)
              if v_symbol(p, q) == v_symbol(q, r) == v_symbol(r, p) == -1]
-    assert sweeps._nonresidue_triples(bound) == brute
+    assert list(sweeps._nonresidue_triples(bound)) == brute
 
 
 def test_candm_sweep_has_both_outcomes():
@@ -392,18 +414,21 @@ def test_one_pool_serves_check_after_check(monkeypatch):
 
 class CountingPool(ProcessPoolExecutor):
     """A ProcessPoolExecutor that logs each pool built, the futures it
-    is given and how it is shut down."""
+    is given, the most of them unfinished at once and how it is shut down."""
 
     built = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.futures, self.shutdowns = [], []
+        self.peak_unfinished = 0
         CountingPool.built.append(self)
 
     def submit(self, *args, **kwargs):
         future = super().submit(*args, **kwargs)
         self.futures.append(future)
+        self.peak_unfinished = max(self.peak_unfinished,
+                                   sum(not f.done() for f in self.futures))
         return future
 
     def shutdown(self, *args, **kwargs):
@@ -430,8 +455,11 @@ def test_verify_under_jobs_builds_one_pool_per_run(counting_pool, capsys):
 
 def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_pool,
                                                           capsys):
+    assert main(["verify", "--check", "candm"]) == 0
+    candm_records = capsys.readouterr().out.splitlines()[1:-1]
+    assert len(candm_records) == 9
     enum, _ = sweeps.CHECKS["candp"]
-    first = enum(SweepConfig())[0]
+    first = list(enum(SweepConfig()))[0]
 
     def broken(args):
         if args == first:
@@ -444,24 +472,55 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
     monkeypatch.setitem(sweeps.CHECKS, "duality",
                         (lambda config: later.append(config) or duality_enum(config),
                          duality_eval))
-    errors, enumerated = {}, {}
+    # the run's 852 items in 14 chunks, all within the window: more than
+    # the two workers and the executor's call queue take, so some are queued
+    monkeypatch.setattr(sweeps, "_CHUNK_SIZE", 64)
+    errors, enumerated, records = {}, {}, {}
     for jobs in ("1", "2"):
         argv = ["verify", "--jobs", jobs, "--check", "candm", "--check", "candp",
                 "--check", "duality"]
         assert main(argv) == 2
         out = capsys.readouterr()
-        assert out.out == ""
+        lines = out.out.splitlines()
+        assert lines[0].startswith("# quadrec verify ")
+        records[jobs] = lines[1:]
         errors[jobs] = out.err
         enumerated[jobs] = len(later)
         later.clear()
     assert errors["2"] == errors["1"] == f"error: no instance {first}\n"
-    # --jobs 1 stops before it reaches duality; --jobs 2 enumerates every
-    # check before the first chunk runs, but prints none of their records
+    # the records before the failing instance are out, and no summary line:
+    # --jobs 1 writes every candm record, --jobs 2 those of the chunks read
+    # back before the failing one
+    assert records["1"] == candm_records
+    assert records["2"] == candm_records[:len(records["2"])]
+    # --jobs 1 stops before it reaches duality; --jobs 2 fills its window of
+    # chunks, duality's included, before it reads the first
     assert enumerated == {"1": 0, "2": 1}
     (pool,) = counting_pool
     assert pool.shutdowns == [{"cancel_futures": True}]
     assert all(f.done() for f in pool.futures)
     assert any(f.cancelled() for f in pool.futures)
+
+
+def test_verify_writes_each_record_before_the_last_instance_is_evaluated(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    enum, evaluate = sweeps.CHECKS["candm"]
+    last = list(enum(SweepConfig()))[-1]
+    written = []
+
+    def watched(args):
+        if args == last:
+            written.append(out.getvalue())
+        return evaluate(args)
+
+    monkeypatch.setitem(sweeps.CHECKS, "candm", (enum, watched))
+    assert main(["verify", "--check", "candm", "--format", "csv"]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) == 12
+    # the timestamp line, the header and the first eight of the nine records
+    (before,) = written
+    assert before == "".join(lines[:10])
 
 
 def test_verify_jobs2_sends_about_8_chunks_per_worker_for_the_whole_run(counting_pool,
@@ -471,12 +530,39 @@ def test_verify_jobs2_sends_about_8_chunks_per_worker_for_the_whole_run(counting
     assert 0 < len(pool.futures) <= 2 * 8
 
 
+def test_verify_jobs2_keeps_a_fixed_window_of_chunks_in_flight(counting_pool, capsys):
+    assert main(["verify", "--jobs", "2", "--check", "scholz", "--bound", "3000",
+                 "--format", "csv"]) == 0
+    (pool,) = counting_pool
+    # 21,978 instances in 256-item chunks, never more than 8 per worker unfinished
+    assert len(pool.futures) == ceil(21_978 / 256) == 86
+    assert 0 < pool.peak_unfinished <= 2 * 8
+
+
+def test_scholz_3000_holds_a_bounded_number_of_records():
+    code = (
+        "import contextlib, os, tracemalloc\n"
+        "from quadrec.cli import main\n"
+        "tracemalloc.start()\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    assert main(['verify', '--check', 'scholz', '--bound', '3000',"
+        " '--format', 'csv']) == 0\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    peak_mb = int(out.stdout) / 2**20
+    # on CPython 3.11 the driver that held every instance and record before
+    # writing peaked at 11.9 MB; the streaming one peaks at 4.8 MB
+    assert peak_mb < 8, peak_mb
+
+
 def test_run_checks_chunks_span_checks_and_keep_their_order():
     names = ["candm", "scholz2", "lemma-e", "duality"]
-    assert len(sweeps.CHECKS["candm"][0](SweepConfig())) == 9
+    assert len(list(sweeps.CHECKS["candm"][0](SweepConfig()))) == 9
     expected = [r for name in names for r in run_check(name, SweepConfig())]
-    assert sweeps.run_checks(names, SweepConfig(jobs=2)) == expected
-    assert sweeps.run_checks(["kuroda"], SweepConfig(bound=2, jobs=2)) == []
+    assert list(sweeps.run_checks(names, SweepConfig(jobs=2))) == expected
+    assert list(sweeps.run_checks(["kuroda"], SweepConfig(bound=2, jobs=2))) == []
 
 
 def test_run_checks_rejects_an_unknown_name_before_opening_a_pool(counting_pool):
