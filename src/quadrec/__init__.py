@@ -29,7 +29,6 @@ from .pell import (
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
-    unit_cache,
     unit_symbol,
 )
 from .mquad import (

@@ -112,7 +112,6 @@ def jacobi(m: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@lru_cache(maxsize=1 << 16)
 def quartic(m: int, p: int) -> Sign:
     """Quartic residue symbol (m/p)_4.
 

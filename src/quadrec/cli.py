@@ -3,13 +3,14 @@
 Three subcommands: ``symbol`` evaluates a single residue or unit symbol,
 ``verify`` runs the prediction-vs-oracle sweeps, ``invariant`` evaluates the
 quartic invariant of an edge set.  Exit codes: 0 clean, 1 usage, 2 domain
-error, 3 at least one sweep failure.
+error, 3 at least one sweep failure, 141 stdout closed by its reader
+(128 + SIGPIPE, as shells report it; nothing goes to stderr).
 
 ``verify`` writes each record as the sweeps produce it, after a timestamp
 line, and ends with a summary line counted while writing, so it never holds
 a run's records.  A domain error in an instance stops the run with exit 2:
 the records before it are already written, and no summary line follows
-them.
+them.  However a run stops, no ``--jobs`` worker outlives ``main``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -25,7 +28,7 @@ from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge
 from .invariants import general_invariant
 from .pell import unit_symbol
-from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, open_pool, run_checks
+from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, run_checks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,12 +147,8 @@ def cmd_verify(args) -> int:
     checks = args.check or sorted(CHECK_DEFAULT_BOUNDS)
     config = SweepConfig(bound=args.bound, samples=args.samples,
                          jobs=args.jobs, seed=args.seed)
-    pool = open_pool(config.jobs) if config.jobs > 1 else None
-    try:
-        counts = _write_report(sys.stdout, args.format, run_checks(checks, config, pool))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    with closing(run_checks(checks, config)) as records:
+        counts = _write_report(sys.stdout, args.format, records)
     return 3 if counts["fail"] else 0
 
 
@@ -169,10 +168,16 @@ def cmd_invariant(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone after the last write shows up here
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

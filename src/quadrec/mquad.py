@@ -104,13 +104,13 @@ class MQField:
         except ValueError:
             raise DomainError(f"sqrt({m}) does not lie in {self}") from None
 
-    def square_class_signature(self, n: int) -> int:
-        """Canonical form of n > 0 modulo squares of the field: two values
-        get equal signatures exactly when their ratio is a field square:
-        the least kernel of n*r over the radicands r."""
-        if n <= 0:
-            raise DomainError("square classes are defined for positive values")
-        k = squarefree_kernel(n)
+    def square_class(self, k: int) -> int:
+        """Canonical form of a squarefree k >= 1 modulo squares of the field:
+        the least kernel of k*r over the radicands r.  Two squarefree values
+        get the same class exactly when their ratio is a field square.  k is
+        not factorised; the caller passes a squarefree kernel."""
+        if k < 1:
+            raise DomainError("square classes are defined for squarefree k >= 1")
         return min(_kernel_product(k, r) for r in self.radicands)
 
     def element(self, coeffs) -> "MQElement":
@@ -445,7 +445,7 @@ def find_d(x: MQElement, allowed_primes) -> int:
     whose ratio is a field square succeed or fail together); exactly one
     class may pass, and its smallest member is returned.  Every candidate is
     a product of distinct primes, its own squarefree kernel, so its class
-    (square_class_signature) is read off the radicands without factorising.
+    (square_class) is read off the radicands without factorising.
     """
     primes = sorted(set(allowed_primes))
     for p in primes:
@@ -455,11 +455,11 @@ def find_d(x: MQElement, allowed_primes) -> int:
     for p in primes:
         candidates += [c * p for c in candidates]
     candidates.sort()
-    radicands = x.field.radicands
+    square_class = x.field.square_class
     tested: set[int] = set()
     hit: int | None = None
     for d in candidates:
-        sig = min(_kernel_product(d, r) for r in radicands)
+        sig = square_class(d)
         if sig in tested:
             continue
         tested.add(sig)

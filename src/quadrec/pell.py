@@ -7,16 +7,15 @@ field discriminant.  Its first complete quotient (P_1 + sqrt(D))/Q_1 is
 already reduced, so the walk starts there and stops when (P_1, Q_1)
 returns.  That one minimal period yields the fundamental unit from the
 bottom row of the convergent matrix alone, and the parity of the period
-gives the norm sign.  The process keeps one in-memory dict of computed
-units, keyed by m, which unit_cache() returns; it holds at most _MEMO_SIZE
-units, dropping the older half when full.  A unit takes microseconds to
-compute, so nothing persists it between runs.
+gives the norm sign.  fundamental_unit keeps the 1 << 14 units it used
+last in an lru_cache, the one unit memo of a process.  A unit takes
+microseconds to compute, so nothing persists it between runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import (
@@ -120,32 +119,15 @@ def compute_fundamental_unit(m: int) -> QuadUnit:
     return QuadUnit(m=m, x=x, y=y, den=den, norm=norm)
 
 
-# the size of arith._factorize's LRU
-_MEMO_SIZE = 1 << 15
-_memo: dict[int, QuadUnit] = {}
-
-
-def unit_cache() -> dict[int, QuadUnit]:
-    """The memo fundamental_unit reads and fills, keyed by m, oldest first."""
-    return _memo
-
-
+@lru_cache(maxsize=1 << 14)
 def fundamental_unit(m: int) -> QuadUnit:
     """The fundamental unit of the maximal order of Q(sqrt(m)), memoized.
 
-    Results never depend on memo hits; the memo only skips recomputation.
-    A new unit that finds _MEMO_SIZE units held first drops the older half
-    of them, in one pass: a dict keeps deleted slots in front of its oldest
-    key until it resizes, so dropping one key at a time would rescan them
-    on every new unit.
+    A miss calls compute_fundamental_unit through this module's global,
+    where a tracer can wrap it.  At 1 << 14 units thm-sq 2400 still
+    computes each unit once; a larger memo only peaks higher.
     """
-    unit = _memo.get(m)
-    if unit is None:
-        if len(_memo) >= _MEMO_SIZE:
-            for old in list(islice(_memo, len(_memo) // 2)):
-                del _memo[old]
-        unit = _memo[m] = compute_fundamental_unit(m)
-    return unit
+    return compute_fundamental_unit(m)
 
 
 def unit_symbol(m: int, p: int) -> Sign:

@@ -6,9 +6,9 @@ record per instance.  Evaluation functions are module-level and take only
 the instance, a plain tuple, so sweeps can run in a process pool; instance
 order is deterministic either way.  Every enumerator is a generator and
 run_checks yields each record as it is produced, so a run never holds all
-its instances or records: under jobs > 1 the instances of every check of a
-run go to one pool (open_pool) as a single ordered stream of fixed-size
-chunks, a fixed window of them in flight, with no wait between checks.  A DomainError stops the stream where it is raised:
+its instances or records.  Under jobs > 1 the record stream owns its pool
+and sends it every check as one ordered stream of fixed-size chunks, a
+fixed window in flight.  A DomainError stops the stream where it is raised:
 the records before it are already out.  An instance whose hypotheses fail
 is skipped (record None), never silently weakened.
 """
@@ -21,7 +21,6 @@ from array import array
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from math import gcd, isqrt, prod
@@ -495,27 +494,16 @@ def _evaluate_chunk(items: list[tuple]) -> list[SweepRecord]:
     return list(_records(items))
 
 
-def open_pool(jobs: int) -> ProcessPoolExecutor:
-    """A pool of `jobs` worker processes for one run_checks stream.  Forked
-    workers inherit the parent's unit memo as it stands at the first chunk;
-    under another start method they start empty.  Either way each worker
-    fills its own memo, which never changes a record.  The caller shuts it
-    down, with cancel_futures=True once a DomainError has stopped the
-    stream."""
-    return ProcessPoolExecutor(max_workers=jobs)
-
-
-def _pooled(items, jobs: int, pool: ProcessPoolExecutor | None) -> Iterator[SweepRecord]:
-    """The records of `items` evaluated by `pool` (or a pool opened here),
-    in order: chunks of _CHUNK_SIZE items, at most _CHUNKS_PER_WORKER per
-    worker unfinished, read back in submission order.  Chunks still queued
-    when the stream stops are cancelled."""
+def _pooled(items: Iterator[tuple], jobs: int) -> Iterator[SweepRecord]:
+    """The records of the iterator `items` from a pool of `jobs` workers that
+    this stream owns, in order: chunks of _CHUNK_SIZE items, at most
+    _CHUNKS_PER_WORKER per worker unfinished, read back in submission order.
+    However the stream stops, queued chunks are cancelled and workers joined."""
     window = jobs * _CHUNKS_PER_WORKER
     pending = deque()
-    it = iter(items)
-    with nullcontext(pool) if pool is not None else open_pool(jobs) as workers:
+    with ProcessPoolExecutor(max_workers=jobs) as workers:
         try:
-            while chunk := list(islice(it, _CHUNK_SIZE)):
+            while chunk := list(islice(items, _CHUNK_SIZE)):
                 done = pending.popleft().result() if len(pending) == window else ()
                 pending.append(workers.submit(_evaluate_chunk, chunk))
                 yield from done
@@ -526,21 +514,19 @@ def _pooled(items, jobs: int, pool: ProcessPoolExecutor | None) -> Iterator[Swee
                 future.cancel()
 
 
-def run_checks(names, config: SweepConfig,
-               pool: ProcessPoolExecutor | None = None) -> Iterator[SweepRecord]:
+def run_checks(names, config: SweepConfig) -> Iterator[SweepRecord]:
     """An iterator of the records for the checks `names`, in order, each
     check in deterministic instance order, each record yielded as soon as
     it and those before it are done.
 
-    An unknown name raises DomainError here, before anything is enumerated
-    or a pool is opened.  Every check is enumerated lazily, when the stream
-    reaches it.  Under jobs == 1 each instance is evaluated in this process.
-    Under jobs > 1 the instances go to `pool` (or a pool opened for this
-    stream alone) as one ordered stream of _CHUNK_SIZE-item chunks, at most
-    _CHUNKS_PER_WORKER per worker in flight; a chunk may span two checks, and
-    no check waits for the one before it.  A DomainError from an instance
-    ends the stream: the records before it have been yielded, later ones
-    are never produced.
+    An unknown name raises DomainError here, before anything is enumerated or
+    a pool is opened.  Every check is enumerated lazily, when the stream
+    reaches it.  Under jobs == 1 each instance is evaluated in this process;
+    under jobs > 1 the iterator owns its pool (_pooled), whose forked workers
+    inherit this process's unit memo.  A chunk may span two checks, and no
+    check waits for the one before it.  A DomainError from an instance ends
+    the stream: the records before it have been yielded, later ones are never
+    produced.  Closing the iterator early joins the workers.
     """
     for name in names:
         if name not in CHECKS:
@@ -548,13 +534,12 @@ def run_checks(names, config: SweepConfig,
     items = ((name, args) for name in names for args in CHECKS[name][0](config))
     if config.jobs == 1:
         return _records(items)
-    return _pooled(items, config.jobs, pool)
+    return _pooled(items, config.jobs)
 
 
-def run_check(name: str, config: SweepConfig,
-              pool: ProcessPoolExecutor | None = None) -> list[SweepRecord]:
+def run_check(name: str, config: SweepConfig) -> list[SweepRecord]:
     """All records for one check: run_checks for that check alone."""
-    return list(run_checks([name], config, pool))
+    return list(run_checks([name], config))
 
 
 def summarize(records) -> dict[str, int]:

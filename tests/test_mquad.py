@@ -195,13 +195,15 @@ def test_is_square_big_fields(gens):
 
 
 def test_square_class_signature():
-    sig = MQField((15,)).square_class_signature
+    sig = MQField((15,)).square_class
     assert sig(3) == sig(5)
     assert sig(1) == sig(15)
     assert sig(6) == sig(10)
     assert sig(2) == sig(30)
     assert sig(3) != sig(6)
     assert sig(1) != sig(3)
+    with pytest.raises(DomainError):
+        sig(0)
 
 
 def test_radicand_table_against_brute_force():
@@ -233,10 +235,11 @@ def test_radicand_table_against_brute_force():
             else:
                 with pytest.raises(DomainError):
                     field.subset_with_kernel(m)
-        sig = field.square_class_signature
+        sig = field.square_class
         for a, b in combinations_with_replacement(values, 2):
             same = any(is_perfect_square(a * b * w) for w in field.weights)
-            assert (sig(a) == sig(b)) == same, (gens, a, b)
+            ka, kb = squarefree_kernel(a), squarefree_kernel(b)
+            assert (sig(ka) == sig(kb)) == same, (gens, a, b)
     assert built > 200 and refused > 50
 
 

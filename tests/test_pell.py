@@ -21,7 +21,6 @@ from quadrec.pell import (
     check_unit_congruences,
     compute_fundamental_unit,
     fundamental_unit,
-    unit_cache,
     unit_symbol,
 )
 
@@ -237,7 +236,7 @@ def test_check_unit_congruences_domain():
 
 
 def test_fundamental_unit_fills_and_reads_the_memo(monkeypatch):
-    monkeypatch.setattr(pell, "_memo", {})
+    fundamental_unit.cache_clear()
     computed = []
     compute = pell.compute_fundamental_unit
     # looked up through the module global, where a tracer can wrap it
@@ -245,4 +244,4 @@ def test_fundamental_unit_fills_and_reads_the_memo(monkeypatch):
                         lambda m: computed.append(m) or compute(m))
     u = fundamental_unit(65)
     assert fundamental_unit(65) is u and computed == [65]
-    assert unit_cache() == {65: u} and u == compute(65)
+    assert fundamental_unit.cache_info().currsize == 1 and u == compute(65)

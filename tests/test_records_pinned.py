@@ -1,10 +1,10 @@
 """The record stream of `verify --format csv` pinned by digest.
 
-Every check runs in-process at a fixed bound, and five of them also with
+Every check runs in-process at a fixed bound, and six of them also with
 two worker processes.  The sha256 covers the lines between the timestamp
 line and the summary line: the header and each record with its predicted
 and oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict.
-The summary line is asserted exactly.  The unit memo one run leaves is
+The summary line is asserted exactly.  The units one run computes are
 pinned the same way.  A refactor of the arithmetic
 underneath must leave these digests unchanged; a deliberate change of the
 records has to update them here.
@@ -14,9 +14,7 @@ import hashlib
 
 import pytest
 
-from quadrec import pell
 from quadrec.cli import main
-from quadrec.pell import unit_cache
 from quadrec.sweeps import SweepConfig, run_check, summarize
 
 PINNED = {
@@ -77,14 +75,12 @@ def test_verify_records_under_jobs_match_pinned_digest(check, bound, capsys):
 UNIT_CACHE_SHA256 = "eab0e9948e83754f8839e0462719fcd316cb5b4d2a1749c2e46f7498566495aa"
 
 
-def test_unit_cache_file_matches_pinned_digest(monkeypatch):
-    # one `m x y den norm` line per unit in the memo, sorted by m, pins every
-    # unit these two checks read, digits and all
-    monkeypatch.setattr(pell, "_memo", {})
+def test_unit_cache_file_matches_pinned_digest(computed_units):
+    # one `m x y den norm` line per distinct unit computed, sorted by m, pins
+    # every unit these two checks read, digits and all
     for check in ("norm-sign", "lemma-e"):
         assert summarize(run_check(check, SweepConfig(bound=50000)))["fail"] == 0
-    memo = unit_cache()
     data = "".join(f"{u.m} {u.x} {u.y} {u.den} {u.norm}\n"
-                   for _, u in sorted(memo.items())).encode()
-    assert len(memo) == data.count(b"\n") == 20825
+                   for _, u in sorted(computed_units.items())).encode()
+    assert len(computed_units) == data.count(b"\n") == 20825
     assert hashlib.sha256(data).hexdigest() == UNIT_CACHE_SHA256

@@ -3,23 +3,25 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import ceil, prod
 
 import pytest
 
-from quadrec import arith, cli, f2graph, pell, sweeps
+from quadrec import arith, f2graph, pell, sweeps
 from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import build_graph, edge, first_v_primes
 from quadrec.mquad import is_square
-from quadrec.pell import QuadUnit, unit_cache
+from quadrec.pell import QuadUnit
 from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, SweepRecord, run_check, summarize
 
 
@@ -38,18 +40,15 @@ def test_config_validation():
         SweepConfig(jobs=0)
 
 
-def test_jobs_above_the_available_cpus_is_refused_before_any_pool(monkeypatch, capsys):
+def test_jobs_above_the_available_cpus_is_refused_before_any_pool(counting_pool, capsys):
     # one more than the CPUs, so a mistake here starts one process at most
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     SweepConfig(jobs=cpus)
     with pytest.raises(DomainError, match=f"at most {cpus}"):
         SweepConfig(jobs=cpus + 1)
-
-    def no_pool(jobs):
-        raise AssertionError("a pool was opened")
-    monkeypatch.setattr(cli, "open_pool", no_pool)
     assert main(["verify", "--check", "scholz", "--jobs", str(cpus + 1)]) == 2
     assert f"at most {cpus}" in capsys.readouterr().err
+    assert counting_pool == []
 
 
 def test_default_bounds_cover_all_checks():
@@ -278,41 +277,17 @@ def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch
     assert {r.oracle for r in records} == {"not-square"}
 
 
-def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(monkeypatch):
-    monkeypatch.setattr(pell, "_memo", {})
+def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(computed_units):
     records = run_check("thm-sq", SweepConfig())
-    memo = unit_cache()
     assert summarize(records) == {"pass": 103, "fail": 0}
     bound = CHECK_DEFAULT_BOUNDS["thm-sq"]
-    computed = set(memo)
+    computed = set(computed_units)
     pairs = list(sweeps._enum_thm_sq(SweepConfig()))
     both_minus = {m1 * m2 for m1, m2 in pairs
-                  if memo.get(m1).norm == memo.get(m2).norm == -1}
+                  if computed_units[m1].norm == computed_units[m2].norm == -1}
     # a product above the bound is no modulus of its own: only pairs ask for it
     unasked = {m1 * m2 for m1, m2 in pairs if m1 * m2 > bound} - both_minus
     assert unasked and computed.isdisjoint(unasked)
-
-
-def test_unit_memo_drops_its_older_half_at_its_cap(monkeypatch):
-    expected = run_check("thm-sq", SweepConfig())
-    monkeypatch.setattr(pell, "_memo", {})
-    monkeypatch.setattr(pell, "_MEMO_SIZE", 16)
-    right = pell.compute_fundamental_unit
-    computed, sizes = [], []
-
-    def logged(m):
-        computed.append(m)
-        sizes.append(len(unit_cache()))
-        return right(m)
-
-    monkeypatch.setattr(pell, "compute_fundamental_unit", logged)
-    assert run_check("thm-sq", SweepConfig()) == expected
-    # each unit is computed with 8 to 15 others held once the memo is full,
-    # and the memo ends with the last units computed, oldest first
-    assert len(computed) > 100 and max(sizes) == 15
-    assert min(sizes[16:]) == 8
-    held = list(unit_cache())
-    assert held == computed[-len(held):]
 
 
 def test_pos_norm_oracle_rejects_a_unit_times_an_outside_prime(monkeypatch):
@@ -390,24 +365,20 @@ def stamp_pid(monkeypatch, name):
     monkeypatch.setitem(sweeps.CHECKS, name, (enum, stamped))
 
 
-def test_workers_leave_an_empty_parent_memo_empty(monkeypatch):
+def test_workers_leave_an_empty_parent_memo_empty(computed_units):
     config = SweepConfig(bound=300)
-    single = run_check("pos-norm", config)
-    monkeypatch.setattr(pell, "_memo", {})
     records = run_check("pos-norm", replace(config, jobs=2))
-    assert len(records) > 100 and records == single
     # every unit was computed in a worker, and none came back
-    assert unit_cache() == {}
+    assert computed_units == {} and pell.fundamental_unit.cache_info().currsize == 0
+    assert len(records) > 100 and records == run_check("pos-norm", config)
 
 
 def test_one_pool_serves_check_after_check(monkeypatch):
     stamp_pid(monkeypatch, "scholz")
     stamp_pid(monkeypatch, "lemma-e")
     config = SweepConfig(bound=200, jobs=2)
-    with sweeps.open_pool(2) as pool:
-        pids = {r.predicted for name in ("scholz", "lemma-e", "scholz")
-                for r in run_check(name, config, pool)}
-    # the same two workers evaluate every instance of all three calls
+    pids = {r.predicted for r in sweeps.run_checks(["scholz", "lemma-e", "scholz"], config)}
+    # the same two workers evaluate every instance of all three checks
     assert 1 <= len(pids) <= 2
     assert str(os.getpid()) not in pids
 
@@ -447,7 +418,8 @@ def test_verify_under_jobs_builds_one_pool_per_run(counting_pool, capsys):
     checks = ["--check", "scholz", "--check", "candm", "--check", "lemma-e"]
     assert main(["verify", "--jobs", "2", *checks]) == 0
     assert len(counting_pool) == 1
-    assert counting_pool[0].shutdowns == [{"cancel_futures": True}]
+    assert len(counting_pool[0].shutdowns) == 1
+    assert multiprocessing.active_children() == []
     counting_pool.clear()
     assert main(["verify", "--jobs", "1", *checks]) == 0
     assert counting_pool == []
@@ -497,9 +469,40 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
     # chunks, duality's included, before it reads the first
     assert enumerated == {"1": 0, "2": 1}
     (pool,) = counting_pool
-    assert pool.shutdowns == [{"cancel_futures": True}]
+    assert len(pool.shutdowns) == 1
     assert all(f.done() for f in pool.futures)
     assert any(f.cancelled() for f in pool.futures)
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_record_stream_early_joins_its_workers(counting_pool):
+    records = sweeps.run_checks(["scholz"], SweepConfig(bound=3000, jobs=2))
+    with closing(records):
+        assert next(records).check == "scholz"
+    # the queued chunks are cancelled, the running ones finish, and the
+    # workers are joined before close() returns
+    assert multiprocessing.active_children() == []
+    (pool,) = counting_pool
+    assert len(pool.shutdowns) == 1
+    assert all(f.done() for f in pool.futures)
+    assert any(f.cancelled() for f in pool.futures)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_into_a_closed_pipe_exits_141_quietly(jobs):
+    # the run exits 99 instead if a worker is still alive when main returns
+    code = ("import multiprocessing, sys\n"
+            "from quadrec.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "sys.exit(99 if multiprocessing.active_children() else rc)\n")
+    argv = ["verify", "--check", "scholz", "--bound", "3000", "--jobs", jobs]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert lines[0].startswith("# quadrec verify ") and lines[2].startswith("scholz ")
+    assert (proc.returncode, err) == (141, "")
 
 
 def test_verify_writes_each_record_before_the_last_instance_is_evaluated(monkeypatch):
@@ -539,22 +542,24 @@ def test_verify_jobs2_keeps_a_fixed_window_of_chunks_in_flight(counting_pool, ca
     assert 0 < pool.peak_unfinished <= 2 * 8
 
 
-def test_scholz_3000_holds_a_bounded_number_of_records():
+# on CPython 3.11 scholz 3000 peaks at 0.8 MB and scholz2 800 at 2.4 MB; a
+# driver that held every record peaked at 11.9 MB on scholz 3000, and a
+# 65,536-entry quartic memo at 4.8 and 5.6 MB
+@pytest.mark.parametrize("check,bound,ceiling_mb", [("scholz", 3000, 8), ("scholz2", 800, 4)])
+def test_scholz_3000_holds_a_bounded_number_of_records(check, bound, ceiling_mb):
     code = (
-        "import contextlib, os, tracemalloc\n"
+        "import contextlib, os, sys, tracemalloc\n"
         "from quadrec.cli import main\n"
         "tracemalloc.start()\n"
         "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
-        "    assert main(['verify', '--check', 'scholz', '--bound', '3000',"
+        "    assert main(['verify', '--check', sys.argv[1], '--bound', sys.argv[2],"
         " '--format', 'csv']) == 0\n"
         "print(tracemalloc.get_traced_memory()[1])\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=300)
+    out = subprocess.run([sys.executable, "-c", code, check, str(bound)],
+                         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     peak_mb = int(out.stdout) / 2**20
-    # on CPython 3.11 the driver that held every instance and record before
-    # writing peaked at 11.9 MB; the streaming one peaks at 4.8 MB
-    assert peak_mb < 8, peak_mb
+    assert peak_mb < ceiling_mb, peak_mb
 
 
 def test_run_checks_chunks_span_checks_and_keep_their_order():
