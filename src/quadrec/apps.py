@@ -11,7 +11,7 @@ verification failure, not a soft warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .arith import (
@@ -26,7 +26,7 @@ from .arith import (
     v_symbol,
 )
 from .f2graph import edge
-from .invariants import InvariantReport, edge_invariant, general_invariant, triangle_invariant
+from .invariants import edge_invariant, general_invariant, triangle_invariant
 from .mquad import MQElement, MQField, field_containing, find_d, is_square
 from .pell import QuadUnit, fundamental_unit
 
@@ -40,24 +40,23 @@ def unit_element(unit: QuadUnit, field: MQField) -> MQElement:
     return MQElement(field, vec, unit.den * root.den)
 
 
-@dataclass(frozen=True)
-class UnitFamily:
+class UnitFamily(namedtuple("UnitFamily", "moduli norms product_square")):
     """Several fundamental units considered together."""
 
-    moduli: tuple[int, ...]
-    norms: tuple[Sign, ...]
-    product_square: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.moduli) != len(self.norms):
+    def __new__(cls, moduli: tuple[int, ...], norms: tuple[Sign, ...],
+                product_square: bool):
+        if len(moduli) != len(norms):
             raise DomainError("one norm per modulus")
-        for m in self.moduli:
+        for m in moduli:
             if m < 2 or not is_squarefree(m):
                 raise DomainError(f"modulus {m} is not squarefree > 1")
-        if len(set(self.moduli)) != len(self.moduli):
+        if len(set(moduli)) != len(moduli):
             raise DomainError("moduli must be distinct")
-        if self.product_square != is_perfect_square(prod(self.moduli)):
+        if product_square != is_perfect_square(prod(moduli)):
             raise DomainError("product_square flag contradicts the moduli")
+        return tuple.__new__(cls, (moduli, norms, product_square))
 
 
 def unit_family(moduli) -> UnitFamily:
@@ -66,14 +65,11 @@ def unit_family(moduli) -> UnitFamily:
     return UnitFamily(ms, norms, is_perfect_square(prod(ms)))
 
 
-@dataclass(frozen=True)
-class SquareCheck:
-    """Outcome of one exact squareness verification."""
+class SquareCheck(namedtuple("SquareCheck", "description field element root")):
+    """Outcome of one exact squareness verification: root is None when
+    element is not a square in field."""
 
-    description: str
-    field: MQField
-    element: MQElement
-    root: MQElement | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -120,15 +116,10 @@ def positive_norm_square_check(m: int) -> SquareCheck:
     return SquareCheck(f"eps_{m}", field, element, root)
 
 
-@dataclass(frozen=True)
-class CandmResult:
+class CandmResult(namedtuple("CandmResult", "pairs P invariant d intersection")):
     """Candidate-narrowing verdict for a family of unit products."""
 
-    pairs: tuple[tuple[int, int], ...]
-    P: tuple[int, ...]
-    invariant: InvariantReport
-    d: int
-    intersection: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def parity_even(self) -> bool:
@@ -191,15 +182,10 @@ def candm_check(pairs, P) -> CandmResult:
     return CandmResult(pairs, tuple(sorted(P)), report, d, inter)
 
 
-@dataclass(frozen=True)
-class CandpResult:
+class CandpResult(namedtuple("CandpResult", "m n P d intersection")):
     """Candidate-narrowing verdict for a single positive-norm unit."""
 
-    m: int
-    n: int
-    P: tuple[int, ...]
-    d: int
-    intersection: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def parity_even(self) -> bool:
@@ -254,21 +240,20 @@ def norm_sign_predict(m: int, n: int) -> Sign | None:
     return 1 if sign == -1 else None
 
 
-@dataclass(frozen=True)
-class QIndex:
+class QIndex(namedtuple("QIndex", "value witness_exponents")):
     """Unit index of a real biquadratic field, with its witness subgroup."""
 
-    value: int
-    witness_exponents: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        group = set(self.witness_exponents) | {(0, 0, 0)}
-        assert len(group) == self.value
+    def __new__(cls, value: int, witness_exponents: frozenset):
+        group = set(witness_exponents) | {(0, 0, 0)}
+        assert len(group) == value
         for a in group:
             for b in group:
                 assert tuple(x ^ y for x, y in zip(a, b)) in group, \
                     "witness set must be closed under exponent addition"
-        assert self.value in (1, 2, 4), f"unit index {self.value} out of range"
+        assert value in (1, 2, 4), f"unit index {value} out of range"
+        return tuple.__new__(cls, (value, witness_exponents))
 
 
 def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
@@ -301,15 +286,10 @@ def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
     return QIndex(len(witnesses) + 1, frozenset(witnesses))
 
 
-@dataclass(frozen=True)
-class KurodaExampleResult:
+class KurodaExampleResult(namedtuple("KurodaExampleResult", "p q r formula_value computed")):
     """Agreement between the closed-form unit index and the exhaustive one."""
 
-    p: int
-    q: int
-    r: int
-    formula_value: int
-    computed: QIndex
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -10,19 +10,19 @@ error, 3 at least one sweep failure, 141 stdout closed by its reader
 line, and ends with a summary line counted while writing, so it never holds
 a run's records.  A domain error in an instance stops the run with exit 2:
 the records before it are already written, and no summary line follows
-them.  However a run stops, no ``--jobs`` worker outlives ``main``.
+them.  However a run stops, no ``--jobs`` worker outlives ``main``.  Each
+record is a named tuple: csv writes it as a row, json-lines by field name,
+and json is imported only for that format.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
+import time
 from contextlib import closing
-from dataclasses import asdict
-from datetime import datetime, timezone
 
 from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge
@@ -113,17 +113,17 @@ def _write_report(out, fmt: str, records) -> dict[str, int]:
     """Print the timestamp line, each record as it arrives, then the summary
     line; return the verdict counts.  An error raised by `records` leaves
     the lines before it and no summary line."""
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     print(f"# quadrec verify {stamp}", file=out)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["check", "instance", "predicted", "oracle", "verdict"])
+        write = writer.writerow
+    elif fmt == "json-lines":
+        import json
 
         def write(r):
-            writer.writerow([r.check, r.instance, r.predicted, r.oracle, r.verdict])
-    elif fmt == "json-lines":
-        def write(r):
-            print(json.dumps(asdict(r), sort_keys=True), file=out)
+            print(json.dumps(r._asdict(), sort_keys=True), file=out)
     else:
         def write(r):
             print(f"{r.check:<9} {r.instance:<22} {r.predicted:>10} vs "

@@ -11,7 +11,7 @@ the independently computed unit symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -19,19 +19,16 @@ from .arith import DomainError, Sign, quartic, v_symbol
 from .f2graph import edge
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(namedtuple("InvariantReport", "query value clause P k")):
     """Evaluated invariant of one edge set."""
 
-    query: frozenset
-    value: int
-    clause: str
-    P: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.P == tuple(sorted({v for e in self.query for v in e}))
-        assert self.k == sum(1 for u, v in self.query if v_symbol(u, v) == -1)
+    def __new__(cls, query: frozenset, value: int, clause: str, P: tuple[int, ...],
+                k: int):
+        assert P == tuple(sorted({v for e in query for v in e}))
+        assert k == sum(1 for u, v in query if v_symbol(u, v) == -1)
+        return tuple.__new__(cls, (query, value, clause, P, k))
 
     def __str__(self):
         pairs = " ".join(f"{u}-{v}" for u, v in sorted(self.query))

@@ -5,7 +5,9 @@ sqrt(g_S) = prod_{i in S} sqrt(g_i), S a subset of the generators, and one
 positive common denominator.  Products need only the weight table
 w[S] = prod_{i in S} g_i, since
 sqrt(g_S) * sqrt(g_T) = w[S & T] * sqrt(g_(S ^ T)).  Everything is exact,
-square detection included.
+square detection included.  Coefficients and scalar operands are ints or
+Fraction objects, any numbers.Rational, read through .numerator and
+.denominator; anything else raises DomainError.
 
 The field keeps no factorisation.  By Kummer theory the squarefree d with
 sqrt(d) in the field are exactly the 2^t squarefree kernels of the
@@ -41,10 +43,10 @@ elements of the same MQField object skips the operand coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from numbers import Rational
 
 from .arith import DomainError, is_prime, is_squarefree, squarefree_kernel
 
@@ -55,15 +57,13 @@ def _kernel_product(a: int, b: int) -> int:
     return (a // c) * (b // c)
 
 
-@dataclass(frozen=True)
-class MQField:
+class MQField(namedtuple("MQField", "gens")):
     """A real multiquadratic field given by multiplicatively independent
-    squarefree generators > 1."""
+    squarefree generators > 1.  It has no __slots__: its cached tables live
+    in the instance __dict__."""
 
-    gens: tuple[int, ...]
-
-    def __init__(self, gens):
-        object.__setattr__(self, "gens", tuple(gens))
+    def __new__(cls, gens):
+        self = tuple.__new__(cls, (tuple(gens),))
         for d in self.gens:
             if d < 2 or not is_squarefree(d):
                 raise DomainError(f"generator {d} is not squarefree > 1")
@@ -72,6 +72,7 @@ class MQField:
         if len(set(self.radicands)) != self.degree:
             raise DomainError("generators are multiplicatively dependent "
                               "(some subproduct is a perfect square)")
+        return self
 
     @cached_property
     def degree(self) -> int:
@@ -116,7 +117,7 @@ class MQField:
     def element(self, coeffs) -> "MQElement":
         """The element sum c_S*sqrt(g_S) for rational coefficients given as
         {subset mask: c_S} over the product basis."""
-        qs = {mask: Fraction(c) for mask, c in dict(coeffs).items()}
+        qs = {mask: _rational(c) for mask, c in dict(coeffs).items()}
         vec = [0] * self.degree
         den = lcm(*(q.denominator for q in qs.values()))
         for mask, q in qs.items():
@@ -127,6 +128,7 @@ class MQField:
 
     def rational(self, value) -> "MQElement":
         """An int or Fraction as an element."""
+        value = _rational(value)
         return MQElement(self, [value.numerator] + [0] * (self.degree - 1),
                          value.denominator)
 
@@ -144,6 +146,13 @@ class MQField:
     def __str__(self):
         inner = ", ".join(f"sqrt({d})" for d in self.gens) or "plain rationals"
         return f"Q({inner})"
+
+
+def _rational(value):
+    """value, which must be a numbers.Rational: an int or a Fraction."""
+    if not isinstance(value, Rational):
+        raise DomainError(f"{value!r} is not an int or a Fraction")
+    return value
 
 
 def field_containing(values) -> MQField:
@@ -199,16 +208,14 @@ class MQElement:
         return not any(self.vec)
 
     def _operand(self, other) -> MQElement:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MQElement):
             return self.field.rational(other)
-        if isinstance(other, MQElement) and self.field != other.field:
+        if self.field != other.field:
             raise DomainError("elements live in different fields")
         return other
 
     def __add__(self, other):
         other = self._operand(other)
-        if not isinstance(other, MQElement):
-            return NotImplemented
         return MQElement(self.field,
                          [a * other.den + b * self.den
                           for a, b in zip(self.vec, other.vec)],
@@ -220,22 +227,17 @@ class MQElement:
         return MQElement(self.field, [-c for c in self.vec], self.den)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if not isinstance(other, MQElement):
-            return NotImplemented
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not (isinstance(other, MQElement) and other.field is self.field):
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, Rational):
                 return MQElement(self.field, [c * other.numerator for c in self.vec],
                                  self.den * other.denominator)
             other = self._operand(other)
-            if not isinstance(other, MQElement):
-                return NotImplemented
         return MQElement(self.field,
                          _mul(self.vec, other.vec, self.field.weights),
                          self.den * other.den)
@@ -243,10 +245,9 @@ class MQElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MQElement(self.field, [c * other.denominator for c in self.vec],
-                             self.den * other.numerator)
-        return NotImplemented
+        other = _rational(other)
+        return MQElement(self.field, [c * other.denominator for c in self.vec],
+                         self.den * other.numerator)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -9,12 +9,14 @@ returns.  That one minimal period yields the fundamental unit from the
 bottom row of the convergent matrix alone, and the parity of the period
 gives the norm sign.  fundamental_unit keeps the 1 << 14 units it used
 last in an lru_cache, the one unit memo of a process.  A unit takes
-microseconds to compute, so nothing persists it between runs.
+microseconds to compute, so nothing persists it between runs.  QuadUnit is
+a named tuple that checks its coordinates in __new__, which unpickling
+calls too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -29,32 +31,28 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True)
-class QuadUnit:
+class QuadUnit(namedtuple("QuadUnit", "m x y den norm")):
     """The fundamental unit (x + y*sqrt(m))/den > 1 of the maximal order."""
 
-    m: int
-    x: int
-    y: int
-    den: int
-    norm: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2 or not is_squarefree(self.m):
-            raise DomainError(f"{self.m} is not squarefree > 1")
-        if self.den not in (1, 2):
-            raise DomainError(f"unit denominator must be 1 or 2, got {self.den}")
-        if self.den == 2 and (self.m % 4 != 1 or self.x % 2 == 0 or self.y % 2 == 0):
+    def __new__(cls, m: int, x: int, y: int, den: int, norm: int):
+        if m < 2 or not is_squarefree(m):
+            raise DomainError(f"{m} is not squarefree > 1")
+        if den not in (1, 2):
+            raise DomainError(f"unit denominator must be 1 or 2, got {den}")
+        if den == 2 and (m % 4 != 1 or x % 2 == 0 or y % 2 == 0):
             raise DomainError("half-integer coordinates need m = 1 (mod 4) and odd x, y")
-        if self.x < 0 or self.y < 1:
+        if x < 0 or y < 1:
             raise DomainError("fundamental unit coordinates must be nonnegative, y >= 1")
-        if self.x * self.x - self.m * self.y * self.y != self.norm * self.den * self.den:
+        if x * x - m * y * y != norm * den * den:
             raise DomainError("norm relation x^2 - m*y^2 = norm*den^2 violated")
-        if self.norm not in (1, -1):
-            raise DomainError(f"unit norm must be +-1, got {self.norm}")
+        if norm not in (1, -1):
+            raise DomainError(f"unit norm must be +-1, got {norm}")
         # value > 1: x + y*sqrt(m) > den
-        if self.x < self.den and (self.den - self.x) ** 2 >= self.m * self.y * self.y:
+        if x < den and (den - x) ** 2 >= m * y * y:
             raise DomainError("not a unit greater than 1")
+        return tuple.__new__(cls, (m, x, y, den, norm))
 
     def cubed_coordinates(self) -> tuple[int, int]:
         """Integer (x3, y3) with eps^3 = x3 + y3*sqrt(m).
@@ -162,18 +160,13 @@ def unit_symbol(m: int, p: int) -> Sign:
     return legendre(u, p)
 
 
-@dataclass(frozen=True)
-class CubeCongruenceReport:
+class CubeCongruenceReport(namedtuple(
+        "CubeCongruenceReport", "m x y x_even x_mod4_tracks_m_mod8 y_is_1_mod4")):
     """Pass/fail record for three congruence facts about
     eps_m^3 = x + y*sqrt(m) when the norm is -1: x even; 4 | x exactly when
     m = 1 (mod 8); and y = 1 (mod 4)."""
 
-    m: int
-    x: int
-    y: int
-    x_even: bool
-    x_mod4_tracks_m_mod8: bool
-    y_is_1_mod4: bool
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

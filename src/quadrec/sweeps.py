@@ -10,7 +10,9 @@ its instances or records.  Under jobs > 1 the record stream owns its pool
 and sends it every check as one ordered stream of fixed-size chunks, a
 fixed window in flight.  A DomainError stops the stream where it is raised:
 the records before it are already out.  An instance whose hypotheses fail
-is skipped (record None), never silently weakened.
+is skipped (record None), never silently weakened.  SweepConfig and
+SweepRecord are named tuples that check their fields in __new__, so a
+record pickled back from a worker is checked again as the parent loads it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 import os
 import random
 from array import array
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from math import gcd, isqrt, prod
 
@@ -65,45 +66,40 @@ CHECK_DEFAULT_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple("SweepConfig", "bound samples jobs seed")):
     """Settings for one verification run."""
 
-    bound: int | None = None
-    samples: int = 200
-    jobs: int = 1
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bound is not None and self.bound < 2:
+    def __new__(cls, bound: int | None = None, samples: int = 200, jobs: int = 1,
+                seed: int = 0):
+        if bound is not None and bound < 2:
             raise DomainError("bound must be at least 2")
-        if self.samples < 1:
+        if samples < 1:
             raise DomainError("samples must be positive")
-        if self.jobs < 1:
+        if jobs < 1:
             raise DomainError("jobs must be positive")
         # a fork pool starts every worker at its first submit, so refuse
         # more workers than usable CPUs before a pool exists
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        if self.jobs > cpus:
+        if jobs > cpus:
             raise DomainError(f"jobs must be at most {cpus}, the CPUs this process may use")
+        return tuple.__new__(cls, (bound, samples, jobs, seed))
 
     def bound_for(self, check: str) -> int:
         return self.bound if self.bound is not None else CHECK_DEFAULT_BOUNDS[check]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(namedtuple("SweepRecord", "check instance predicted oracle verdict")):
     """One instance outcome: what was predicted, what the oracle said."""
 
-    check: str
-    instance: str
-    predicted: str
-    oracle: str
-    verdict: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.verdict in ("pass", "fail")
+    def __new__(cls, check: str, instance: str, predicted: str, oracle: str,
+                verdict: str):
+        assert verdict in ("pass", "fail")
+        return tuple.__new__(cls, (check, instance, predicted, oracle, verdict))
 
 
 def _squarefrees(lo: int, hi: int):

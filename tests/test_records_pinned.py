@@ -5,7 +5,8 @@ two worker processes.  The sha256 covers the lines between the timestamp
 line and the summary line: the header and each record with its predicted
 and oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict.
 The summary line is asserted exactly.  The units one run computes are
-pinned the same way.  A refactor of the arithmetic
+pinned the same way, and so are two runs in each of the json-lines and
+human formats.  A refactor of the arithmetic
 underneath must leave these digests unchanged; a deliberate change of the
 records has to update them here.
 """
@@ -84,3 +85,34 @@ def test_unit_cache_file_matches_pinned_digest(computed_units):
                    for _, u in sorted(computed_units.items())).encode()
     assert len(computed_units) == data.count(b"\n") == 20825
     assert hashlib.sha256(data).hexdigest() == UNIT_CACHE_SHA256
+
+
+# the record lines of the other two formats, for the default candm run and
+# scholz at 300: (line count, sha256 of the lines between the timestamp line
+# and the summary line, summary line)
+PINNED_FORMATS = {
+    ("json-lines", "candm", 60): (
+        11, "bccbe529427af55205d7dbe9fafe7461f751d2460c164093f6049eeaff86ff84",
+        '{"summary": {"fail": 0, "pass": 9}}\n'),
+    ("json-lines", "scholz", 300): (
+        412, "3fa63100fd52f10ea545395b8ec8bc2aadc400e667906d74fa68e20d0e9ff6b9",
+        '{"summary": {"fail": 0, "pass": 410}}\n'),
+    ("human", "candm", 60): (
+        11, "fc7fac75400ad2ffcc97840678c2144f7d27d9b69c0f310537a72ed4257e0d08",
+        "9 instances: 9 pass, 0 fail\n"),
+    ("human", "scholz", 300): (
+        412, "dbd207b83612322c0aa04410a1bd96b5e2d80ed81d5124874bd13f45b23dc4c1",
+        "410 instances: 410 pass, 0 fail\n"),
+}
+
+
+@pytest.mark.parametrize("fmt,check,bound", sorted(PINNED_FORMATS))
+def test_other_formats_match_pinned_digest(fmt, check, bound, capsys):
+    assert main(["verify", "--check", check, "--bound", str(bound),
+                 "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0].startswith("# quadrec verify ")
+    count, digest, summary = PINNED_FORMATS[fmt, check, bound]
+    assert len(lines) == count and lines[-1] == summary
+    got = hashlib.sha256("".join(lines[1:-1]).encode()).hexdigest()
+    assert got == digest, f"{fmt} {check} at bound {bound}: records digest {got}"

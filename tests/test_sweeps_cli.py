@@ -10,7 +10,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import ceil, prod
 
@@ -122,7 +121,7 @@ def test_triangles_oracle_rejects_a_flipped_invariant(monkeypatch):
 
     def flipped(cycle):
         report = right(cycle)
-        return replace(report, value=1 - report.value)
+        return report._replace(value=1 - report.value)
 
     monkeypatch.setattr(sweeps, "general_invariant", flipped)
     records = run_check("triangles", SweepConfig(bound=8))
@@ -226,7 +225,7 @@ def test_kuroda_oracle_rejects_a_flipped_index(monkeypatch):
 
     def flipped(p, q, r):
         res = right(p, q, r)
-        return replace(res, formula_value=3 - res.formula_value)
+        return res._replace(formula_value=3 - res.formula_value)
 
     monkeypatch.setattr(sweeps, "kuroda_example_check", flipped)
     records = run_check("kuroda", SweepConfig())
@@ -238,7 +237,7 @@ def test_candm_oracle_rejects_a_flipped_invariant(monkeypatch):
 
     def flipped(pairs, P):
         res = right(pairs, P)
-        return replace(res, invariant=replace(res.invariant, value=1 - res.invariant.value))
+        return res._replace(invariant=res.invariant._replace(value=1 - res.invariant.value))
 
     expected = {r.instance: r.predicted for r in run_check("candm", SweepConfig())}
     monkeypatch.setattr(sweeps, "candm_check", flipped)
@@ -265,7 +264,7 @@ def times_a_prime_outside_the_field(check):
         res = check(*args)
         q = next(p for p in primes_in_v(100) if all(g % p for g in res.field.gens))
         element = res.element * res.field.rational(q)
-        return replace(res, element=element, root=is_square(element))
+        return res._replace(element=element, root=is_square(element))
     return mutant
 
 
@@ -303,7 +302,7 @@ def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
 
     def one_more(m, n):
         res = right(m, n)
-        return replace(res, intersection=res.intersection + (1,))
+        return res._replace(intersection=res.intersection + (1,))
 
     monkeypatch.setattr(sweeps, "candp_check", one_more)
     records = run_check("candp", SweepConfig())
@@ -360,14 +359,14 @@ def stamp_pid(monkeypatch, name):
 
     def stamped(args):
         record = evaluate(args)
-        return record and replace(record, predicted=str(os.getpid()))
+        return record and record._replace(predicted=str(os.getpid()))
 
     monkeypatch.setitem(sweeps.CHECKS, name, (enum, stamped))
 
 
 def test_workers_leave_an_empty_parent_memo_empty(computed_units):
     config = SweepConfig(bound=300)
-    records = run_check("pos-norm", replace(config, jobs=2))
+    records = run_check("pos-norm", SweepConfig(bound=300, jobs=2))
     # every unit was computed in a worker, and none came back
     assert computed_units == {} and pell.fundamental_unit.cache_info().currsize == 0
     assert len(records) > 100 and records == run_check("pos-norm", config)
