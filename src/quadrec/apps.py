@@ -130,6 +130,24 @@ class CandmResult(namedtuple("CandmResult", "pairs P invariant d intersection"))
         return self.parity_even == (self.invariant.value == 0)
 
 
+def _require_split(m: int, n: int) -> None:
+    """The hypotheses on a split m*n: m and n squarefree positive and
+    coprime, and m*n > 1."""
+    if not (is_squarefree(m) and is_squarefree(n)):
+        raise DomainError(f"({m},{n}): both entries must be squarefree positive")
+    if gcd(m, n) != 1:
+        raise DomainError(f"({m},{n}): entries must be coprime")
+    if m * n < 2:
+        raise DomainError(f"({m},{n}): trivial product")
+
+
+def _cross_nonresidues(m: int, n: int):
+    """The primes p | m with (n/p) = -1, then the primes q | n with
+    (m/q) = -1, lazily."""
+    return (p for a, b in ((m, n), (n, m)) for p in prime_divisors(a)
+            if legendre(b, p) == -1)
+
+
 def candm_check(pairs, P) -> CandmResult:
     """Theorem: the prime set of d meets P evenly exactly when the
     bipartite invariant sum vanishes.
@@ -144,26 +162,16 @@ def candm_check(pairs, P) -> CandmResult:
     if not pairs:
         raise DomainError("need at least one (m, n) pair")
     for m, n in pairs:
-        if m < 1 or n < 1 or not is_squarefree(m) or not is_squarefree(n):
-            raise DomainError(f"({m},{n}): both entries must be squarefree positive")
-        if gcd(m, n) != 1:
-            raise DomainError(f"({m},{n}): entries must be coprime")
-        if m * n < 2:
-            raise DomainError(f"({m},{n}): trivial product")
+        _require_split(m, n)
         if fundamental_unit(m * n).norm != -1:
             raise DomainError(f"norm of eps_{m * n} is +1; hypothesis needs -1")
     total = prod(m * n for m, n in pairs)
     if not is_perfect_square(total):
         raise DomainError("the product of all m_i*n_i must be a perfect square")
     for m, n in pairs:
-        for p in prime_divisors(m):
-            if (p in P) != (legendre(n, p) == -1):
-                raise DomainError(f"P violates its defining condition at "
-                                  f"{p} | {m} against {n}")
-        for q in prime_divisors(n):
-            if (q in P) != (legendre(m, q) == -1):
-                raise DomainError(f"P violates its defining condition at "
-                                  f"{q} | {n} against {m}")
+        if P.intersection(prime_divisors(m) + prime_divisors(n)) \
+                != set(_cross_nonresidues(m, n)):
+            raise DomainError(f"P violates its defining condition at ({m},{n})")
 
     query: frozenset = frozenset()
     for m, n in pairs:
@@ -196,19 +204,13 @@ def candp_check(m: int, n: int) -> CandpResult:
     """Positive-norm analogue: P is built from the non-residue divisors
     (plus 2 in the one stated congruence case) and the theorem asserts
     |D cap P| is always even."""
-    if m < 1 or n < 1 or not is_squarefree(m) or not is_squarefree(n):
-        raise DomainError("m and n must be squarefree positive")
-    if gcd(m, n) != 1:
-        raise DomainError("m and n must be coprime")
-    if m * n < 2:
-        raise DomainError("m*n must exceed 1")
+    _require_split(m, n)
     for p in prime_divisors(m):
         if p % 4 != 1:
             raise DomainError(f"prime {p} | m is not 1 mod 4")
     if fundamental_unit(m * n).norm != 1:
         raise DomainError(f"norm of eps_{m * n} is -1; hypothesis needs +1")
-    P = {p for p in prime_divisors(m) if legendre(n, p) == -1}
-    P |= {q for q in prime_divisors(n) if legendre(m, q) == -1}
+    P = set(_cross_nonresidues(m, n))
     if m % 8 == 5 and n % 4 == 3:
         P.add(2)
     allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
@@ -222,18 +224,11 @@ def candp_check(m: int, n: int) -> CandpResult:
 def norm_sign_predict(m: int, n: int) -> Sign | None:
     """Predict norm +1 for the unit of m*n when all cross Legendre symbols
     are +1 and the paired quartic product is -1; no prediction otherwise."""
-    if m < 1 or n < 1 or not is_squarefree(m) or not is_squarefree(n):
-        raise DomainError("m and n must be squarefree positive")
-    if gcd(m, n) != 1:
-        raise DomainError("m and n must be coprime")
-    if m * n < 2:
-        raise DomainError("m*n must exceed 1")
+    _require_split(m, n)
     for p in prime_divisors(m * n):
         if p % 4 == 3:
             raise DomainError(f"prime divisor {p} is 3 mod 4")
-    if any(legendre(n, p) != 1 for p in prime_divisors(m)):
-        return None
-    if any(legendre(m, q) != 1 for q in prime_divisors(n)):
+    if next(_cross_nonresidues(m, n), None) is not None:
         return None
     sign = prod(quartic(n, p) for p in prime_divisors(m)) \
         * prod(quartic(m, q) for q in prime_divisors(n))

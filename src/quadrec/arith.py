@@ -269,9 +269,10 @@ def factorize(n: int) -> dict[int, int]:
     product of two large primes is slow.  No caller passes one: the inputs
     are the moduli of single instances and their products (the hypothesis
     checks and prime sets of apps), and in mquad the generators
-    (is_squarefree) and the squarefree kernels of radicands and find_d
-    candidates, so every prime factor is one of an instance's own.  A field
-    keeps no factorization, only its radicand table.  The sweep
+    (is_squarefree) and the squarefree kernels of radicands, so every prime
+    factor is one of an instance's own.  A field keeps no factorization,
+    only its radicand table, and find_d reads the square class of each
+    candidate off that table without factorising it.  The sweep
     enumerations do not call it; sweeps._squarefrees reads the
     factorizations off a sieve.
     """

@@ -5,9 +5,8 @@ sqrt(g_S) = prod_{i in S} sqrt(g_i), S a subset of the generators, and one
 positive common denominator.  Products need only the weight table
 w[S] = prod_{i in S} g_i, since
 sqrt(g_S) * sqrt(g_T) = w[S & T] * sqrt(g_(S ^ T)).  Everything is exact,
-square detection included.  Coefficients and scalar operands are ints or
-Fraction objects, any numbers.Rational, read through .numerator and
-.denominator; anything else raises DomainError.
+square detection included.  Elements multiply by elements of the same field
+and by ints; nothing else is an operand.
 
 The field keeps no factorisation.  By Kummer theory the squarefree d with
 sqrt(d) in the field are exactly the 2^t squarefree kernels of the
@@ -37,16 +36,14 @@ the recursion runs on the element's own vector.
 The recursion bottoms out at a quadratic field, x = a + b*sqrt(d) with a, b
 integers, in closed form: c^2 = a^2 - d*b^2, ru^2 = 2*(a +- c), root
 (ru^2 + 2b*sqrt(d))/(2*ru).  _mul and _inverse have the matching length-2
-formulas, so the generic tower loops start at degree 4.  A product of two
-elements of the same MQField object skips the operand coercion.
+formulas, so the generic tower loops start at degree 4.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from math import gcd, isqrt, lcm
-from numbers import Rational
+from math import gcd, isqrt
 
 from .arith import DomainError, is_prime, is_squarefree, squarefree_kernel
 
@@ -114,24 +111,6 @@ class MQField(namedtuple("MQField", "gens")):
             raise DomainError("square classes are defined for squarefree k >= 1")
         return min(_kernel_product(k, r) for r in self.radicands)
 
-    def element(self, coeffs) -> "MQElement":
-        """The element sum c_S*sqrt(g_S) for rational coefficients given as
-        {subset mask: c_S} over the product basis."""
-        qs = {mask: _rational(c) for mask, c in dict(coeffs).items()}
-        vec = [0] * self.degree
-        den = lcm(*(q.denominator for q in qs.values()))
-        for mask, q in qs.items():
-            if not 0 <= mask < self.degree:
-                raise DomainError(f"basis mask {mask} out of range for {self}")
-            vec[mask] = q.numerator * (den // q.denominator)
-        return MQElement(self, vec, den)
-
-    def rational(self, value) -> "MQElement":
-        """An int or Fraction as an element."""
-        value = _rational(value)
-        return MQElement(self, [value.numerator] + [0] * (self.degree - 1),
-                         value.denominator)
-
     def sqrt_radicand(self, m: int) -> "MQElement":
         """The element sqrt(m) = (isqrt(m*g_S)/g_S)*sqrt(g_S), for m
         representable in this field."""
@@ -146,13 +125,6 @@ class MQField(namedtuple("MQField", "gens")):
     def __str__(self):
         inner = ", ".join(f"sqrt({d})" for d in self.gens) or "plain rationals"
         return f"Q({inner})"
-
-
-def _rational(value):
-    """value, which must be a numbers.Rational: an int or a Fraction."""
-    if not isinstance(value, Rational):
-        raise DomainError(f"{value!r} is not an int or a Fraction")
-    return value
 
 
 def field_containing(values) -> MQField:
@@ -207,67 +179,17 @@ class MQElement:
     def is_zero(self) -> bool:
         return not any(self.vec)
 
-    def _operand(self, other) -> MQElement:
-        if not isinstance(other, MQElement):
-            return self.field.rational(other)
-        if self.field != other.field:
-            raise DomainError("elements live in different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._operand(other)
-        return MQElement(self.field,
-                         [a * other.den + b * self.den
-                          for a, b in zip(self.vec, other.vec)],
-                         self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MQElement(self.field, [-c for c in self.vec], self.den)
-
-    def __sub__(self, other):
-        return self + (-self._operand(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not (isinstance(other, MQElement) and other.field is self.field):
-            if isinstance(other, Rational):
-                return MQElement(self.field, [c * other.numerator for c in self.vec],
-                                 self.den * other.denominator)
-            other = self._operand(other)
+            if isinstance(other, int):
+                return MQElement(self.field, [c * other for c in self.vec], self.den)
+            if not isinstance(other, MQElement):
+                raise DomainError(f"{other!r} is neither an element nor an int")
+            if self.field != other.field:
+                raise DomainError("elements live in different fields")
         return MQElement(self.field,
                          _mul(self.vec, other.vec, self.field.weights),
                          self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _rational(other)
-        return MQElement(self.field, [c * other.denominator for c in self.vec],
-                         self.den * other.numerator)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers are not supported")
-        result = self.field.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self, flip_mask: int) -> "MQElement":
-        """Apply the field automorphism sending sqrt(gens[i]) to
-        -sqrt(gens[i]) for each i in flip_mask."""
-        return MQElement(self.field,
-                         [-c if (mask & flip_mask).bit_count() % 2 else c
-                          for mask, c in enumerate(self.vec)],
-                         self.den)
 
     def __str__(self):
         w = self.field.weights

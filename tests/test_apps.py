@@ -1,7 +1,7 @@
 """Theorem-level checks: unit products, square certificates, d-search,
 norm sign prediction, and the biquadratic unit index."""
 
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -18,7 +18,7 @@ from quadrec.apps import (
     unit_element,
     unit_family,
 )
-from quadrec.mquad import MQField, field_containing, is_square
+from quadrec.mquad import MQElement, MQField, field_containing, is_square
 from quadrec.pell import fundamental_unit
 from quadrec.sweeps import SweepConfig, _enum_kuroda
 
@@ -26,23 +26,31 @@ from quadrec.sweeps import SweepConfig, _enum_kuroda
 def test_unit_element_embeds_the_unit():
     field = MQField((5,))
     eps = unit_element(fundamental_unit(5), field)
-    assert eps * 2 == field.rational(1) + field.sqrt_radicand(5)
-    # its norm relation transfers: eps * conj(eps) = -1
-    assert eps * eps.conjugate(0b1) == field.rational(-1)
+    assert eps * 2 == MQElement(field, [1, 1], 1)
+    # its norm relation transfers: eps * conj(eps) = -1, conj(eps) = (1 - sqrt5)/2
+    assert eps * MQElement(field, [1, -1], 2) == MQElement(field, [-1, 0], 1)
 
 
 def test_unit_element_matches_the_four_operation_chain():
-    # unit_element builds one vector; the chain it replaced is
-    # (x + sqrt(m)*y)/den through rational, multiply, add and divide
+    # unit_element builds one vector over the product basis; the reference
+    # is the chain (x + y*sqrt(m))/den in 120-digit Decimals, and the vector
+    # is read back with every square root positive.  Every term of both is
+    # positive, so no digits cancel.
     count = 0
-    for m in range(2, 2000):
-        if not is_squarefree(m):
-            continue
-        unit = fundamental_unit(m)
-        for field in (MQField((m,)), field_containing([*prime_divisors(m), 3])):
-            chain = (field.rational(unit.x) + field.sqrt_radicand(m) * unit.y) / unit.den
-            assert unit_element(unit, field) == chain, (m, field)
-        count += 1
+    with localcontext() as ctx:
+        ctx.prec = 120
+        for m in range(2, 2000):
+            if not is_squarefree(m):
+                continue
+            unit = fundamental_unit(m)
+            chain = (unit.x + unit.y * Decimal(m).sqrt()) / unit.den
+            for field in (MQField((m,)), field_containing([*prime_divisors(m), 3])):
+                x = unit_element(unit, field)
+                w = field.weights
+                got = sum(Decimal(c) * Decimal(w[mask]).sqrt()
+                          for mask, c in enumerate(x.vec) if c) / x.den
+                assert abs(got - chain) <= chain * Decimal("1e-100"), (m, field)
+            count += 1
     assert count == 1214
 
 
@@ -61,9 +69,8 @@ def test_theorem_sq_family_5_13_65():
     res = theorem_sq_check(unit_family((5, 13, 65)))
     assert res.ok
     f = res.field
-    expected = (f.rational(7) + 5 * f.sqrt_radicand(5)
-                + 3 * f.sqrt_radicand(13) + f.sqrt_radicand(65)) / 4
-    assert res.root == expected
+    assert f.gens == (5, 13)  # the basis 1, sqrt5, sqrt13, sqrt65
+    assert res.root == MQElement(f, [7, 5, 3, 1], 4)
     assert res.root * res.root == res.element
 
 
@@ -71,8 +78,8 @@ def test_theorem_sq_family_2_5_10():
     res = theorem_sq_check(unit_family((2, 5, 10)))
     assert res.ok
     f = res.field
-    product = (f.rational(13) + 8 * f.sqrt_radicand(2) + 5 * f.sqrt_radicand(5)
-               + 4 * f.sqrt_radicand(10)) / 2
+    assert f.gens == (2, 5)  # the basis 1, sqrt2, sqrt5, sqrt10
+    product = MQElement(f, [13, 8, 5, 4], 2)
     assert res.element == product
     assert res.root * res.root == product
 
@@ -87,12 +94,17 @@ def test_theorem_sq_rejects_wrong_hypotheses():
 def test_positive_norm_roots():
     r15 = positive_norm_square_check(15)
     assert r15.ok
-    f = r15.field
-    assert r15.root == (f.sqrt_radicand(6) + f.sqrt_radicand(10)) / 2
+    # (sqrt6 + sqrt10)/2 over 1, sqrt2, sqrt3, sqrt6, sqrt5, sqrt10, sqrt15, sqrt30
+    assert r15.field.gens == (2, 3, 5)
+    assert r15.root == MQElement(r15.field, [0, 0, 0, 1, 0, 1, 0, 0], 2)
     r3 = positive_norm_square_check(3)
-    assert r3.root == (r3.field.sqrt_radicand(2) + r3.field.sqrt_radicand(6)) / 2
+    # (sqrt2 + sqrt6)/2 over 1, sqrt2, sqrt3, sqrt6
+    assert r3.field.gens == (2, 3)
+    assert r3.root == MQElement(r3.field, [0, 1, 0, 1], 2)
     r7 = positive_norm_square_check(7)
-    assert r7.root == (3 * r7.field.sqrt_radicand(2) + r7.field.sqrt_radicand(14)) / 2
+    # (3*sqrt2 + sqrt14)/2 over 1, sqrt2, sqrt7, sqrt14
+    assert r7.field.gens == (2, 7)
+    assert r7.root == MQElement(r7.field, [0, 3, 0, 1], 2)
     # m = 1 (mod 4) stays inside the odd-generator field
     r21 = positive_norm_square_check(21)
     assert r21.ok and all(g % 2 for g in r21.field.gens)
@@ -103,7 +115,10 @@ def test_positive_norm_five_generators():
     res = positive_norm_square_check(1155)
     f = res.field
     assert len(f.gens) == 5
-    assert res.root == (f.sqrt_radicand(66) + f.sqrt_radicand(70)) / 2
+    # (sqrt66 + sqrt70)/2
+    vec = [0] * f.degree
+    vec[f.subset_with_kernel(66)] = vec[f.subset_with_kernel(70)] = 1
+    assert res.root == MQElement(f, vec, 2)
 
 
 def test_positive_norm_domain():
@@ -137,6 +152,16 @@ def test_candm_validates_inputs():
     with pytest.raises(DomainError):
         # P misses a forced prime: (13/2)... (2 mod 5 is a non-residue)
         candm_check(((2, 5), (5, 13), (13, 2)), {2, 5})
+
+
+@pytest.mark.parametrize("check", [lambda m, n: candm_check(((m, n),), ()),
+                                   candp_check, norm_sign_predict],
+                         ids=["candm", "candp", "norm-sign"])
+def test_split_hypotheses_are_one_rule(check):
+    for m, n, message in ((4, 5, "squarefree"), (0, 5, "squarefree"),
+                          (5, 10, "coprime"), (1, 1, "trivial")):
+        with pytest.raises(DomainError, match=message):
+            check(m, n)
 
 
 def test_candp_worked_instance():
@@ -207,11 +232,11 @@ def test_kuroda_unit_products_have_no_negative_square():
         field = field_containing(ds)
         units = [unit_element(fundamental_unit(d), field) for d in ds]
         for e in range(1, 8):
-            x = field.rational(1)
+            x = MQElement(field, [1] + [0] * (field.degree - 1), 1)
             for i, u in enumerate(units):
                 if e >> i & 1:
                     x = x * u
-            assert is_square(-x) is None, (p, q, r, e)
+            assert is_square(x * -1) is None, (p, q, r, e)
 
 
 def test_triquad_parity():

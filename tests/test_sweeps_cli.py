@@ -263,7 +263,7 @@ def times_a_prime_outside_the_field(check):
     def mutant(*args):
         res = check(*args)
         q = next(p for p in primes_in_v(100) if all(g % p for g in res.field.gens))
-        element = res.element * res.field.rational(q)
+        element = res.element * q
         return res._replace(element=element, root=is_square(element))
     return mutant
 
