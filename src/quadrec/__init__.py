@@ -69,7 +69,6 @@ from .apps import (
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
-    triquad_parity_criterion,
     unit_element,
     unit_family,
 )

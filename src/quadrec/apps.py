@@ -1,6 +1,5 @@
 """Unit-product squareness checks, candidate narrowing, norm-sign
-prediction, the biquadratic unit index, and the triquadratic parity
-criterion.
+prediction, and the biquadratic unit index.
 
 Every function here cross-validates a closed-form prediction against
 independent exact computation (continued-fraction units on one side,
@@ -26,7 +25,7 @@ from .arith import (
     v_symbol,
 )
 from .f2graph import edge
-from .invariants import edge_invariant, general_invariant, triangle_invariant
+from .invariants import edge_invariant, general_invariant
 from .mquad import MQElement, MQField, field_containing, find_d, is_square
 from .pell import QuadUnit, fundamental_unit
 
@@ -307,9 +306,3 @@ def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
     computed = kuroda_q(p, q * r, p * q * r)
     return KurodaExampleResult(p, q, r, formula, computed)
 
-
-def triquad_parity_criterion(p: int, q: int, r: int) -> str:
-    """Predicted parity of the class number of the field generated by the
-    three square roots, for a pairwise non-residue triple: even exactly
-    when the triangle invariant vanishes."""
-    return "even" if triangle_invariant(p, q, r) == 0 else "odd"

@@ -273,8 +273,12 @@ def factorize(n: int) -> dict[int, int]:
     factor is one of an instance's own.  A field keeps no factorization,
     only its radicand table, and find_d reads the square class of each
     candidate off that table without factorising it.  The sweep
-    enumerations do not call it; sweeps._squarefrees reads the
-    factorizations off a sieve.
+    enumerations do not call it.  sweeps._squarefrees strikes the multiples
+    of every square, and for thm-sq and norm-sign those of every prime
+    = 3 (mod 4), from a sieve, and reads the primes of each survivor off
+    its smallest-prime-factor array; norm-sign keeps only the splits in the
+    Redei kernel of those primes, so `norm_sign_predict` factorises only
+    splits that meet its hypothesis.
     """
     if n < 1:
         raise DomainError("factorize needs a positive integer")
@@ -324,6 +328,26 @@ def gf2_echelon(rows) -> list[tuple[int, int]]:
         if vec:
             basis.append((vec, tag))
     return basis
+
+
+def gf2_kernel(vectors) -> list[int]:
+    """A basis of the GF(2) relations among `vectors`: the bit sets x whose
+    vectors, vectors[i] for each bit i of x, XOR to zero.
+
+    Each vector, tagged with its own bit 1 << i, is reduced against the
+    rows kept so far; a non-zero residue is kept as a row, and a vector
+    that reduces to zero is a sum of earlier ones, its tag the relation.
+    One relation per dependent vector, whose bit is the highest in it, so
+    they are independent, and there are as many as the corank."""
+    rows: list[tuple[int, int]] = []
+    kernel = []
+    for i, vec in enumerate(vectors):
+        vec, tag = gf2_reduce(vec, rows, 1 << i)
+        if vec:
+            rows.append((vec, tag))
+        else:
+            kernel.append(tag)
+    return kernel
 
 
 def is_perfect_square(n: int) -> bool:

@@ -29,7 +29,7 @@ from itertools import combinations
 from .arith import (
     DomainError,
     gf2_echelon,
-    gf2_reduce,
+    gf2_kernel,
     legendre,
     primes_in_v,
     require_v_prime,
@@ -90,25 +90,17 @@ def cycle_space(vertices, edges) -> tuple[list[Edge], list[int]]:
     as masks over them one fundamental cycle per edge outside the
     ascending-order spanning forest, in ascending edge order.
 
-    Each edge, ascending, is the vertex vector bit(u) | bit(v) tagged with
-    its own edge bit, reduced against the forest edges kept so far.  It is
+    The cycles are the GF(2) relations among the edges' vertex vectors
+    bit(u) | bit(v), taken ascending (`gf2_kernel`).  An edge is
     independent of the earlier edges exactly when it joins two of their
-    components, so the edges kept are the forest Kruskal picks in that
-    order.  An edge that reduces to zero closes a cycle: its tag is the
-    edge plus the forest edges whose vectors sum to its own, and the only
-    such forest edges are the forest path between its ends.
+    components, so the edges kept as rows are the forest Kruskal picks in
+    that order.  An edge that reduces to zero closes a cycle: its relation
+    is the edge plus the forest edges whose vectors sum to its own, and the
+    only such forest edges are the forest path between its ends.
     """
     vs, es = _edges(vertices, edges)
     bit = {v: 1 << k for k, v in enumerate(vs)}
-    forest: list[tuple[int, int]] = []
-    cycles = []
-    for i, (u, v) in enumerate(es):
-        vec, tag = gf2_reduce(bit[u] | bit[v], forest, 1 << i)
-        if vec:
-            forest.append((vec, tag))
-        else:
-            cycles.append(tag)
-    return es, cycles
+    return es, gf2_kernel(bit[u] | bit[v] for u, v in es)
 
 
 # Ascending primes of V, and per vertex p the bitset over that list of the

@@ -23,11 +23,13 @@ from array import array
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations
 from math import gcd, isqrt, prod
+from operator import not_
 
 from .arith import (
     DomainError,
+    gf2_kernel,
     primes_in_v,
     primes_up_to,
     v_symbol,
@@ -102,31 +104,37 @@ class SweepRecord(namedtuple("SweepRecord", "check instance predicted oracle ver
         return tuple.__new__(cls, (check, instance, predicted, oracle, verdict))
 
 
-def _squarefrees(lo: int, hi: int):
+def _squarefrees(lo: int, hi: int, v_only: bool = False):
     """Yield (s, its ascending prime divisors) for each squarefree s in
-    [lo, hi], 1 <= lo.
+    [lo, hi], 1 <= lo; with v_only, only the s whose primes all lie in V,
+    that is, none is 3 (mod 4).
 
     One smallest-prime-factor sieve up to hi, an array of 4 bytes per
     integer (200 KB at hi = 50000): spf[n] is the least prime dividing a
-    composite n and 0 for a prime.  Each s is read off by following spf,
-    and dropped at its first repeated prime.  No trial division, so the
-    enumerations leave the up-to-32768-entry _factorize LRU untouched.
+    composite n and 0 for a prime.  Beside it a byte per integer strikes
+    the multiples of every p^2 and, with v_only, of every prime = 3 (mod 4),
+    all by slice assignment, so the Python walk visits only the survivors
+    and reads each one's primes by following spf.  No trial division, so
+    the enumerations leave the up-to-32768-entry _factorize LRU untouched.
     """
     spf = array("I", [0]) * (hi + 1)
+    keep = bytearray([1]) * (hi + 1)
     # largest prime first, so the least prime of each multiple is written last
     for p in reversed(primes_up_to(isqrt(hi))):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, hi + 1, p))
-    for s in range(lo, hi + 1):
+        spf[p * p :: p] = array("I", [p]) * (hi // p - p + 1)
+        keep[p * p :: p * p] = bytes(hi // (p * p))
+    if v_only:
+        # the primes among 3, 7, 11, ... are where spf reads 0
+        for p in compress(range(3, hi + 1, 4), map(not_, spf[3::4])):
+            keep[p::p] = bytes(hi // p)
+    for s in compress(range(lo, hi + 1), keep[lo:]):
         ps = []
         n = s
         while n > 1:
             p = spf[n] or n
-            if ps and ps[-1] == p:
-                break
             ps.append(p)
             n //= p
-        else:
-            yield s, tuple(ps)
+        yield s, tuple(ps)
 
 
 # --- scholz -----------------------------------------------------------------
@@ -286,7 +294,7 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
 
 def _enum_thm_sq(config: SweepConfig) -> Iterator[tuple]:
     bound = config.bound_for("thm-sq")
-    ms = [m for m, ps in _squarefrees(2, bound) if all(p % 4 != 3 for p in ps)]
+    ms = [m for m, _ in _squarefrees(2, bound, v_only=True)]
     for i, m1 in enumerate(ms):
         yield from ((m1, m2) for m2 in ms[i + 1:] if gcd(m1, m2) == 1)
 
@@ -408,10 +416,38 @@ def _eval_candp(args: tuple) -> SweepRecord | None:
 # --- norm-sign --------------------------------------------------------------
 
 def _enum_norm_sign(config: SweepConfig) -> Iterator[tuple]:
-    for s, ps in _squarefrees(2, config.bound_for("norm-sign")):
-        if any(p % 4 == 3 for p in ps):
-            continue
-        for bits in range(1, (1 << len(ps)) - 1):
+    """The splits s = m*n, 1 < m < n, of each squarefree s whose primes all
+    lie in V, with every cross Legendre symbol +1: (n/p) = +1 for each
+    prime p of m and (m/q) = +1 for each prime q of n.  They come in
+    ascending order of m's bit vector over the ascending primes of s.
+
+    Those splits are the kernel of the Redei matrix L = A + diag(deg) over
+    GF(2), where A is the non-residue adjacency on the primes of s and x
+    the indicator of m.  For p in m, (n/p) = -1 exactly when p has an odd
+    number of non-residue partners outside m, that is, deg(p) plus its
+    partners in m: row p of L x.  For q outside m, (m/q) = -1 exactly when
+    q has an odd number of partners in m: row q of L x, as x_q = 0.  Each
+    non-residue pair adds e_i + e_j to rows i and j, so L is the Laplacian
+    of the non-residue graph mod 2: symmetric, its kernel the relations
+    among its rows (`gf2_kernel`), all-ones always in it.  The kernel
+    vectors 0 (m = 1) and all-ones (n = 1) are no splits; m < n keeps one
+    of each complementary pair and drops all-ones.  The kernel is read off
+    the symbols alone, with no factorisation; `norm_sign_predict` re-checks
+    every hypothesis of each split it is given.
+    """
+    for s, ps in _squarefrees(2, config.bound_for("norm-sign"), v_only=True):
+        rows = [0] * len(ps)
+        for i, j in combinations(range(len(ps)), 2):
+            # Euler's criterion modulo the larger prime, which is odd; the
+            # sieve proved both prime, so no `legendre` primality test
+            if pow(ps[i], ps[j] >> 1, ps[j]) != 1:
+                pair = 1 << i | 1 << j
+                rows[i] ^= pair
+                rows[j] ^= pair
+        span = [0]
+        for x in gf2_kernel(rows):
+            span += [v ^ x for v in span]
+        for bits in sorted(span)[1:]:
             m = prod(p for i, p in enumerate(ps) if bits >> i & 1)
             n = s // m
             if m < n:

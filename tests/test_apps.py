@@ -14,7 +14,6 @@ from quadrec.apps import (
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
-    triquad_parity_criterion,
     unit_element,
     unit_family,
 )
@@ -237,13 +236,6 @@ def test_kuroda_unit_products_have_no_negative_square():
                 if e >> i & 1:
                     x = x * u
             assert is_square(x * -1) is None, (p, q, r, e)
-
-
-def test_triquad_parity():
-    assert triquad_parity_criterion(2, 5, 13) == "even"
-    assert triquad_parity_criterion(2, 5, 37) == "odd"
-    with pytest.raises(DomainError):
-        triquad_parity_criterion(5, 29, 2)
 
 
 def test_field_containing_collapses_pairs():

@@ -1,7 +1,9 @@
 """Symbol and modular arithmetic tests against brute-force oracles."""
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -9,6 +11,7 @@ from quadrec import arith
 from quadrec.arith import (
     DomainError,
     factorize,
+    gf2_kernel,
     is_prime,
     is_perfect_square,
     is_squarefree,
@@ -299,3 +302,17 @@ def test_squarefree_helpers():
     assert squarefree_kernel(49) == 1
     assert is_perfect_square(0) and is_perfect_square(144)
     assert not is_perfect_square(-4) and not is_perfect_square(99)
+
+
+def test_gf2_kernel_spans_every_relation():
+    # every subset of at most 9 vectors that XORs to zero, by brute force
+    rng = random.Random(26)
+    for _ in range(200):
+        vectors = [rng.getrandbits(rng.randint(0, 6)) for _ in range(rng.randint(0, 9))]
+        relations = {x for x in range(1 << len(vectors))
+                     if not reduce(xor, (v for i, v in enumerate(vectors) if x >> i & 1), 0)}
+        kernel = gf2_kernel(vectors)
+        span = {0}
+        for x in kernel:
+            span |= {v ^ x for v in span}
+        assert span == relations and len(relations) == 1 << len(kernel), vectors

@@ -43,6 +43,7 @@ PINNED = {
     ("scholz2", 200): (678, "0fece47907d24d22e7c69bc057615080baf9ed932bde27a94c5acbe79592b21d"),
     ("norm-sign", 5000): (110, "95f1d025f39893c61fbb75373df13cd864b3d68d1a38fc7f62adb3b9adbb9541"),
     ("norm-sign", 50000): (1122, "509bd4bfede8808e683d8c024de2318e3276e40f8e752e5934f2ce34a0215fb5"),
+    ("norm-sign", 200000): (4511, "cae8b0ca4e385956f37d91c71fa3753e8deed4ca60f4d8a99980c5799a53cd35"),
     ("duality", 10): (203, "f34a98328df4ec073eb699e65ad35ec17306182b809fe2fb87f39f6b20ffb3d5"),
     ("duality", 16): (203, "bda0bbac4ecc77452f059f48ed980fbe9eb3711990e3e104570e71a1c25d03be"),
     ("duality", 60): (203, "4d226de783c7618787be95c7745e5c0be82cb5f3ed846b1f8cdffb67945f86d5"),

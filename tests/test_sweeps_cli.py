@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from itertools import combinations, permutations
@@ -15,10 +16,11 @@ from math import ceil, prod
 
 import pytest
 
-from quadrec import arith, f2graph, pell, sweeps
+from quadrec import apps, arith, f2graph, pell, sweeps
 from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import build_graph, edge, first_v_primes
+from quadrec.invariants import odd_nonresidue_vertices
 from quadrec.mquad import is_square
 from quadrec.pell import QuadUnit
 from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, SweepRecord, run_check, summarize
@@ -320,7 +322,84 @@ def squarefrees_by_trial_division(lo, hi):
 @pytest.mark.parametrize("lo,hi", [(2, 2), (3, 3), (3, 2), (1, 12), (2, 3),
                                    (49_990, 50_010), (2, 20_000)])
 def test_squarefree_sieve_matches_trial_division(lo, hi):
-    assert list(sweeps._squarefrees(lo, hi)) == list(squarefrees_by_trial_division(lo, hi))
+    expected = list(squarefrees_by_trial_division(lo, hi))
+    assert list(sweeps._squarefrees(lo, hi)) == expected
+    # with the multiples of the primes = 3 (mod 4) struck as well
+    assert list(sweeps._squarefrees(lo, hi, v_only=True)) == [
+        (s, ps) for s, ps in expected if all(p % 4 != 3 for p in ps)]
+
+
+def v_squarefrees(bound):
+    """The squarefree s in [2, bound] with no prime = 3 (mod 4), by trial
+    division."""
+    return ((s, ps) for s, ps in squarefrees_by_trial_division(2, bound)
+            if all(p % 4 != 3 for p in ps))
+
+
+def norm_sign_splits_by_filtering(bound):
+    """The enumeration the Redei kernel replaced: every split m < n of each
+    squarefree s in V, kept when no cross Legendre symbol is -1."""
+    for s, ps in v_squarefrees(bound):
+        for bits in range(1, (1 << len(ps)) - 1):
+            m = prod(p for i, p in enumerate(ps) if bits >> i & 1)
+            n = s // m
+            if m < n and next(apps._cross_nonresidues(m, n), None) is None:
+                yield m, n
+
+
+@pytest.mark.parametrize("bound,count", [(2, 0), (65, 1), (130, 2), (1000, 36),
+                                         (5000, 186), (50000, 2135)])
+def test_norm_sign_kernel_equals_the_filtered_splits(bound, count):
+    kernel = list(sweeps._enum_norm_sign(SweepConfig(bound=bound)))
+    assert kernel == list(norm_sign_splits_by_filtering(bound))
+    assert len(kernel) == count
+
+
+def test_norm_sign_kernel_is_the_cuts_in_the_invariant_group():
+    # a cut {pq : p | m, q | n} has even non-residue degree at p exactly
+    # when (n/p) = +1: a route through the graph layer, with no GF(2)
+    cuts = set()
+    for s, ps in v_squarefrees(5000):
+        for size in range(1, len(ps)):
+            for mps in combinations(ps, size):
+                m = prod(mps)
+                n = s // m
+                cut = [(p, q) for p in mps for q in ps if q not in mps]
+                if m < n and not odd_nonresidue_vertices(cut):
+                    cuts.add((m, n))
+    kernel = list(sweeps._enum_norm_sign(SweepConfig(bound=5000)))
+    assert set(kernel) == cuts and len(kernel) == len(cuts) == 186
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) by pivoting on the lowest set bit, apart from the
+    elimination of `arith`."""
+    rows = [r for r in rows if r]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def test_norm_sign_yields_half_of_each_kernel_but_its_trivial_pair():
+    per_s = Counter(m * n for m, n in sweeps._enum_norm_sign(SweepConfig(bound=5000)))
+    dimensions = Counter()
+    for s, ps in v_squarefrees(5000):
+        t = len(ps)
+        adjacent = [[p != q and v_symbol(p, q) == -1 for q in ps] for p in ps]
+        # L = A + diag(deg) over GF(2)
+        rows = [sum(1 << j for j in range(t) if adjacent[i][j]) | sum(adjacent[i]) % 2 << i
+                for i in range(t)]
+        rank = gf2_rank(rows)
+        dimensions[t - rank] += 1
+        # 2^(t - rank L) kernel vectors: 0 and all-ones, then complementary pairs
+        assert 2 ** (t - rank) == 2 + 2 * per_s.pop(s, 0), s
+    assert not per_s
+    assert dimensions[1] and dimensions[2] and dimensions[3]
 
 
 def test_norm_sign_enumeration_does_not_factorize():
