@@ -224,7 +224,7 @@ def norm_sign_predict(m: int, n: int) -> Sign | None:
     """Predict norm +1 for the unit of m*n when all cross Legendre symbols
     are +1 and the paired quartic product is -1; no prediction otherwise."""
     _require_split(m, n)
-    for p in prime_divisors(m * n):
+    for p in prime_divisors(m) + prime_divisors(n):
         if p % 4 == 3:
             raise DomainError(f"prime divisor {p} is 3 mod 4")
     if next(_cross_nonresidues(m, n), None) is not None:

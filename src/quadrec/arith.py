@@ -151,10 +151,11 @@ def v_symbol(p: int, q: int) -> int:
 
 @lru_cache(maxsize=1 << 11)
 def _v_symbol(p: int, q: int) -> int:
-    """`v_symbol` of p <= q, so 2 is never the modulus.  The graph layer
-    re-checks the same few hundred edges once per record; the bound keeps
-    the memory of a scan over tens of thousands of pairs (scholz) fixed.
-    An invalid pair is never stored, so it raises on every call."""
+    """`v_symbol` of p <= q, so 2 is never the modulus.  The triangle and
+    invariant checks read the same few hundred edges over and over; the
+    bound keeps the memory of a scan over tens of thousands of pairs
+    (scholz) fixed.  An invalid pair is never stored, so it raises on every
+    call."""
     if p == q:
         raise DomainError("v_symbol needs distinct primes")
     require_v_prime(p)
@@ -265,20 +266,8 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     Trial division by small primes, then is_prime on the cofactor; a
-    composite cofactor goes on with trial division by odd numbers.  So a
-    product of two large primes is slow.  No caller passes one: the inputs
-    are the moduli of single instances and their products (the hypothesis
-    checks and prime sets of apps), and in mquad the generators
-    (is_squarefree) and the squarefree kernels of radicands, so every prime
-    factor is one of an instance's own.  A field keeps no factorization,
-    only its radicand table, and find_d reads the square class of each
-    candidate off that table without factorising it.  The sweep
-    enumerations do not call it.  sweeps._squarefrees strikes the multiples
-    of every square, and for thm-sq and norm-sign those of every prime
-    = 3 (mod 4), from a sieve, and reads the primes of each survivor off
-    its smallest-prime-factor array; norm-sign keeps only the splits in the
-    Redei kernel of those primes, so `norm_sign_predict` factorises only
-    splits that meet its hypothesis.
+    composite cofactor goes on with trial division by odd numbers, so a
+    product of two large primes is slow.  Memoised, with a bounded memo.
     """
     if n < 1:
         raise DomainError("factorize needs a positive integer")
@@ -308,26 +297,16 @@ def squarefree_kernel(n: int) -> int:
 
 def gf2_reduce(vec: int, basis, tag: int = 0) -> tuple[int, int]:
     """Reduce the GF(2) bit vector `vec` against the (vector, tag) rows of
-    `basis`, as built by gf2_echelon; each row used is XORed in, and so is
-    its tag into `tag`.  Returns (residue, tag); residue 0 means vec lies in
-    the span, with the tags saying which combination of rows gives it."""
+    `basis`, in order, each row the non-zero residue of its own reduction
+    against the rows before it, as `gf2_kernel` keeps them; each row used
+    is XORed in, and so is its tag into `tag`.  Returns (residue, tag);
+    residue 0 means vec lies in the span, with the tags saying which
+    combination of rows gives it."""
     for bvec, btag in basis:
         if vec ^ bvec < vec:
             vec ^= bvec
             tag ^= btag
     return vec, tag
-
-
-def gf2_echelon(rows) -> list[tuple[int, int]]:
-    """Echelon basis of the span of (vector, tag) rows over GF(2): each row
-    is reduced against the basis so far and kept if anything is left, its
-    tag recording which input rows combine into it."""
-    basis: list[tuple[int, int]] = []
-    for vec, tag in rows:
-        vec, tag = gf2_reduce(vec, basis, tag)
-        if vec:
-            basis.append((vec, tag))
-    return basis
 
 
 def gf2_kernel(vectors) -> list[int]:

@@ -6,11 +6,14 @@ vectors over GF(2) under symmetric difference; this module computes boundary
 and cycle space bases, each returned as the sorted distinct edges and one
 int mask per basis vector over them (bit i is edge i), and decomposes
 non-residue cycles, given as their vertex order, into triangles, given as
-sorted vertex triples, through an auxiliary prime.  Both bases come
-from the GF(2) elimination of `arith`.  An edge's vertex vector is
-independent of the earlier edges' exactly when it closes no cycle with
-them, so ascending elimination keeps the ascending spanning forest and
-tags every other edge with its fundamental cycle.  The
+sorted vertex triples, through an auxiliary prime; `triangle_decompose`
+checks only the shape of a cycle, and `invariants.triangle_invariant` the
+residue hypotheses of each triangle.  Both bases come from `gf2_kernel`,
+the one GF(2) elimination of `arith`: a vector is independent of the
+earlier ones exactly when its index is the top bit of no relation.  An
+edge's vertex vector is independent of the earlier edges' exactly when it
+closes no cycle with them, so ascending elimination keeps the ascending
+spanning forest and tags every other edge with its fundamental cycle.  The
 auxiliary primes of a cycle come from one ascending, unbounded walk over V
 (`auxiliary_primes`), which always finds the next one: the conditions on it
 are congruence classes prime to 8 times the vertex product, and each such
@@ -28,7 +31,6 @@ from itertools import combinations
 
 from .arith import (
     DomainError,
-    gf2_echelon,
     gf2_kernel,
     legendre,
     primes_in_v,
@@ -76,13 +78,17 @@ def _edges(vertices, edges) -> tuple[list[int], list[Edge]]:
 
 def boundary_space(vertices, edges) -> tuple[list[Edge], list[int]]:
     """A GF(2) basis of the span of the vertex stars (edges at one vertex):
-    the sorted distinct edges, and the basis vectors as masks over them."""
+    the sorted distinct edges, and as masks over them the stars, in vertex
+    order, that are independent of the stars before them, which are the
+    stars whose index is the top bit of no relation (`gf2_kernel`)."""
     vs, es = _edges(vertices, edges)
     stars = dict.fromkeys(vs, 0)
     for i, (u, v) in enumerate(es):
         stars[u] |= 1 << i
         stars[v] |= 1 << i
-    return es, [m for m, _ in gf2_echelon((star, 0) for star in stars.values())]
+    masks = list(stars.values())
+    dependent = {x.bit_length() - 1 for x in gf2_kernel(masks)}
+    return es, [m for i, m in enumerate(masks) if i not in dependent]
 
 
 def cycle_space(vertices, edges) -> tuple[list[Edge], list[int]]:
@@ -167,16 +173,19 @@ def auxiliary_primes(vertices):
 
 
 def triangle_decompose(order, aux: int) -> list[tuple[int, int, int]]:
-    """Write a simple non-residue cycle as a symmetric difference of
-    non-residue triangles through the auxiliary prime `aux`, each given as
-    its sorted vertex triple.
+    """Write a simple cycle as a symmetric difference of triangles through
+    the auxiliary prime `aux`, each given as its sorted vertex triple.
 
     The cycle is its vertices in traversal order; the closing edge from the
     last vertex back to the first is implied.  Each edge (p, q) of it gives
     the triangle (p, q, aux), so a cycle of k vertices, a 3-cycle too, gives
-    k triangles.  `aux` must be a prime of V, not a vertex, and a
-    non-residue against every vertex; `auxiliary_primes` yields exactly
-    those, and any two of them give two different decompositions.
+    k triangles.  Only the shape is checked here: at least three distinct
+    vertices, and an integer `aux` that is none of them.  Every pair whose
+    symbol the decomposition needs, a cycle edge or a vertex with `aux`, is
+    an edge of a triangle, and `invariants.triangle_invariant` checks that
+    each triangle is a pairwise non-residue triple of V-primes.  For a
+    non-residue cycle `auxiliary_primes` yields exactly the `aux` that
+    pass, and any two of them give two different decompositions.
     """
     k = len(order)
     if k < 3 or len(set(order)) != k:
@@ -184,16 +193,9 @@ def triangle_decompose(order, aux: int) -> list[tuple[int, int, int]]:
     if not isinstance(aux, int):
         raise DomainError(f"a cycle of {k} vertices needs an integer auxiliary "
                           f"prime, got {aux!r}")
-    pairs = list(zip(order, order[1:] + order[:1]))
-    for u, v in pairs:
-        if v_symbol(u, v) != -1:
-            raise DomainError(f"({u}/{v}) = +1; cycle must be non-residue")
     if aux in order:
         raise DomainError(f"auxiliary prime {aux} is a cycle vertex")
-    for p in order:
-        if v_symbol(p, aux) != -1:
-            raise DomainError(f"({p}/{aux}) = +1; the auxiliary prime must be "
-                              "a non-residue against every cycle vertex")
+    pairs = list(zip(order, order[1:] + order[:1]))
     triangles = [tuple(sorted((p, q, aux))) for p, q in pairs]
     acc: set = set()
     for a, b, c in triangles:
@@ -201,4 +203,3 @@ def triangle_decompose(order, aux: int) -> list[tuple[int, int, int]]:
     assert acc == {edge(u, v) for u, v in pairs}, \
         "triangle symmetric difference must reproduce the cycle"
     return triangles
-

@@ -70,7 +70,8 @@ def edge_invariant(p: int, q: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def triangle_invariant(p: int, q: int, r: int) -> int:
     """Invariant bit of a pairwise non-residue triangle: 0 iff the three
-    paired quartic symbols multiply to -1."""
+    paired quartic symbols multiply to -1.  The hypotheses are checked
+    here alone for the triangles of `f2graph.triangle_decompose`."""
     if len({p, q, r}) != 3:
         raise DomainError("triangle vertices must be distinct")
     for a, b in ((p, q), (q, r), (r, p)):

@@ -219,12 +219,12 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
     annihilate each other under the GF(2) pairing and their ranks sum to
     the number of edges.  Oracle: every pair of basis vectors meets in an
     even number of edges, and the two basis lengths are counted.  The
-    bases share `f2graph._edges` and `arith`'s GF(2) elimination: the
-    boundary basis echelons the vertex stars, the cycle basis reduces each
-    edge against the spanning forest.  Neither basis reads the other: each
-    space returns its own sorted edge list and its masks over that list,
-    and the pairing, one AND per pair of masks, is computed here once the
-    two lists agree."""
+    bases share `f2graph._edges` and `arith.gf2_kernel`: the boundary
+    basis keeps the vertex stars independent of the ones before them, the
+    cycle basis reduces each edge against the spanning forest.  Neither
+    basis reads the other: each space returns its own sorted edge list and
+    its masks over that list, and the pairing, one AND per pair of masks,
+    is computed here once the two lists agree."""
     seed, i, bound = args
     rng = random.Random(f"duality:{seed}:{i}")
     nv = rng.randint(1, bound)
@@ -278,7 +278,16 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
     `quartic` and `v_symbol`, on different arguments: the general formula
     one symbol per support vertex, of the product of its partners; each
     triangle three symbols of pair products, with the auxiliary prime
-    among its vertices.  They agree only through the product formula."""
+    among its vertices.  They agree only through the product formula.
+
+    Which function checks which hypothesis: `general_invariant` that the
+    cycle's non-residue degrees are even, `auxiliary_primes` that the
+    vertices are V-primes, `triangle_decompose` only the shape (at least
+    three distinct vertices, an integer auxiliary prime that is none of
+    them), and `triangle_invariant` that each triangle is a pairwise
+    non-residue triple of V-primes.  Every cycle edge and every vertex with
+    the auxiliary prime is an edge of one triangle, so the last is the
+    residue check of the whole decomposition."""
     instance = "-".join(map(str, order))
     base = general_invariant(zip(order, order[1:] + order[:1])).value
 

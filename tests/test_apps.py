@@ -193,8 +193,9 @@ def test_norm_sign_predictions():
     assert fundamental_unit(13 * 17).norm == 1
     assert norm_sign_predict(5, 29) is None  # quartic product +1, no claim
     assert norm_sign_predict(2, 5) is None  # cross symbol (5/2) = -1
-    with pytest.raises(DomainError):
-        norm_sign_predict(5, 3)  # 3 = 3 (mod 4)
+    for m, n in ((5, 3), (3, 5), (5, 21), (21, 5)):  # 3 = 3 (mod 4)
+        with pytest.raises(DomainError, match="prime divisor 3 is 3 mod 4"):
+            norm_sign_predict(m, n)
     with pytest.raises(DomainError):
         norm_sign_predict(5, 10)
 

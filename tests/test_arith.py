@@ -304,6 +304,13 @@ def test_squarefree_helpers():
     assert not is_perfect_square(-4) and not is_perfect_square(99)
 
 
+def span_of(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
 def test_gf2_kernel_spans_every_relation():
     # every subset of at most 9 vectors that XORs to zero, by brute force
     rng = random.Random(26)
@@ -312,7 +319,16 @@ def test_gf2_kernel_spans_every_relation():
         relations = {x for x in range(1 << len(vectors))
                      if not reduce(xor, (v for i, v in enumerate(vectors) if x >> i & 1), 0)}
         kernel = gf2_kernel(vectors)
-        span = {0}
-        for x in kernel:
-            span |= {v ^ x for v in span}
-        assert span == relations and len(relations) == 1 << len(kernel), vectors
+        assert span_of(kernel) == relations and len(relations) == 1 << len(kernel), vectors
+
+
+def test_vectors_off_the_kernel_top_bits_are_a_basis():
+    # the vectors whose index is the top bit of no relation are independent
+    # and span what all the vectors span (the rule of boundary_space)
+    rng = random.Random(27)
+    for _ in range(300):
+        vectors = [rng.getrandbits(rng.randint(0, 6)) for _ in range(rng.randint(0, 9))]
+        dependent = {x.bit_length() - 1 for x in gf2_kernel(vectors)}
+        kept = [v for i, v in enumerate(vectors) if i not in dependent]
+        assert len(span_of(kept)) == 1 << len(kept), vectors
+        assert span_of(kept) == span_of(vectors), vectors

@@ -16,6 +16,7 @@ from quadrec.f2graph import (
     edge,
     triangle_decompose,
 )
+from quadrec.invariants import triangle_invariant
 
 
 def test_edge_normalizes():
@@ -246,6 +247,14 @@ def test_triangle_decompose_properties(length):
         assert set(triangle_decompose(other, aux)) == set(tris)
 
 
+def test_triangle_decompose_of_a_residue_cycle_still_xors_back():
+    order = [2, 17, 89]  # every edge residue
+    assert all(v_symbol(u, v) == 1 for u, v in cycle_edges(order))
+    tris = triangle_decompose(order, 5)
+    assert len(tris) == 3 and all(5 in tri for tri in tris)
+    assert xor_of_triangles(tris) == cycle_edges(order)
+
+
 def test_auxiliary_primes_match_brute_force():
     order = find_nonresidue_cycle(4)
     expected = [aux for aux in primes_in_v(3000)
@@ -301,18 +310,27 @@ def test_auxiliary_primes_skip_a_vertex_two():
     assert next(auxiliary_primes([5, 13])) == 2  # both are 5 mod 8
 
 
+def refused_triangle(order, aux, match):
+    """`triangle_decompose` takes the shape, and `triangle_invariant`,
+    which checks the residue hypotheses, refuses one of its triangles."""
+    tris = triangle_decompose(order, aux)
+    with pytest.raises(DomainError, match=match):
+        for tri in tris:
+            triangle_invariant(*tri)
+
+
 def test_triangle_decompose_rejects_bad_input():
-    with pytest.raises(DomainError, match="non-residue"):
-        triangle_decompose([5, 29, 61], 2)  # residue edges
-    with pytest.raises(DomainError, match=r"\(17/2\) = \+1"):
-        triangle_decompose([2, 5, 17], 13)  # only the closing edge is residue
+    refused_triangle([5, 29, 61], 2, "non-residue")  # residue edges
+    # only the closing edge is residue, against an auxiliary prime that is
+    # a non-residue against every vertex
+    refused_triangle([2, 5, 17], next(auxiliary_primes([2, 5, 17])),
+                     r"\((2/17|17/2)\) = \+1")
     for too_short in ([2, 5], [2], []):
         with pytest.raises(DomainError, match="three distinct"):
             triangle_decompose(too_short, 37)
     with pytest.raises(DomainError, match="three distinct"):
         triangle_decompose([2, 5, 13, 5], 37)  # non-residue edges, 5 twice
-    with pytest.raises(DomainError, match="not a prime"):
-        triangle_decompose([3, 5, 13], 37)  # 3 is not in V
+    refused_triangle([3, 5, 13], 37, "not a prime")  # 3 is not in V
     for order in (find_nonresidue_cycle(3), find_nonresidue_cycle(4)):
         aux = next(auxiliary_primes(order))
         with pytest.raises(DomainError, match="cycle vertex"):
@@ -320,14 +338,11 @@ def test_triangle_decompose_rejects_bad_input():
         for not_an_int in (None, 5.0, "13"):
             with pytest.raises(DomainError, match="integer auxiliary prime"):
                 triangle_decompose(order, not_an_int)
-        with pytest.raises(DomainError, match="not a prime"):
-            triangle_decompose(order, 3)  # not in V
-        with pytest.raises(DomainError):
-            triangle_decompose(order, aux + 1)  # not a prime
+        refused_triangle(order, 3, "not a prime")  # not in V
+        refused_triangle(order, aux + 1, "not a prime")
         residue = next(q for q in primes_in_v(1000) if q not in order
                        and v_symbol(order[0], q) == 1)
-        with pytest.raises(DomainError, match="auxiliary prime must be"):
-            triangle_decompose(order, residue)
+        refused_triangle(order, residue, "pairwise non-residue")
     for cycle in ((2, 5, 13), (2, 5, 37, 13)):  # raised before any symbol
         with pytest.raises(DomainError, match=f"{len(cycle)} vertices needs an "
                            "integer .* got None"):

@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import ceil, prod
 
 import pytest
@@ -156,7 +156,36 @@ def test_triangles_oracle_rejects_a_residue_auxiliary_prime(monkeypatch):
         yield from right(vertices)
 
     monkeypatch.setattr(sweeps, "auxiliary_primes", with_a_residue)
-    with pytest.raises(DomainError, match="auxiliary prime must be"):
+    with pytest.raises(DomainError, match="pairwise non-residue"):
+        run_check("triangles", SweepConfig(bound=8))
+
+
+def test_triangles_oracle_rejects_an_auxiliary_prime_outside_v(monkeypatch):
+    right = sweeps.auxiliary_primes
+
+    def with_three(vertices):
+        yield 3
+        yield from right(vertices)
+
+    monkeypatch.setattr(sweeps, "auxiliary_primes", with_three)
+    with pytest.raises(DomainError, match="3 is not a prime with p % 4 != 3"):
+        run_check("triangles", SweepConfig(bound=8))
+
+
+def test_triangles_sweep_rejects_a_residue_cycle(monkeypatch):
+    # every edge residue: the general formula takes the cycle (no odd
+    # non-residue degree), and the triangle check is what refuses it
+    cycle = (2, 17, 89)
+    assert odd_nonresidue_vertices(zip(cycle, cycle[1:] + cycle[:1])) == []
+    enum, evaluate = sweeps.CHECKS["triangles"]
+
+    def with_a_residue_cycle(config):
+        yield from islice(enum(config), 3)
+        yield cycle
+
+    monkeypatch.setitem(sweeps.CHECKS, "triangles", (with_a_residue_cycle, evaluate))
+    with pytest.raises(DomainError, match=r"= \+1; triangle clause needs a "
+                       "pairwise non-residue"):
         run_check("triangles", SweepConfig(bound=8))
 
 
