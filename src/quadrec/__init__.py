@@ -73,7 +73,6 @@ from .apps import (
     unit_family,
 )
 from .sweeps import (
-    CHECK_DEFAULT_BOUNDS,
     SweepConfig,
     SweepRecord,
     run_check,

@@ -64,7 +64,7 @@ def unit_family(moduli) -> UnitFamily:
     return UnitFamily(ms, norms, is_perfect_square(prod(ms)))
 
 
-class SquareCheck(namedtuple("SquareCheck", "description field element root")):
+class SquareCheck(namedtuple("SquareCheck", "field element root")):
     """Outcome of one exact squareness verification: root is None when
     element is not a square in field."""
 
@@ -73,10 +73,6 @@ class SquareCheck(namedtuple("SquareCheck", "description field element root")):
     @property
     def ok(self) -> bool:
         return self.root is not None
-
-    def __str__(self):
-        verdict = "square" if self.ok else "NOT SQUARE"
-        return f"{self.description}: {verdict} in {self.field}"
 
 
 def theorem_sq_check(family: UnitFamily) -> SquareCheck:
@@ -95,9 +91,7 @@ def theorem_sq_check(family: UnitFamily) -> SquareCheck:
     element = unit_element(fundamental_unit(first), field)
     for m in rest:
         element = element * unit_element(fundamental_unit(m), field)
-    root = is_square(element)
-    label = "*".join(f"eps_{m}" for m in family.moduli)
-    return SquareCheck(label, field, element, root)
+    return SquareCheck(field, element, is_square(element))
 
 
 def positive_norm_square_check(m: int) -> SquareCheck:
@@ -111,8 +105,7 @@ def positive_norm_square_check(m: int) -> SquareCheck:
         gens.add(2)
     field = field_containing(sorted(gens))
     element = unit_element(unit, field)
-    root = is_square(element)
-    return SquareCheck(f"eps_{m}", field, element, root)
+    return SquareCheck(field, element, is_square(element))
 
 
 class CandmResult(namedtuple("CandmResult", "pairs P invariant d intersection")):

@@ -28,7 +28,7 @@ from .arith import DomainError, jacobi, legendre, quartic
 from .f2graph import build_graph, edge
 from .invariants import general_invariant
 from .pell import unit_symbol
-from .sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, run_checks
+from .sweeps import CHECKS, SweepConfig, run_checks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run prediction-vs-oracle sweeps")
     p_ver.add_argument("--check", action="append", metavar="NAME",
-                       choices=sorted(CHECK_DEFAULT_BOUNDS),
+                       choices=sorted(CHECKS),
                        help="sweep to run (repeatable; default all)")
     p_ver.add_argument("--bound", type=_positive_int, default=None,
                        help="override the per-check instance bound")
@@ -144,7 +144,7 @@ def _write_report(out, fmt: str, records) -> dict[str, int]:
 
 
 def cmd_verify(args) -> int:
-    checks = args.check or sorted(CHECK_DEFAULT_BOUNDS)
+    checks = args.check or sorted(CHECKS)
     config = SweepConfig(bound=args.bound, samples=args.samples,
                          jobs=args.jobs, seed=args.seed)
     with closing(run_checks(checks, config)) as records:

@@ -20,15 +20,10 @@ from .f2graph import edge
 
 
 class InvariantReport(namedtuple("InvariantReport", "query value clause P k")):
-    """Evaluated invariant of one edge set."""
+    """Evaluated invariant of one edge set, as `general_invariant` tallied
+    it: P its sorted support, k its number of non-residue edges."""
 
     __slots__ = ()
-
-    def __new__(cls, query: frozenset, value: int, clause: str, P: tuple[int, ...],
-                k: int):
-        assert P == tuple(sorted({v for e in query for v in e}))
-        assert k == sum(1 for u, v in query if v_symbol(u, v) == -1)
-        return tuple.__new__(cls, (query, value, clause, P, k))
 
     def __str__(self):
         pairs = " ".join(f"{u}-{v}" for u, v in sorted(self.query))

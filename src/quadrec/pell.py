@@ -67,10 +67,6 @@ class QuadUnit(namedtuple("QuadUnit", "m x y den norm")):
         assert x3 % d3 == 0 and y3 % d3 == 0
         return x3 // d3, y3 // d3
 
-    def __str__(self):
-        core = f"{self.x} + {self.y}*sqrt({self.m})"
-        return f"({core})/2" if self.den == 2 else core
-
 
 def _cf_fundamental_triple(m: int) -> tuple[int, int, int]:
     """(x, y, den) for the fundamental unit, from one continued-fraction period.

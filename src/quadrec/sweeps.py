@@ -2,17 +2,21 @@
 
 Each named check enumerates its instances up to a bound, evaluates the
 prediction and the independent oracle for every instance, and emits one
-record per instance.  Evaluation functions are module-level and take only
-the instance, a plain tuple, so sweeps can run in a process pool; instance
-order is deterministic either way.  Every enumerator is a generator and
+record per instance.  A check is declared once, as a row of CHECKS: its
+name, default bound, enumerator and evaluator.  An evaluator returns
+(instance, predicted, oracle, ok), and _records alone builds the record
+from it.  Evaluators are module-level and take only the instance, a plain
+tuple, so sweeps can run in a process pool; instance order is
+deterministic either way.  Every enumerator is a generator and
 run_checks yields each record as it is produced, so a run never holds all
 its instances or records.  Under jobs > 1 the record stream owns its pool
 and sends it every check as one ordered stream of fixed-size chunks, a
 fixed window in flight.  A DomainError stops the stream where it is raised:
 the records before it are already out.  An instance whose hypotheses fail
-is skipped (record None), never silently weakened.  SweepConfig and
-SweepRecord are named tuples that check their fields in __new__, so a
-record pickled back from a worker is checked again as the parent loads it.
+is skipped (its evaluator returns None), never silently weakened.
+SweepConfig and SweepRecord are named tuples that check their fields in
+__new__, so a record pickled back from a worker is checked again as the
+parent loads it.
 """
 
 from __future__ import annotations
@@ -53,20 +57,6 @@ from .f2graph import (
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
 from .pell import check_unit_congruences, fundamental_unit, unit_symbol
 
-CHECK_DEFAULT_BOUNDS = {
-    "scholz": 300,
-    "scholz2": 100,
-    "duality": 10,
-    "triangles": 10,
-    "thm-sq": 100,
-    "pos-norm": 500,
-    "lemma-e": 1000,
-    "candm": 60,
-    "candp": 600,
-    "norm-sign": 5000,
-    "kuroda": 60,
-}
-
 
 class SweepConfig(namedtuple("SweepConfig", "bound samples jobs seed")):
     """Settings for one verification run."""
@@ -88,9 +78,6 @@ class SweepConfig(namedtuple("SweepConfig", "bound samples jobs seed")):
         if jobs > cpus:
             raise DomainError(f"jobs must be at most {cpus}, the CPUs this process may use")
         return tuple.__new__(cls, (bound, samples, jobs, seed))
-
-    def bound_for(self, check: str) -> int:
-        return self.bound if self.bound is not None else CHECK_DEFAULT_BOUNDS[check]
 
 
 class SweepRecord(namedtuple("SweepRecord", "check instance predicted oracle verdict")):
@@ -140,13 +127,13 @@ def _squarefrees(lo: int, hi: int, v_only: bool = False):
 # --- scholz -----------------------------------------------------------------
 
 def _enum_scholz(config: SweepConfig) -> Iterator[tuple]:
-    for p, q in combinations(primes_in_v(config.bound_for("scholz")), 2):
+    for p, q in combinations(primes_in_v(config.bound), 2):
         if v_symbol(p, q) == 1:
             yield p, q
             yield q, p
 
 
-def _eval_scholz(args: tuple) -> SweepRecord | None:
+def _eval_scholz(args: tuple) -> tuple | None:
     """Prediction: Scholz's law for a residue pair of V-primes, the product
     of the quartic symbols (p/q)_4 (q/p)_4, (-1) to its edge invariant
     (`scholz_predict`).  Oracle: the residue symbol of the fundamental unit
@@ -154,14 +141,12 @@ def _eval_scholz(args: tuple) -> SweepRecord | None:
     reduced at a square root of p mod q.  The two share only the pair,
     whose hypothesis `_enum_scholz` tested, and `arith`'s primality test
     and Legendre symbol; no quartic symbol enters the oracle and no unit
-    the prediction."""
+    the prediction.  A V-prime residue against 2 is 1 (mod 8), so the
+    symbol at q = 2 is always defined."""
     p, q = args
-    if q == 2 and p % 8 != 1:
-        return None  # the unit symbol at 2 needs m = 1 mod 8
     predicted = scholz_predict(p, q)
     symbol = unit_symbol(p, q)
-    return SweepRecord("scholz", f"eps_{p}|{q}", f"{predicted:+d}", f"{symbol:+d}",
-                       "pass" if symbol == predicted else "fail")
+    return f"eps_{p}|{q}", f"{predicted:+d}", f"{symbol:+d}", symbol == predicted
 
 
 # --- scholz2 ----------------------------------------------------------------
@@ -183,11 +168,11 @@ def _nonresidue_triples(bound: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _enum_scholz2(config: SweepConfig) -> Iterator[tuple]:
-    for p, q, r in _nonresidue_triples(config.bound_for("scholz2")):
+    for p, q, r in _nonresidue_triples(config.bound):
         yield from ((p, q, r), (p, r, q), (q, r, p))
 
 
-def _eval_scholz2(args: tuple) -> SweepRecord | None:
+def _eval_scholz2(args: tuple) -> tuple | None:
     """Prediction: minus the triple quartic product of the pairwise
     non-residue triple, (-1) to its triangle invariant (`scholz2_predict`).
     Oracle: the residue symbol of the fundamental unit of a*b at c
@@ -195,26 +180,24 @@ def _eval_scholz2(args: tuple) -> SweepRecord | None:
     square root of a*b mod c.  The two share only the triple, whose
     hypothesis `_nonresidue_triples` tested, and `arith`'s primality test
     and Legendre symbol; no quartic symbol enters the oracle and no unit
-    the prediction."""
+    the prediction.  V-primes that are non-residues against 2 are 5
+    (mod 8), so at c = 2 the modulus a*b is 1 (mod 8), as the symbol
+    needs."""
     a, b, c = args
     m = a * b
-    if c == 2 and m % 8 != 1:
-        return None
     predicted = scholz2_predict(a, b, c)
     symbol = unit_symbol(m, c)
-    return SweepRecord("scholz2", f"eps_{m}|{c}", f"{predicted:+d}", f"{symbol:+d}",
-                       "pass" if symbol == predicted else "fail")
+    return f"eps_{m}|{c}", f"{predicted:+d}", f"{symbol:+d}", symbol == predicted
 
 
 # --- duality ----------------------------------------------------------------
 
 def _enum_duality(config: SweepConfig) -> Iterator[tuple]:
-    bound = config.bound_for("duality")
     for i in range(config.samples):
-        yield config.seed, i, bound
+        yield config.seed, i, config.bound
 
 
-def _eval_duality(args: tuple) -> SweepRecord | None:
+def _eval_duality(args: tuple) -> tuple | None:
     """Prediction: the boundary space and the cycle space of a random graph
     annihilate each other under the GF(2) pairing and their ranks sum to
     the number of edges.  Oracle: every pair of basis vectors meets in an
@@ -237,14 +220,13 @@ def _eval_duality(args: tuple) -> SweepRecord | None:
     oracle = (f"ranks {len(bnd)}+{len(cyc)} of {len(edges)}"
               + ("" if orthogonal else ", not orthogonal"))
     ok = orthogonal and len(bnd) + len(cyc) == len(edges)
-    return SweepRecord("duality", f"graph_{i:03d}", "annihilators", oracle,
-                       "pass" if ok else "fail")
+    return f"graph_{i:03d}", "annihilators", oracle, ok
 
 
 # --- triangles --------------------------------------------------------------
 
 def _enum_triangles(config: SweepConfig) -> Iterator[tuple]:
-    vs = first_v_primes(config.bound_for("triangles"))
+    vs = first_v_primes(config.bound)
     nbrs = {v: [w for w in vs if w != v and v_symbol(v, w) == -1] for v in vs}
 
     def walk(path, k, out):
@@ -269,7 +251,7 @@ def _enum_triangles(config: SweepConfig) -> Iterator[tuple]:
             yield from group
 
 
-def _eval_triangles(order: tuple) -> SweepRecord | None:
+def _eval_triangles(order: tuple) -> tuple | None:
     """Prediction: the invariant of the non-residue cycle from the general
     formula over its support (`general_invariant`).  Oracle: the XOR of
     the triangle invariants of its decomposition through each of the two
@@ -295,20 +277,18 @@ def _eval_triangles(order: tuple) -> SweepRecord | None:
         return sum(triangle_invariant(*tri) for tri in triangle_decompose(order, aux)) % 2
 
     s1, s2 = map(decomposition_sum, islice(auxiliary_primes(order), 2))
-    verdict = "pass" if base == s1 == s2 else "fail"
-    return SweepRecord("triangles", instance, f"{base}", f"{s1}|{s2}", verdict)
+    return instance, f"{base}", f"{s1}|{s2}", base == s1 == s2
 
 
 # --- thm-sq -----------------------------------------------------------------
 
 def _enum_thm_sq(config: SweepConfig) -> Iterator[tuple]:
-    bound = config.bound_for("thm-sq")
-    ms = [m for m, _ in _squarefrees(2, bound, v_only=True)]
+    ms = [m for m, _ in _squarefrees(2, config.bound, v_only=True)]
     for i, m1 in enumerate(ms):
         yield from ((m1, m2) for m2 in ms[i + 1:] if gcd(m1, m2) == 1)
 
 
-def _eval_thm_sq(args: tuple) -> SweepRecord | None:
+def _eval_thm_sq(args: tuple) -> tuple | None:
     """Prediction: the constant claim "square": when the units of m1, m2
     and m1*m2 all have norm -1, their product is a square in the field of
     the roots of the primes of m1*m2 (`theorem_sq_check`).  Oracle:
@@ -322,19 +302,17 @@ def _eval_thm_sq(args: tuple) -> SweepRecord | None:
     if any(n != -1 for n in family.norms):
         return None
     res = theorem_sq_check(family)
-    return SweepRecord("thm-sq", f"{m1},{m2}", "square",
-                       "square" if res.ok else "not-square",
-                       "pass" if res.ok else "fail")
+    return f"{m1},{m2}", "square", "square" if res.ok else "not-square", res.ok
 
 
 # --- pos-norm ---------------------------------------------------------------
 
 def _enum_pos_norm(config: SweepConfig) -> Iterator[tuple]:
-    for m, _ in _squarefrees(3, config.bound_for("pos-norm")):
+    for m, _ in _squarefrees(3, config.bound):
         yield (m,)
 
 
-def _eval_pos_norm(args: tuple) -> SweepRecord | None:
+def _eval_pos_norm(args: tuple) -> tuple | None:
     """Prediction: the constant claim "square": a unit of norm +1 is a
     square in the field of the roots of the primes of m, with sqrt(2) when
     m = 3 (mod 4) (`positive_norm_square_check`).  Oracle:
@@ -344,20 +322,18 @@ def _eval_pos_norm(args: tuple) -> SweepRecord | None:
     if fundamental_unit(m).norm != 1:
         return None
     res = positive_norm_square_check(m)
-    return SweepRecord("pos-norm", f"eps_{m}", "square",
-                       "square" if res.ok else "not-square",
-                       "pass" if res.ok else "fail")
+    return f"eps_{m}", "square", "square" if res.ok else "not-square", res.ok
 
 
 # --- lemma-e ----------------------------------------------------------------
 
 def _enum_lemma_e(config: SweepConfig) -> Iterator[tuple]:
-    for m, _ in _squarefrees(3, config.bound_for("lemma-e")):
+    for m, _ in _squarefrees(3, config.bound):
         if m % 2 == 1:
             yield (m,)
 
 
-def _eval_lemma_e(args: tuple) -> SweepRecord | None:
+def _eval_lemma_e(args: tuple) -> tuple | None:
     """Prediction: the constant claim "congruent": for a unit of norm -1,
     eps_m^3 = x + y*sqrt(m) has x even, 4 | x exactly when m = 1 (mod 8),
     and y = 1 (mod 4).  Oracle: the cube of the continued-fraction unit,
@@ -367,19 +343,17 @@ def _eval_lemma_e(args: tuple) -> SweepRecord | None:
     if fundamental_unit(m).norm != -1:
         return None
     report = check_unit_congruences(m)
-    if report.all_ok:
-        return SweepRecord("lemma-e", f"eps_{m}", "congruent", "congruent", "pass")
-    return SweepRecord("lemma-e", f"eps_{m}", "congruent",
-                       ",".join(report.failed_claims()), "fail")
+    oracle = ",".join(report.failed_claims()) or "congruent"
+    return f"eps_{m}", "congruent", oracle, report.all_ok
 
 
 # --- candm ------------------------------------------------------------------
 
 def _enum_candm(config: SweepConfig) -> Iterator[tuple]:
-    yield from _nonresidue_triples(config.bound_for("candm"))
+    yield from _nonresidue_triples(config.bound)
 
 
-def _eval_candm(args: tuple) -> SweepRecord | None:
+def _eval_candm(args: tuple) -> tuple | None:
     """Prediction: the general invariant of the non-residue triangle
     p-q-r, "square" when it is 0 (`general_invariant`).  Oracle: the least
     squarefree d over p, q, r that makes d*eps_pq*eps_qr*eps_rp a square in
@@ -393,21 +367,20 @@ def _eval_candm(args: tuple) -> SweepRecord | None:
     res = candm_check(((p, q), (q, r), (r, p)), {p, q, r})
     predicted = "square" if res.invariant.value == 0 else "nonsquare"
     oracle = "square" if res.d == 1 else f"nonsquare(d={res.d})"
-    return SweepRecord("candm", f"{p},{q},{r}", predicted, oracle,
-                       "pass" if res.consistent else "fail")
+    return f"{p},{q},{r}", predicted, oracle, res.consistent
 
 
 # --- candp ------------------------------------------------------------------
 
 def _enum_candp(config: SweepConfig) -> Iterator[tuple]:
-    for s, ps in _squarefrees(2, config.bound_for("candp")):
+    for s, ps in _squarefrees(2, config.bound):
         mprimes = [p for p in ps if p % 4 == 1]
         for bits in range(1 << len(mprimes)):
             m = prod(p for i, p in enumerate(mprimes) if bits >> i & 1)
             yield m, s // m
 
 
-def _eval_candp(args: tuple) -> SweepRecord | None:
+def _eval_candp(args: tuple) -> tuple | None:
     """Prediction: the constant claim "even": for a unit of norm +1, the
     primes of d meet P evenly.  Oracle: `candp_check`, which finds d by
     exact square tests of d*eps_{m*n} (`mquad.find_d`) and P from Legendre
@@ -418,8 +391,7 @@ def _eval_candp(args: tuple) -> SweepRecord | None:
         return None
     res = candp_check(m, n)
     oracle = f"|{{{','.join(map(str, res.intersection))}}}|={len(res.intersection)}"
-    return SweepRecord("candp", f"m={m},n={n}", "even", f"d={res.d},{oracle}",
-                       "pass" if res.parity_even else "fail")
+    return f"m={m},n={n}", "even", f"d={res.d},{oracle}", res.parity_even
 
 
 # --- norm-sign --------------------------------------------------------------
@@ -444,7 +416,7 @@ def _enum_norm_sign(config: SweepConfig) -> Iterator[tuple]:
     the symbols alone, with no factorisation; `norm_sign_predict` re-checks
     every hypothesis of each split it is given.
     """
-    for s, ps in _squarefrees(2, config.bound_for("norm-sign"), v_only=True):
+    for s, ps in _squarefrees(2, config.bound, v_only=True):
         rows = [0] * len(ps)
         for i, j in combinations(range(len(ps)), 2):
             # Euler's criterion modulo the larger prime, which is odd; the
@@ -463,7 +435,7 @@ def _enum_norm_sign(config: SweepConfig) -> Iterator[tuple]:
                 yield m, n
 
 
-def _eval_norm_sign(args: tuple) -> SweepRecord | None:
+def _eval_norm_sign(args: tuple) -> tuple | None:
     """Prediction: norm +1 when every cross Legendre symbol is +1 and the
     paired quartic product is -1 (`norm_sign_predict`); otherwise none,
     and the split is skipped.  Oracle: the norm of the continued-fraction
@@ -473,19 +445,18 @@ def _eval_norm_sign(args: tuple) -> SweepRecord | None:
     if norm_sign_predict(m, n) is None:
         return None
     norm = fundamental_unit(m * n).norm
-    return SweepRecord("norm-sign", f"m={m},n={n}", "+1", f"{norm:+d}",
-                       "pass" if norm == 1 else "fail")
+    return f"m={m},n={n}", "+1", f"{norm:+d}", norm == 1
 
 
 # --- kuroda -----------------------------------------------------------------
 
 def _enum_kuroda(config: SweepConfig) -> Iterator[tuple]:
-    for p, q, r in permutations(primes_in_v(config.bound_for("kuroda")), 3):
+    for p, q, r in permutations(primes_in_v(config.bound), 3):
         if v_symbol(p, q) == 1 and v_symbol(q, r) == -1:
             yield p, q, r
 
 
-def _eval_kuroda(args: tuple) -> SweepRecord | None:
+def _eval_kuroda(args: tuple) -> tuple | None:
     """Prediction: the unit index Q of Q(sqrt(p), sqrt(qr)) for a residue
     pair p, q and a non-residue pair q, r is 1 exactly when the unit of pqr
     has norm -1 and (p/q)_4 (q/p)_4 = -1, else 2 (`kuroda_example_check`).
@@ -496,23 +467,23 @@ def _eval_kuroda(args: tuple) -> SweepRecord | None:
     symbol enters the oracle."""
     p, q, r = args
     res = kuroda_example_check(p, q, r)
-    return SweepRecord("kuroda", f"{p},{q},{r}", f"Q={res.formula_value}",
-                       f"Q={res.computed.value}",
-                       "pass" if res.consistent else "fail")
+    return (f"{p},{q},{r}", f"Q={res.formula_value}", f"Q={res.computed.value}",
+            res.consistent)
 
 
+# name: (default bound, enumerator, evaluator), the one place a check is named
 CHECKS = {
-    "scholz": (_enum_scholz, _eval_scholz),
-    "scholz2": (_enum_scholz2, _eval_scholz2),
-    "duality": (_enum_duality, _eval_duality),
-    "triangles": (_enum_triangles, _eval_triangles),
-    "thm-sq": (_enum_thm_sq, _eval_thm_sq),
-    "pos-norm": (_enum_pos_norm, _eval_pos_norm),
-    "lemma-e": (_enum_lemma_e, _eval_lemma_e),
-    "candm": (_enum_candm, _eval_candm),
-    "candp": (_enum_candp, _eval_candp),
-    "norm-sign": (_enum_norm_sign, _eval_norm_sign),
-    "kuroda": (_enum_kuroda, _eval_kuroda),
+    "scholz": (300, _enum_scholz, _eval_scholz),
+    "scholz2": (100, _enum_scholz2, _eval_scholz2),
+    "duality": (10, _enum_duality, _eval_duality),
+    "triangles": (10, _enum_triangles, _eval_triangles),
+    "thm-sq": (100, _enum_thm_sq, _eval_thm_sq),
+    "pos-norm": (500, _enum_pos_norm, _eval_pos_norm),
+    "lemma-e": (1000, _enum_lemma_e, _eval_lemma_e),
+    "candm": (60, _enum_candm, _eval_candm),
+    "candp": (600, _enum_candp, _eval_candp),
+    "norm-sign": (5000, _enum_norm_sign, _eval_norm_sign),
+    "kuroda": (60, _enum_kuroda, _eval_kuroda),
 }
 
 
@@ -523,11 +494,13 @@ _CHUNKS_PER_WORKER = 8
 
 def _records(items) -> Iterator[SweepRecord]:
     """The records of (check name, instance) items, in order, skipped
-    instances left out."""
+    instances left out: the one place a record is built, with the check's
+    name and a verdict from the `ok` its evaluator returned."""
     for name, args in items:
-        record = CHECKS[name][1](args)
-        if record is not None:
-            yield record
+        outcome = CHECKS[name][2](args)
+        if outcome is not None:
+            instance, predicted, oracle, ok = outcome
+            yield SweepRecord(name, instance, predicted, oracle, "pass" if ok else "fail")
 
 
 def _evaluate_chunk(items: list[tuple]) -> list[SweepRecord]:
@@ -562,9 +535,10 @@ def run_checks(names, config: SweepConfig) -> Iterator[SweepRecord]:
 
     An unknown name raises DomainError here, before anything is enumerated or
     a pool is opened.  Every check is enumerated lazily, when the stream
-    reaches it.  Under jobs == 1 each instance is evaluated in this process;
-    under jobs > 1 the iterator owns its pool (_pooled), whose forked workers
-    inherit this process's unit memo.  A chunk may span two checks, and no
+    reaches it, by its CHECKS enumerator, with the check's default bound in
+    place of a bound of None.  Under jobs == 1 each instance is evaluated in
+    this process; under jobs > 1 the iterator owns its pool (_pooled), whose
+    forked workers inherit this process's unit memo.  A chunk may span two checks, and no
     check waits for the one before it.  A DomainError from an instance ends
     the stream: the records before it have been yielded, later ones are never
     produced.  Closing the iterator early joins the workers.
@@ -572,7 +546,9 @@ def run_checks(names, config: SweepConfig) -> Iterator[SweepRecord]:
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown check {name!r}")
-    items = ((name, args) for name in names for args in CHECKS[name][0](config))
+    items = ((name, args) for name in names
+             for default, enum, _ in [CHECKS[name]]
+             for args in enum(config._replace(bound=config.bound or default)))
     if config.jobs == 1:
         return _records(items)
     return _pooled(items, config.jobs)

@@ -11,8 +11,6 @@ import pytest
 import quadrec
 from quadrec.apps import QIndex, UnitFamily, unit_family
 from quadrec.arith import DomainError
-from quadrec.f2graph import edge
-from quadrec.invariants import InvariantReport, general_invariant
 from quadrec.mquad import MQField
 from quadrec.pell import QuadUnit, fundamental_unit
 from quadrec.sweeps import SweepConfig, SweepRecord
@@ -26,8 +24,6 @@ VALIDATED = {
     "SweepConfig": (lambda: SweepConfig(bound=300, seed=4), {"samples": 0}, DomainError),
     "UnitFamily": (lambda: unit_family((5, 13)), {"product_square": True}, DomainError),
     "QIndex": (lambda: QIndex(2, frozenset({(1, 1, 0)})), {"value": 4}, AssertionError),
-    "InvariantReport": (lambda: general_invariant([edge(5, 29)]), {"k": 1},
-                        AssertionError),
     "MQField": (lambda: MQField((2, 3)), {"gens": (2, 8)}, DomainError),
 }
 
@@ -43,8 +39,6 @@ def test_bad_input_is_refused():
         UnitFamily((5, 5), (-1, -1), True)
     with pytest.raises(AssertionError):
         QIndex(3, frozenset({(1, 0, 0), (0, 1, 0)}))
-    with pytest.raises(AssertionError):
-        InvariantReport(frozenset({edge(5, 29)}), 0, "edge", (5,), 0)
     with pytest.raises(DomainError, match="dependent"):
         MQField((2, 3, 6))
 

@@ -23,7 +23,7 @@ from quadrec.f2graph import build_graph, edge, first_v_primes
 from quadrec.invariants import odd_nonresidue_vertices
 from quadrec.mquad import is_square
 from quadrec.pell import QuadUnit
-from quadrec.sweeps import CHECK_DEFAULT_BOUNDS, SweepConfig, SweepRecord, run_check, summarize
+from quadrec.sweeps import CHECKS, SweepConfig, SweepRecord, run_check, summarize
 
 
 def run_cli(*args):
@@ -53,7 +53,7 @@ def test_jobs_above_the_available_cpus_is_refused_before_any_pool(counting_pool,
 
 
 def test_default_bounds_cover_all_checks():
-    assert set(CHECK_DEFAULT_BOUNDS) == {
+    assert set(CHECKS) == {
         "scholz", "scholz2", "duality", "triangles", "thm-sq", "pos-norm",
         "lemma-e", "candm", "candp", "norm-sign", "kuroda"}
 
@@ -80,6 +80,18 @@ def test_scholz_oracles_reject_a_negated_prediction(monkeypatch):
         assert summarize(records) == {"pass": 0, "fail": count}
 
 
+def test_v_primes_met_at_2_make_a_unit_modulus_of_1_mod_8():
+    # scholz asks for (eps_p/2) only when (p/2) = +1, and scholz2 for
+    # (eps_ab/2) only when (a/2) = (b/2) = -1; unit_symbol at 2 needs the
+    # modulus = 1 (mod 8), which these facts give without a skip
+    odd = primes_in_v(10_000)[1:]
+    residues = [p for p in odd if v_symbol(p, 2) == 1]
+    nonresidues = [p for p in odd if v_symbol(p, 2) == -1]
+    assert {p % 8 for p in residues} == {1}
+    assert {p % 8 for p in nonresidues} == {5}
+    assert {a * b % 8 for a, b in combinations(nonresidues, 2)} == {1}
+
+
 def test_lemma_e_oracle_rejects_a_shifted_y(monkeypatch):
     right = QuadUnit.cubed_coordinates
 
@@ -91,6 +103,23 @@ def test_lemma_e_oracle_rejects_a_shifted_y(monkeypatch):
     records = run_check("lemma-e", SweepConfig(bound=300))
     assert records
     assert {(r.oracle, r.verdict) for r in records} == {("y-mod4", "fail")}
+
+
+def test_lemma_e_oracle_names_every_broken_claim_in_claim_order(monkeypatch):
+    right = QuadUnit.cubed_coordinates
+
+    def shifted(unit):
+        x3, y3 = right(unit)
+        return x3 + 1, y3 + 2
+
+    # an odd x breaks x-even everywhere and x-mod4 exactly when m = 1 (mod 8)
+    monkeypatch.setattr(QuadUnit, "cubed_coordinates", shifted)
+    records = run_check("lemma-e", SweepConfig(bound=300))
+    for r in records:
+        m = int(r.instance.removeprefix("eps_"))
+        broken = "x-even,x-mod4,y-mod4" if m % 8 == 1 else "x-even,y-mod4"
+        assert (r.oracle, r.verdict) == (broken, "fail"), r
+    assert len({r.oracle for r in records}) == 2
 
 
 def brute_force_triangles(bound):
@@ -177,13 +206,14 @@ def test_triangles_sweep_rejects_a_residue_cycle(monkeypatch):
     # non-residue degree), and the triangle check is what refuses it
     cycle = (2, 17, 89)
     assert odd_nonresidue_vertices(zip(cycle, cycle[1:] + cycle[:1])) == []
-    enum, evaluate = sweeps.CHECKS["triangles"]
+    default, enum, evaluate = sweeps.CHECKS["triangles"]
 
     def with_a_residue_cycle(config):
         yield from islice(enum(config), 3)
         yield cycle
 
-    monkeypatch.setitem(sweeps.CHECKS, "triangles", (with_a_residue_cycle, evaluate))
+    monkeypatch.setitem(sweeps.CHECKS, "triangles",
+                        (default, with_a_residue_cycle, evaluate))
     with pytest.raises(DomainError, match=r"= \+1; triangle clause needs a "
                        "pairwise non-residue"):
         run_check("triangles", SweepConfig(bound=8))
@@ -310,9 +340,9 @@ def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch
 def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(computed_units):
     records = run_check("thm-sq", SweepConfig())
     assert summarize(records) == {"pass": 103, "fail": 0}
-    bound = CHECK_DEFAULT_BOUNDS["thm-sq"]
+    bound = CHECKS["thm-sq"][0]
     computed = set(computed_units)
-    pairs = list(sweeps._enum_thm_sq(SweepConfig()))
+    pairs = list(sweeps._enum_thm_sq(SweepConfig(bound=bound)))
     both_minus = {m1 * m2 for m1, m2 in pairs
                   if computed_units[m1].norm == computed_units[m2].norm == -1}
     # a product above the bound is no modulus of its own: only pairs ask for it
@@ -463,13 +493,13 @@ def stamp_pid(monkeypatch, name):
     """Make the records of check `name` carry, as their prediction, the id
     of the process that evaluated them.  Pool workers are forked, so they
     inherit the patch."""
-    enum, evaluate = sweeps.CHECKS[name]
+    default, enum, evaluate = sweeps.CHECKS[name]
 
     def stamped(args):
-        record = evaluate(args)
-        return record and record._replace(predicted=str(os.getpid()))
+        outcome = evaluate(args)
+        return outcome and (outcome[0], str(os.getpid()), *outcome[2:])
 
-    monkeypatch.setitem(sweeps.CHECKS, name, (enum, stamped))
+    monkeypatch.setitem(sweeps.CHECKS, name, (default, enum, stamped))
 
 
 def test_workers_leave_an_empty_parent_memo_empty(computed_units):
@@ -537,8 +567,8 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
     assert main(["verify", "--check", "candm"]) == 0
     candm_records = capsys.readouterr().out.splitlines()[1:-1]
     assert len(candm_records) == 9
-    enum, _ = sweeps.CHECKS["candp"]
-    first = list(enum(SweepConfig()))[0]
+    default, enum, _ = sweeps.CHECKS["candp"]
+    first = list(enum(SweepConfig(bound=default)))[0]
 
     def broken(args):
         if args == first:
@@ -546,10 +576,11 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
         time.sleep(0.005)  # the other chunks are still pending when it raises
 
     later = []
-    duality_enum, duality_eval = sweeps.CHECKS["duality"]
-    monkeypatch.setitem(sweeps.CHECKS, "candp", (enum, broken))
+    duality_default, duality_enum, duality_eval = sweeps.CHECKS["duality"]
+    monkeypatch.setitem(sweeps.CHECKS, "candp", (default, enum, broken))
     monkeypatch.setitem(sweeps.CHECKS, "duality",
-                        (lambda config: later.append(config) or duality_enum(config),
+                        (duality_default,
+                         lambda config: later.append(config) or duality_enum(config),
                          duality_eval))
     # the run's 852 items in 14 chunks, all within the window: more than
     # the two workers and the executor's call queue take, so some are queued
@@ -615,8 +646,8 @@ def test_verify_into_a_closed_pipe_exits_141_quietly(jobs):
 def test_verify_writes_each_record_before_the_last_instance_is_evaluated(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
-    enum, evaluate = sweeps.CHECKS["candm"]
-    last = list(enum(SweepConfig()))[-1]
+    default, enum, evaluate = sweeps.CHECKS["candm"]
+    last = list(enum(SweepConfig(bound=default)))[-1]
     written = []
 
     def watched(args):
@@ -624,7 +655,7 @@ def test_verify_writes_each_record_before_the_last_instance_is_evaluated(monkeyp
             written.append(out.getvalue())
         return evaluate(args)
 
-    monkeypatch.setitem(sweeps.CHECKS, "candm", (enum, watched))
+    monkeypatch.setitem(sweeps.CHECKS, "candm", (default, enum, watched))
     assert main(["verify", "--check", "candm", "--format", "csv"]) == 0
     lines = out.getvalue().splitlines(keepends=True)
     assert len(lines) == 12
@@ -671,7 +702,8 @@ def test_scholz_3000_holds_a_bounded_number_of_records(check, bound, ceiling_mb)
 
 def test_run_checks_chunks_span_checks_and_keep_their_order():
     names = ["candm", "scholz2", "lemma-e", "duality"]
-    assert len(list(sweeps.CHECKS["candm"][0](SweepConfig()))) == 9
+    default, enum, _ = sweeps.CHECKS["candm"]
+    assert len(list(enum(SweepConfig(bound=default)))) == 9
     expected = [r for name in names for r in run_check(name, SweepConfig())]
     assert list(sweeps.run_checks(names, SweepConfig(jobs=2))) == expected
     assert list(sweeps.run_checks(["kuroda"], SweepConfig(bound=2, jobs=2))) == []
