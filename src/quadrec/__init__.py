@@ -60,8 +60,6 @@ from .apps import (
     CandpResult,
     KurodaExampleResult,
     QIndex,
-    SquareCheck,
-    UnitFamily,
     candm_check,
     candp_check,
     kuroda_example_check,
@@ -69,8 +67,7 @@ from .apps import (
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
-    unit_element,
-    unit_family,
+    unit_product,
 )
 from .sweeps import (
     SweepConfig,

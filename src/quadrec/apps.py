@@ -3,15 +3,19 @@ prediction, and the biquadratic unit index.
 
 Every function here cross-validates a closed-form prediction against
 independent exact computation (continued-fraction units on one side,
-exact square detection or quartic symbols on the other).  Hypotheses
-are always recomputed; a result object with ok/consistent False is a loud
+exact square detection or quartic symbols on the other).  Each function
+takes only what it cannot derive and checks its hypotheses from that,
+raising DomainError when one fails.  The square checks return a root or
+None; None, like a consistent or parity_even that is False, is a loud
 verification failure, not a soft warning.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from math import gcd, prod
+from operator import mul
 
 from .arith import (
     DomainError,
@@ -27,85 +31,55 @@ from .arith import (
 from .f2graph import edge
 from .invariants import edge_invariant, general_invariant
 from .mquad import MQElement, MQField, field_containing, find_d, is_square
-from .pell import QuadUnit, fundamental_unit
+from .pell import fundamental_unit
 
 
-def unit_element(unit: QuadUnit, field: MQField) -> MQElement:
-    """The unit (x + y*sqrt(m))/den as an exact element of the given field:
-    with sqrt(m) = r/e, it is (x*e + y*r)/(den*e)."""
-    root = field.sqrt_radicand(unit.m)
-    vec = [unit.y * c for c in root.vec]
-    vec[0] += unit.x * root.den
-    return MQElement(field, vec, unit.den * root.den)
+def unit_product(moduli, field: MQField) -> MQElement:
+    """The product of the fundamental units of the moduli as one exact
+    element of the given field.  With sqrt(m) = r/e there, the unit
+    (x + y*sqrt(m))/den is (x*e + y*r)/(den*e)."""
+    def embedded(m):
+        unit = fundamental_unit(m)
+        root = field.sqrt_radicand(m)
+        vec = [unit.y * c for c in root.vec]
+        vec[0] += unit.x * root.den
+        return MQElement(field, vec, unit.den * root.den)
+
+    return reduce(mul, map(embedded, moduli))
 
 
-class UnitFamily(namedtuple("UnitFamily", "moduli norms product_square")):
-    """Several fundamental units considered together."""
-
-    __slots__ = ()
-
-    def __new__(cls, moduli: tuple[int, ...], norms: tuple[Sign, ...],
-                product_square: bool):
-        if len(moduli) != len(norms):
-            raise DomainError("one norm per modulus")
-        for m in moduli:
-            if m < 2 or not is_squarefree(m):
-                raise DomainError(f"modulus {m} is not squarefree > 1")
-        if len(set(moduli)) != len(moduli):
-            raise DomainError("moduli must be distinct")
-        if product_square != is_perfect_square(prod(moduli)):
-            raise DomainError("product_square flag contradicts the moduli")
-        return tuple.__new__(cls, (moduli, norms, product_square))
-
-
-def unit_family(moduli) -> UnitFamily:
-    ms = tuple(moduli)
-    norms = tuple(fundamental_unit(m).norm for m in ms)
-    return UnitFamily(ms, norms, is_perfect_square(prod(ms)))
-
-
-class SquareCheck(namedtuple("SquareCheck", "field element root")):
-    """Outcome of one exact squareness verification: root is None when
-    element is not a square in field."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.root is not None
-
-
-def theorem_sq_check(family: UnitFamily) -> SquareCheck:
-    """If every norm is -1 and the product of the moduli is a perfect
-    square, the product of the units must be a square in the field
-    generated by the square roots of the individual primes."""
-    if any(n != -1 for n in family.norms):
-        raise DomainError("every unit in the family must have norm -1")
-    if not family.product_square:
+def theorem_sq_check(moduli) -> MQElement | None:
+    """If the moduli are distinct squarefree integers > 1 whose product is a
+    perfect square, and every unit has norm -1, the product of the units
+    must be a square in the field generated by the square roots of the
+    primes of the moduli.  Returns a square root of the product there, or
+    None."""
+    moduli = tuple(moduli)
+    for m in moduli:
+        if m < 2 or not is_squarefree(m):
+            raise DomainError(f"modulus {m} is not squarefree > 1")
+        if fundamental_unit(m).norm != -1:
+            raise DomainError(f"norm of eps_{m} is +1; every unit must have norm -1")
+    if len(set(moduli)) != len(moduli):
+        raise DomainError("moduli must be distinct")
+    if not is_perfect_square(prod(moduli)):
         raise DomainError("the product of the moduli must be a perfect square")
-    primes = sorted({p for m in family.moduli for p in prime_divisors(m)})
+    primes = sorted({p for m in moduli for p in prime_divisors(m)})
     assert all(p % 4 != 3 for p in primes), \
         "norm -1 already excludes primes = 3 mod 4"
-    field = field_containing(primes)
-    first, *rest = family.moduli
-    element = unit_element(fundamental_unit(first), field)
-    for m in rest:
-        element = element * unit_element(fundamental_unit(m), field)
-    return SquareCheck(field, element, is_square(element))
+    return is_square(unit_product(moduli, field_containing(primes)))
 
 
-def positive_norm_square_check(m: int) -> SquareCheck:
+def positive_norm_square_check(m: int) -> MQElement | None:
     """A unit of norm +1 must be a square in the field generated by the
-    square roots of its primes, widened by sqrt(2) when m = 3 mod 4."""
-    unit = fundamental_unit(m)
-    if unit.norm != 1:
+    square roots of its primes, widened by sqrt(2) when m = 3 mod 4.
+    Returns a square root of the unit there, or None."""
+    if fundamental_unit(m).norm != 1:
         raise DomainError(f"norm of eps_{m} is -1; this check needs norm +1")
     gens = set(prime_divisors(m))
     if m % 4 == 3:
         gens.add(2)
-    field = field_containing(sorted(gens))
-    element = unit_element(unit, field)
-    return SquareCheck(field, element, is_square(element))
+    return is_square(unit_product((m,), field_containing(sorted(gens))))
 
 
 class CandmResult(namedtuple("CandmResult", "pairs P invariant d intersection")):
@@ -140,30 +114,37 @@ def _cross_nonresidues(m: int, n: int):
             if legendre(b, p) == -1)
 
 
-def candm_check(pairs, P) -> CandmResult:
+def candm_check(pairs) -> CandmResult:
     """Theorem: the prime set of d meets P evenly exactly when the
     bipartite invariant sum vanishes.
 
-    d is pinned down by an exhaustive square search: the product of the
-    units of m_i*n_i times d must be a square in the field of the
+    P is the set of primes that are cross non-residues in their pairs: a
+    prime of m_i with (n_i/p) = -1, or of n_i with (m_i/q) = -1.  A prime
+    that is one in some pair and not in another admits no P, and is
+    refused.  d is pinned down by an exhaustive square search: the product
+    of the units of m_i*n_i times d must be a square in the field of the
     sqrt(m_i*n_i).  The membership parity |D cap P| is invariant under the
     square-class ambiguity in d, so the verdict is well defined.
     """
     pairs = tuple((int(m), int(n)) for m, n in pairs)
-    P = frozenset(P)
     if not pairs:
         raise DomainError("need at least one (m, n) pair")
     for m, n in pairs:
         _require_split(m, n)
         if fundamental_unit(m * n).norm != -1:
             raise DomainError(f"norm of eps_{m * n} is +1; hypothesis needs -1")
-    total = prod(m * n for m, n in pairs)
+    moduli = [m * n for m, n in pairs]
+    total = prod(moduli)
     if not is_perfect_square(total):
         raise DomainError("the product of all m_i*n_i must be a perfect square")
+    P, outside = set(), set()
     for m, n in pairs:
-        if P.intersection(prime_divisors(m) + prime_divisors(n)) \
-                != set(_cross_nonresidues(m, n)):
-            raise DomainError(f"P violates its defining condition at ({m},{n})")
+        cross = set(_cross_nonresidues(m, n))
+        P |= cross
+        outside.update(p for p in prime_divisors(m) + prime_divisors(n) if p not in cross)
+    if P & outside:
+        raise DomainError(f"prime {min(P & outside)} is a cross non-residue in "
+                          f"one pair and not in another")
 
     query: frozenset = frozenset()
     for m, n in pairs:
@@ -171,13 +152,7 @@ def candm_check(pairs, P) -> CandmResult:
         query = query ^ block
     report = general_invariant(query)
 
-    field = field_containing([m * n for m, n in pairs])
-    (m, n), *rest = pairs
-    element = unit_element(fundamental_unit(m * n), field)
-    for m, n in rest:
-        element = element * unit_element(fundamental_unit(m * n), field)
-    allowed = prime_divisors(total)
-    d = find_d(element, allowed)
+    d = find_d(unit_product(moduli, field_containing(moduli)), prime_divisors(total))
     inter = tuple(sorted(set(prime_divisors(d)) & P))
     return CandmResult(pairs, tuple(sorted(P)), report, d, inter)
 
@@ -206,9 +181,7 @@ def candp_check(m: int, n: int) -> CandpResult:
     if m % 8 == 5 and n % 4 == 3:
         P.add(2)
     allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
-    field = MQField((m * n,))
-    element = unit_element(fundamental_unit(m * n), field)
-    d = find_d(element, allowed)
+    d = find_d(unit_product((m * n,), MQField((m * n,))), allowed)
     inter = tuple(sorted(set(prime_divisors(d)) & P))
     return CandpResult(m, n, tuple(sorted(P)), d, inter)
 
@@ -243,25 +216,24 @@ class QIndex(namedtuple("QIndex", "value witness_exponents")):
         return tuple.__new__(cls, (value, witness_exponents))
 
 
-def kuroda_q(d1: int, d2: int, d3: int) -> QIndex:
+def kuroda_q(d1: int, d2: int) -> QIndex:
     """Unit index of Q(sqrt(d1), sqrt(d2)) over the units of its three
-    quadratic subfields, computed by exact square tests of the seven
-    nontrivial unit products.  Each unit, so each product, is > 1 under the
-    embedding with every sqrt(g_i) > 0; minus a product is negative there
-    and never a square, so only the products themselves are tested.
-    Product e is product e-without-its-lowest-unit times that unit, one
-    multiplication each."""
-    ds = (d1, d2, d3)
-    for d in ds:
+    quadratic subfields, of radicands d1, d2 and the squarefree kernel d3
+    of d1*d2, computed by exact square tests of the seven nontrivial unit
+    products.  For squarefree d1 != d2 > 1, d3 is > 1 and distinct from
+    both.  Each unit, so each product, is > 1 under the embedding with
+    every sqrt(g_i) > 0; minus a product is negative there and never a
+    square, so only the products themselves are tested.  Product e is
+    product e-without-its-lowest-unit times that unit, one multiplication
+    each."""
+    for d in (d1, d2):
         if d < 2 or not is_squarefree(d):
             raise DomainError(f"{d} is not squarefree > 1")
-    if len(set(ds)) != 3:
-        raise DomainError("the three quadratic subfields must be distinct")
-    if squarefree_kernel(d1 * d2) != d3:
-        raise DomainError("third radicand must be the squarefree kernel of "
-                          "the product of the first two")
+    if d1 == d2:
+        raise DomainError("the two quadratic subfields must be distinct")
+    ds = (d1, d2, squarefree_kernel(d1 * d2))
     field = field_containing(ds)
-    units = [unit_element(fundamental_unit(d), field) for d in ds]
+    units = [unit_product((d,), field) for d in ds]
     products = [None] * 8
     witnesses = set()
     for e in range(1, 8):
@@ -296,6 +268,6 @@ def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
         raise DomainError(f"({q}/{r}) = +1; the example needs a non-residue pair")
     norm = fundamental_unit(p * q * r).norm
     formula = 1 if (norm == -1 and edge_invariant(p, q) == 1) else 2
-    computed = kuroda_q(p, q * r, p * q * r)
+    computed = kuroda_q(p, q * r)
     return KurodaExampleResult(p, q, r, formula, computed)
 

@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep to run (repeatable; default all)")
     p_ver.add_argument("--bound", type=_positive_int, default=None,
                        help="override the per-check instance bound")
-    p_ver.add_argument("--samples", type=_positive_int, default=200,
-                       help="random graphs for the duality check")
     p_ver.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes, shared by every check of the run; "
                             "at most the CPUs this process may use")
@@ -145,8 +143,7 @@ def _write_report(out, fmt: str, records) -> dict[str, int]:
 
 def cmd_verify(args) -> int:
     checks = args.check or sorted(CHECKS)
-    config = SweepConfig(bound=args.bound, samples=args.samples,
-                         jobs=args.jobs, seed=args.seed)
+    config = SweepConfig(bound=args.bound, jobs=args.jobs, seed=args.seed)
     with closing(run_checks(checks, config)) as records:
         counts = _write_report(sys.stdout, args.format, records)
     return 3 if counts["fail"] else 0

@@ -45,7 +45,6 @@ from .apps import (
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
-    unit_family,
 )
 from .f2graph import (
     auxiliary_primes,
@@ -58,17 +57,14 @@ from .invariants import general_invariant, scholz2_predict, scholz_predict, tria
 from .pell import check_unit_congruences, fundamental_unit, unit_symbol
 
 
-class SweepConfig(namedtuple("SweepConfig", "bound samples jobs seed")):
+class SweepConfig(namedtuple("SweepConfig", "bound jobs seed")):
     """Settings for one verification run."""
 
     __slots__ = ()
 
-    def __new__(cls, bound: int | None = None, samples: int = 200, jobs: int = 1,
-                seed: int = 0):
+    def __new__(cls, bound: int | None = None, jobs: int = 1, seed: int = 0):
         if bound is not None and bound < 2:
             raise DomainError("bound must be at least 2")
-        if samples < 1:
-            raise DomainError("samples must be positive")
         if jobs < 1:
             raise DomainError("jobs must be positive")
         # a fork pool starts every worker at its first submit, so refuse
@@ -77,7 +73,7 @@ class SweepConfig(namedtuple("SweepConfig", "bound samples jobs seed")):
                 else os.cpu_count() or 1)
         if jobs > cpus:
             raise DomainError(f"jobs must be at most {cpus}, the CPUs this process may use")
-        return tuple.__new__(cls, (bound, samples, jobs, seed))
+        return tuple.__new__(cls, (bound, jobs, seed))
 
 
 class SweepRecord(namedtuple("SweepRecord", "check instance predicted oracle verdict")):
@@ -192,8 +188,12 @@ def _eval_scholz2(args: tuple) -> tuple | None:
 
 # --- duality ----------------------------------------------------------------
 
+# random graphs per duality run
+_DUALITY_GRAPHS = 200
+
+
 def _enum_duality(config: SweepConfig) -> Iterator[tuple]:
-    for i in range(config.samples):
+    for i in range(_DUALITY_GRAPHS):
         yield config.seed, i, config.bound
 
 
@@ -291,18 +291,17 @@ def _enum_thm_sq(config: SweepConfig) -> Iterator[tuple]:
 def _eval_thm_sq(args: tuple) -> tuple | None:
     """Prediction: the constant claim "square": when the units of m1, m2
     and m1*m2 all have norm -1, their product is a square in the field of
-    the roots of the primes of m1*m2 (`theorem_sq_check`).  Oracle:
-    `mquad.is_square` of that product of continued-fraction units.  The
-    two share the units, whose norms select the instance."""
+    the roots of the primes of m1*m2 (`theorem_sq_check`).  Oracle: the
+    root `mquad.is_square` finds for that product of continued-fraction
+    units, or None.  The two share the units, whose norms select the
+    instance."""
     m1, m2 = args
+    moduli = (m1, m2, m1 * m2)
     # the small units first: only then does the pair pay for the unit of m1*m2
-    if fundamental_unit(m1).norm != -1 or fundamental_unit(m2).norm != -1:
+    if any(fundamental_unit(m).norm != -1 for m in moduli):
         return None
-    family = unit_family((m1, m2, m1 * m2))
-    if any(n != -1 for n in family.norms):
-        return None
-    res = theorem_sq_check(family)
-    return f"{m1},{m2}", "square", "square" if res.ok else "not-square", res.ok
+    ok = theorem_sq_check(moduli) is not None
+    return f"{m1},{m2}", "square", "square" if ok else "not-square", ok
 
 
 # --- pos-norm ---------------------------------------------------------------
@@ -315,14 +314,14 @@ def _enum_pos_norm(config: SweepConfig) -> Iterator[tuple]:
 def _eval_pos_norm(args: tuple) -> tuple | None:
     """Prediction: the constant claim "square": a unit of norm +1 is a
     square in the field of the roots of the primes of m, with sqrt(2) when
-    m = 3 (mod 4) (`positive_norm_square_check`).  Oracle:
-    `mquad.is_square` of the continued-fraction unit in that field.  The
-    two share the unit, whose norm selects the instance."""
+    m = 3 (mod 4) (`positive_norm_square_check`).  Oracle: the root
+    `mquad.is_square` finds for the continued-fraction unit in that field,
+    or None.  The two share the unit, whose norm selects the instance."""
     (m,) = args
     if fundamental_unit(m).norm != 1:
         return None
-    res = positive_norm_square_check(m)
-    return f"eps_{m}", "square", "square" if res.ok else "not-square", res.ok
+    ok = positive_norm_square_check(m) is not None
+    return f"eps_{m}", "square", "square" if ok else "not-square", ok
 
 
 # --- lemma-e ----------------------------------------------------------------
@@ -360,11 +359,12 @@ def _eval_candm(args: tuple) -> tuple | None:
     the field of sqrt(pq), sqrt(qr), sqrt(rp), by exact square tests
     (`mquad.find_d`); "square" when d = 1.  A record passes when d has an
     even number of primes exactly when the invariant is 0 (`candm_check`,
-    with P = {p, q, r}).  The two share only the triple, whose hypothesis
+    which derives P from the pairs' Legendre symbols: {p, q, r} on a
+    non-residue triangle).  The two share only the triple, whose hypothesis
     `_nonresidue_triples` tested, and `arith`'s Legendre symbol; no quartic
     symbol enters the oracle and no unit the prediction."""
     p, q, r = args
-    res = candm_check(((p, q), (q, r), (r, p)), {p, q, r})
+    res = candm_check(((p, q), (q, r), (r, p)))
     predicted = "square" if res.invariant.value == 0 else "nonsquare"
     oracle = "square" if res.d == 1 else f"nonsquare(d={res.d})"
     return f"{p},{q},{r}", predicted, oracle, res.consistent

@@ -14,8 +14,7 @@ from quadrec.apps import (
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
-    unit_element,
-    unit_family,
+    unit_product,
 )
 from quadrec.mquad import MQElement, MQField, field_containing, is_square
 from quadrec.pell import fundamental_unit
@@ -24,14 +23,14 @@ from quadrec.sweeps import SweepConfig, _enum_kuroda
 
 def test_unit_element_embeds_the_unit():
     field = MQField((5,))
-    eps = unit_element(fundamental_unit(5), field)
+    eps = unit_product((5,), field)
     assert eps * 2 == MQElement(field, [1, 1], 1)
     # its norm relation transfers: eps * conj(eps) = -1, conj(eps) = (1 - sqrt5)/2
     assert eps * MQElement(field, [1, -1], 2) == MQElement(field, [-1, 0], 1)
 
 
 def test_unit_element_matches_the_four_operation_chain():
-    # unit_element builds one vector over the product basis; the reference
+    # unit_product builds one vector over the product basis; the reference
     # is the chain (x + y*sqrt(m))/den in 120-digit Decimals, and the vector
     # is read back with every square root positive.  Every term of both is
     # positive, so no digits cancel.
@@ -44,7 +43,7 @@ def test_unit_element_matches_the_four_operation_chain():
             unit = fundamental_unit(m)
             chain = (unit.x + unit.y * Decimal(m).sqrt()) / unit.den
             for field in (MQField((m,)), field_containing([*prime_divisors(m), 3])):
-                x = unit_element(unit, field)
+                x = unit_product((m,), field)
                 w = field.weights
                 got = sum(Decimal(c) * Decimal(w[mask]).sqrt()
                           for mask, c in enumerate(x.vec) if c) / x.den
@@ -53,71 +52,60 @@ def test_unit_element_matches_the_four_operation_chain():
     assert count == 1214
 
 
-def test_unit_family():
-    fam = unit_family((5, 13, 65))
-    assert fam.norms == (-1, -1, -1)
-    assert fam.product_square
-    assert not unit_family((2, 5, 13)).product_square
-    with pytest.raises(DomainError):
-        unit_family((5, 13, 12))
-    with pytest.raises(DomainError):
-        unit_family((5, 5, 13))
-
-
 def test_theorem_sq_family_5_13_65():
-    res = theorem_sq_check(unit_family((5, 13, 65)))
-    assert res.ok
-    f = res.field
+    root = theorem_sq_check((5, 13, 65))
+    f = root.field
     assert f.gens == (5, 13)  # the basis 1, sqrt5, sqrt13, sqrt65
-    assert res.root == MQElement(f, [7, 5, 3, 1], 4)
-    assert res.root * res.root == res.element
+    assert root == MQElement(f, [7, 5, 3, 1], 4)
+    assert root * root == unit_product((5, 13, 65), f)
 
 
 def test_theorem_sq_family_2_5_10():
-    res = theorem_sq_check(unit_family((2, 5, 10)))
-    assert res.ok
-    f = res.field
+    root = theorem_sq_check((2, 5, 10))
+    f = root.field
     assert f.gens == (2, 5)  # the basis 1, sqrt2, sqrt5, sqrt10
     product = MQElement(f, [13, 8, 5, 4], 2)
-    assert res.element == product
-    assert res.root * res.root == product
+    assert unit_product((2, 5, 10), f) == product
+    assert root * root == product
 
 
 def test_theorem_sq_rejects_wrong_hypotheses():
-    with pytest.raises(DomainError):
-        theorem_sq_check(unit_family((2, 5, 13)))  # product not square
-    with pytest.raises(DomainError):
-        theorem_sq_check(unit_family((3, 5, 15)))  # eps_3 has norm +1
+    for moduli, message in (((5, 13, 12), "12 is not squarefree"),
+                            ((5, 13, 1), "1 is not squarefree"),
+                            ((5, 5, 13), "distinct"),
+                            ((2, 5, 13), "perfect square"),
+                            ((3, 5, 15), "eps_3 is \\+1")):
+        with pytest.raises(DomainError, match=message):
+            theorem_sq_check(moduli)
 
 
 def test_positive_norm_roots():
     r15 = positive_norm_square_check(15)
-    assert r15.ok
     # (sqrt6 + sqrt10)/2 over 1, sqrt2, sqrt3, sqrt6, sqrt5, sqrt10, sqrt15, sqrt30
     assert r15.field.gens == (2, 3, 5)
-    assert r15.root == MQElement(r15.field, [0, 0, 0, 1, 0, 1, 0, 0], 2)
+    assert r15 == MQElement(r15.field, [0, 0, 0, 1, 0, 1, 0, 0], 2)
     r3 = positive_norm_square_check(3)
     # (sqrt2 + sqrt6)/2 over 1, sqrt2, sqrt3, sqrt6
     assert r3.field.gens == (2, 3)
-    assert r3.root == MQElement(r3.field, [0, 1, 0, 1], 2)
+    assert r3 == MQElement(r3.field, [0, 1, 0, 1], 2)
     r7 = positive_norm_square_check(7)
     # (3*sqrt2 + sqrt14)/2 over 1, sqrt2, sqrt7, sqrt14
     assert r7.field.gens == (2, 7)
-    assert r7.root == MQElement(r7.field, [0, 3, 0, 1], 2)
+    assert r7 == MQElement(r7.field, [0, 3, 0, 1], 2)
     # m = 1 (mod 4) stays inside the odd-generator field
     r21 = positive_norm_square_check(21)
-    assert r21.ok and all(g % 2 for g in r21.field.gens)
+    assert r21 is not None and all(g % 2 for g in r21.field.gens)
 
 
 def test_positive_norm_five_generators():
     # 1155 = 3*5*7*11 = 3 (mod 4) adds sqrt(2): a field of degree 32
-    res = positive_norm_square_check(1155)
-    f = res.field
+    root = positive_norm_square_check(1155)
+    f = root.field
     assert len(f.gens) == 5
     # (sqrt66 + sqrt70)/2
     vec = [0] * f.degree
     vec[f.subset_with_kernel(66)] = vec[f.subset_with_kernel(70)] = 1
-    assert res.root == MQElement(f, vec, 2)
+    assert root == MQElement(f, vec, 2)
 
 
 def test_positive_norm_domain():
@@ -128,7 +116,8 @@ def test_positive_norm_domain():
 
 
 def test_candm_triple_2_5_13():
-    res = candm_check(((2, 5), (5, 13), (13, 2)), {2, 5, 13})
+    res = candm_check(((2, 5), (5, 13), (13, 2)))
+    assert res.P == (2, 5, 13)
     assert res.invariant.value == 0
     assert res.d == 1
     assert res.intersection == ()
@@ -136,7 +125,8 @@ def test_candm_triple_2_5_13():
 
 
 def test_candm_triple_2_5_37():
-    res = candm_check(((2, 5), (5, 37), (37, 2)), {2, 5, 37})
+    res = candm_check(((2, 5), (5, 37), (37, 2)))
+    assert res.P == (2, 5, 37)
     assert res.invariant.value == 1
     assert res.d == 2
     assert res.intersection == (2,)
@@ -145,15 +135,24 @@ def test_candm_triple_2_5_37():
 
 def test_candm_validates_inputs():
     with pytest.raises(DomainError):
-        candm_check(((2, 5), (5, 13)), {2, 5, 13})  # product 2*5*5*13 not square
-    with pytest.raises(DomainError):
-        candm_check(((5, 29), (29, 5)), {5, 29})  # norm +1 pairs... residue pair
-    with pytest.raises(DomainError):
-        # P misses a forced prime: (13/2)... (2 mod 5 is a non-residue)
-        candm_check(((2, 5), (5, 13), (13, 2)), {2, 5})
+        candm_check(((2, 5), (5, 13)))  # product 2*5*5*13 not square
+    # a residue pair has no cross non-residue, so P is empty: the P = {5, 29}
+    # that was refused here can no longer be passed
+    res = candm_check(((5, 29), (29, 5)))
+    assert res.P == () and res.d == 1 and res.consistent
+    with pytest.raises(DomainError, match="at least one"):
+        candm_check(())
 
 
-@pytest.mark.parametrize("check", [lambda m, n: candm_check(((m, n),), ()),
+def test_candm_refuses_a_prime_whose_status_differs_between_pairs():
+    # eps_1105 has norm -1 and the product is 1105^2, so only P can fail:
+    # (221/5) = +1 but (17/5) = -1
+    assert fundamental_unit(1105).norm == -1
+    with pytest.raises(DomainError, match="prime 5 is a cross non-residue"):
+        candm_check(((5, 221), (65, 17)))
+
+
+@pytest.mark.parametrize("check", [lambda m, n: candm_check(((m, n),)),
                                    candp_check, norm_sign_predict],
                          ids=["candm", "candp", "norm-sign"])
 def test_split_hypotheses_are_one_rule(check):
@@ -201,14 +200,15 @@ def test_norm_sign_predictions():
 
 
 def test_kuroda_q_values():
-    assert kuroda_q(13, 85, 13 * 85).value == 1
-    res = kuroda_q(5, 58, 5 * 58)
+    assert kuroda_q(13, 85).value == 1
+    res = kuroda_q(5, 58)
     assert res.value == 2
     assert res.witness_exponents == frozenset({(1, 1, 1)})
-    with pytest.raises(DomainError):
-        kuroda_q(5, 13, 70)  # third field wrong
-    with pytest.raises(DomainError):
-        kuroda_q(5, 5, 25)
+    with pytest.raises(DomainError, match="distinct"):
+        kuroda_q(5, 5)
+    for d1, d2 in ((5, 12), (1, 5)):
+        with pytest.raises(DomainError, match="not squarefree > 1"):
+            kuroda_q(d1, d2)
 
 
 def test_kuroda_example_instances():
@@ -230,7 +230,7 @@ def test_kuroda_unit_products_have_no_negative_square():
     for p, q, r in instances:
         ds = (p, q * r, p * q * r)
         field = field_containing(ds)
-        units = [unit_element(fundamental_unit(d), field) for d in ds]
+        units = [unit_product((d,), field) for d in ds]
         for e in range(1, 8):
             x = MQElement(field, [1] + [0] * (field.degree - 1), 1)
             for i, u in enumerate(units):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import quadrec
-from quadrec.apps import QIndex, UnitFamily, unit_family
+from quadrec.apps import QIndex
 from quadrec.arith import DomainError
 from quadrec.mquad import MQField
 from quadrec.pell import QuadUnit, fundamental_unit
@@ -21,8 +21,7 @@ VALIDATED = {
     "QuadUnit": (lambda: fundamental_unit(13), {"norm": 5}, DomainError),
     "SweepRecord": (lambda: SweepRecord("scholz", "eps_2|17", "+1", "+1", "pass"),
                     {"verdict": "undecided"}, AssertionError),
-    "SweepConfig": (lambda: SweepConfig(bound=300, seed=4), {"samples": 0}, DomainError),
-    "UnitFamily": (lambda: unit_family((5, 13)), {"product_square": True}, DomainError),
+    "SweepConfig": (lambda: SweepConfig(bound=300, seed=4), {"jobs": 0}, DomainError),
     "QIndex": (lambda: QIndex(2, frozenset({(1, 1, 0)})), {"value": 4}, AssertionError),
     "MQField": (lambda: MQField((2, 3)), {"gens": (2, 8)}, DomainError),
 }
@@ -35,8 +34,6 @@ def test_bad_input_is_refused():
         SweepRecord("scholz", "eps_2|17", "+1", "+1", verdict="undecided")
     with pytest.raises(DomainError, match="bound"):
         SweepConfig(bound=1)
-    with pytest.raises(DomainError, match="distinct"):
-        UnitFamily((5, 5), (-1, -1), True)
     with pytest.raises(AssertionError):
         QIndex(3, frozenset({(1, 0, 0), (0, 1, 0)}))
     with pytest.raises(DomainError, match="dependent"):
@@ -46,7 +43,7 @@ def test_bad_input_is_refused():
 def test_field_names_defaults_and_repr():
     assert SweepRecord._fields == ("check", "instance", "predicted", "oracle", "verdict")
     assert QuadUnit._fields == ("m", "x", "y", "den", "norm")
-    assert SweepConfig() == SweepConfig(None, 200, 1, 0)
+    assert SweepConfig() == SweepConfig(None, 1, 0)
     assert repr(fundamental_unit(13)) == "QuadUnit(m=13, x=3, y=1, den=2, norm=-1)"
 
 

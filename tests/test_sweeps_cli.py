@@ -36,8 +36,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(bound=1)
     with pytest.raises(DomainError):
-        SweepConfig(samples=0)
-    with pytest.raises(DomainError):
         SweepConfig(jobs=0)
 
 
@@ -220,8 +218,8 @@ def test_triangles_sweep_rejects_a_residue_cycle(monkeypatch):
 
 
 def test_duality_sweep_is_seed_deterministic():
-    cfg1 = SweepConfig(samples=30, seed=9)
-    cfg2 = SweepConfig(samples=30, seed=9)
+    cfg1 = SweepConfig(seed=9)
+    cfg2 = SweepConfig(seed=9)
     assert run_check("duality", cfg1) == run_check("duality", cfg2)
 
 
@@ -296,8 +294,8 @@ def test_kuroda_oracle_rejects_a_flipped_index(monkeypatch):
 def test_candm_oracle_rejects_a_flipped_invariant(monkeypatch):
     right = sweeps.candm_check
 
-    def flipped(pairs, P):
-        res = right(pairs, P)
+    def flipped(pairs):
+        res = right(pairs)
         return res._replace(invariant=res.invariant._replace(value=1 - res.invariant.value))
 
     expected = {r.instance: r.predicted for r in run_check("candm", SweepConfig())}
@@ -319,13 +317,13 @@ def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
 
 
 def times_a_prime_outside_the_field(check):
-    """`check` with its unit element multiplied by a prime whose square root
-    is not in the field, so that no element it tests is a square."""
+    """`check` with the square of its root multiplied by a prime whose
+    square root is not in the field, so that no element it tests is a
+    square."""
     def mutant(*args):
-        res = check(*args)
-        q = next(p for p in primes_in_v(100) if all(g % p for g in res.field.gens))
-        element = res.element * q
-        return res._replace(element=element, root=is_square(element))
+        root = check(*args)
+        q = next(p for p in primes_in_v(100) if all(g % p for g in root.field.gens))
+        return is_square(root * root * q)
     return mutant
 
 
@@ -829,9 +827,12 @@ def test_cli_verify_pos_norm_past_four_generators():
 
 
 def test_cli_verify_human_summary_line():
-    out = run_cli("verify", "--check", "duality", "--samples", "10")
+    out = run_cli("verify", "--check", "duality")
     assert out.returncode == 0
-    assert out.stdout.splitlines()[-1] == "10 instances: 10 pass, 0 fail"
+    assert out.stdout.splitlines()[-1] == "200 instances: 200 pass, 0 fail"
+    out = run_cli("verify", "--check", "duality", "--samples", "10")
+    assert out.returncode == 1
+    assert "unrecognized arguments: --samples 10" in out.stderr
 
 
 def test_cli_verify_jobs_smoke():
