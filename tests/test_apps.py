@@ -52,6 +52,19 @@ def test_unit_element_matches_the_four_operation_chain():
     assert count == 1214
 
 
+def test_unit_family():
+    # the family hypotheses theorem_sq_check validates: every unit has norm
+    # -1, the moduli are squarefree > 1 and distinct, their product a square
+    assert [fundamental_unit(m).norm for m in (5, 13, 65)] == [-1, -1, -1]
+    assert theorem_sq_check((5, 13, 65)) is not None
+    for moduli, message in (((5, 13, 12), "12 is not squarefree"),
+                            ((5, 13, 1), "1 is not squarefree"),
+                            ((5, 5, 13), "distinct"),
+                            ((2, 5, 13), "perfect square")):
+        with pytest.raises(DomainError, match=message):
+            theorem_sq_check(moduli)
+
+
 def test_theorem_sq_family_5_13_65():
     root = theorem_sq_check((5, 13, 65))
     f = root.field
@@ -70,10 +83,7 @@ def test_theorem_sq_family_2_5_10():
 
 
 def test_theorem_sq_rejects_wrong_hypotheses():
-    for moduli, message in (((5, 13, 12), "12 is not squarefree"),
-                            ((5, 13, 1), "1 is not squarefree"),
-                            ((5, 5, 13), "distinct"),
-                            ((2, 5, 13), "perfect square"),
+    for moduli, message in (((2, 5, 13), "perfect square"),
                             ((3, 5, 15), "eps_3 is \\+1")):
         with pytest.raises(DomainError, match=message):
             theorem_sq_check(moduli)
