@@ -24,7 +24,6 @@ from .arith import (
     v_symbol,
 )
 from .pell import (
-    CubeCongruenceReport,
     QuadUnit,
     check_unit_congruences,
     compute_fundamental_unit,
@@ -56,13 +55,10 @@ from .invariants import (
     triangle_invariant,
 )
 from .apps import (
-    CandmResult,
-    CandpResult,
-    KurodaExampleResult,
     QIndex,
     candm_check,
     candp_check,
-    kuroda_example_check,
+    kuroda_predict,
     kuroda_q,
     norm_sign_predict,
     positive_norm_square_check,

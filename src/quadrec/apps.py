@@ -1,13 +1,16 @@
 """Unit-product squareness checks, candidate narrowing, norm-sign
 prediction, and the biquadratic unit index.
 
-Every function here cross-validates a closed-form prediction against
-independent exact computation (continued-fraction units on one side,
-exact square detection or quartic symbols on the other).  Each function
-takes only what it cannot derive and checks its hypotheses from that,
-raising DomainError when one fails.  The square checks return a root or
-None; None, like a consistent or parity_even that is False, is a loud
-verification failure, not a soft warning.
+Each function computes one side of a theorem and no verdict; the sweep
+evaluators in `sweeps` set the two sides against each other.  Oracles,
+from continued-fraction units and exact square detection:
+`theorem_sq_check` and `positive_norm_square_check` return a square root
+of a unit product, or None; `candm_check` and `candp_check` return the
+least d that makes a unit product times d a square, with the candidate
+prime set P; `kuroda_q` counts the unit index.  Predictions, from residue
+symbols: `norm_sign_predict` a norm sign and `kuroda_predict` a unit
+index.  Each function takes only what it cannot derive and checks its
+hypotheses from that, raising DomainError when one fails.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .arith import (
     squarefree_kernel,
     v_symbol,
 )
-from .f2graph import edge
-from .invariants import edge_invariant, general_invariant
+from .invariants import edge_invariant
 from .mquad import MQElement, MQField, field_containing, find_d, is_square
 from .pell import fundamental_unit
 
@@ -55,6 +57,8 @@ def theorem_sq_check(moduli) -> MQElement | None:
     primes of the moduli.  Returns a square root of the product there, or
     None."""
     moduli = tuple(moduli)
+    if not moduli:
+        raise DomainError("need at least one modulus")
     for m in moduli:
         if m < 2 or not is_squarefree(m):
             raise DomainError(f"modulus {m} is not squarefree > 1")
@@ -82,20 +86,6 @@ def positive_norm_square_check(m: int) -> MQElement | None:
     return is_square(unit_product((m,), field_containing(sorted(gens))))
 
 
-class CandmResult(namedtuple("CandmResult", "pairs P invariant d intersection")):
-    """Candidate-narrowing verdict for a family of unit products."""
-
-    __slots__ = ()
-
-    @property
-    def parity_even(self) -> bool:
-        return len(self.intersection) % 2 == 0
-
-    @property
-    def consistent(self) -> bool:
-        return self.parity_even == (self.invariant.value == 0)
-
-
 def _require_split(m: int, n: int) -> None:
     """The hypotheses on a split m*n: m and n squarefree positive and
     coprime, and m*n > 1."""
@@ -114,17 +104,22 @@ def _cross_nonresidues(m: int, n: int):
             if legendre(b, p) == -1)
 
 
-def candm_check(pairs) -> CandmResult:
-    """Theorem: the prime set of d meets P evenly exactly when the
-    bipartite invariant sum vanishes.
+def candm_check(pairs) -> tuple[int, tuple[int, ...]]:
+    """Candidate narrowing's oracle for pairs (m_i, n_i) whose units have
+    norm -1 and whose moduli m_i*n_i multiply to a square: (d, P).  The
+    theorem: the primes of d meet P evenly exactly when the quartic
+    invariant of the XOR of the complete bipartite edge sets between the
+    primes of m_i and of n_i vanishes.
 
-    P is the set of primes that are cross non-residues in their pairs: a
-    prime of m_i with (n_i/p) = -1, or of n_i with (m_i/q) = -1.  A prime
-    that is one in some pair and not in another admits no P, and is
-    refused.  d is pinned down by an exhaustive square search: the product
-    of the units of m_i*n_i times d must be a square in the field of the
-    sqrt(m_i*n_i).  The membership parity |D cap P| is invariant under the
-    square-class ambiguity in d, so the verdict is well defined.
+    d is the least squarefree d over the primes of the moduli that makes d
+    times the product of the units of m_i*n_i a square in the field of the
+    sqrt(m_i*n_i), by exhaustive square tests; the parity of its primes in
+    P is the same for every d of its square class.  P is the sorted set of
+    primes that are cross non-residues in their pairs: a prime of m_i with
+    (n_i/p) = -1, or of n_i with (m_i/q) = -1.  A prime that is one in
+    some pair and not in another admits no P, and is refused; so each prime
+    has one status in all its pairs, an even number of them, and the XOR
+    above always lies in the invariant group.
     """
     pairs = tuple((int(m), int(n)) for m, n in pairs)
     if not pairs:
@@ -145,32 +140,17 @@ def candm_check(pairs) -> CandmResult:
     if P & outside:
         raise DomainError(f"prime {min(P & outside)} is a cross non-residue in "
                           f"one pair and not in another")
-
-    query: frozenset = frozenset()
-    for m, n in pairs:
-        block = {edge(p, q) for p in prime_divisors(m) for q in prime_divisors(n)}
-        query = query ^ block
-    report = general_invariant(query)
-
     d = find_d(unit_product(moduli, field_containing(moduli)), prime_divisors(total))
-    inter = tuple(sorted(set(prime_divisors(d)) & P))
-    return CandmResult(pairs, tuple(sorted(P)), report, d, inter)
+    return d, tuple(sorted(P))
 
 
-class CandpResult(namedtuple("CandpResult", "m n P d intersection")):
-    """Candidate-narrowing verdict for a single positive-norm unit."""
-
-    __slots__ = ()
-
-    @property
-    def parity_even(self) -> bool:
-        return len(self.intersection) % 2 == 0
-
-
-def candp_check(m: int, n: int) -> CandpResult:
-    """Positive-norm analogue: P is built from the non-residue divisors
-    (plus 2 in the one stated congruence case) and the theorem asserts
-    |D cap P| is always even."""
+def candp_check(m: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """The oracle of positive-norm candidate narrowing for a split m*n
+    whose unit has norm +1, every prime of m 1 mod 4: (d, P).  d is the
+    least squarefree d over the primes of m*n, and 2 when n = 3 (mod 4),
+    that makes d*eps_{m*n} a square in Q(sqrt(m*n)); P is the sorted set of
+    cross non-residue primes, plus 2 when m = 5 (mod 8) and n = 3 (mod 4).
+    The theorem: the primes of d meet P evenly."""
     _require_split(m, n)
     for p in prime_divisors(m):
         if p % 4 != 1:
@@ -182,8 +162,7 @@ def candp_check(m: int, n: int) -> CandpResult:
         P.add(2)
     allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
     d = find_d(unit_product((m * n,), MQField((m * n,))), allowed)
-    inter = tuple(sorted(set(prime_divisors(d)) & P))
-    return CandpResult(m, n, tuple(sorted(P)), d, inter)
+    return d, tuple(sorted(P))
 
 
 def norm_sign_predict(m: int, n: int) -> Sign | None:
@@ -245,21 +224,11 @@ def kuroda_q(d1: int, d2: int) -> QIndex:
     return QIndex(len(witnesses) + 1, frozenset(witnesses))
 
 
-class KurodaExampleResult(namedtuple("KurodaExampleResult", "p q r formula_value computed")):
-    """Agreement between the closed-form unit index and the exhaustive one."""
-
-    __slots__ = ()
-
-    @property
-    def consistent(self) -> bool:
-        return self.formula_value == self.computed.value
-
-
-def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
-    """For Q(sqrt(p), sqrt(qr)) with (p/q) = +1 and (q/r) = -1: the index
-    is 1 exactly when the unit of pqr has norm -1 and the edge invariant of
-    (p, q) is 1 (the paired quartic product is -1), else 2.  Both sides
-    computed independently."""
+def kuroda_predict(p: int, q: int, r: int) -> int:
+    """The predicted unit index of Q(sqrt(p), sqrt(qr)) for distinct primes
+    with (p/q) = +1 and (q/r) = -1: 1 exactly when the unit of pqr has
+    norm -1 and the edge invariant of (p, q) is 1 (the paired quartic
+    product is -1), else 2.  `kuroda_q(p, q * r)` counts it."""
     if len({p, q, r}) != 3:
         raise DomainError("need three distinct primes")
     if v_symbol(p, q) != 1:
@@ -267,7 +236,4 @@ def kuroda_example_check(p: int, q: int, r: int) -> KurodaExampleResult:
     if v_symbol(q, r) != -1:
         raise DomainError(f"({q}/{r}) = +1; the example needs a non-residue pair")
     norm = fundamental_unit(p * q * r).norm
-    formula = 1 if (norm == -1 and edge_invariant(p, q) == 1) else 2
-    computed = kuroda_q(p, q * r)
-    return KurodaExampleResult(p, q, r, formula, computed)
-
+    return 1 if (norm == -1 and edge_invariant(p, q) == 1) else 2

@@ -275,6 +275,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
+    """The ascending primes dividing n >= 1."""
+    if n < 1:
+        raise DomainError("prime divisors need a positive integer")
     return tuple(p for p, _ in _factorize(n))
 
 

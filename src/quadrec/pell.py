@@ -156,42 +156,18 @@ def unit_symbol(m: int, p: int) -> Sign:
     return legendre(u, p)
 
 
-class CubeCongruenceReport(namedtuple(
-        "CubeCongruenceReport", "m x y x_even x_mod4_tracks_m_mod8 y_is_1_mod4")):
-    """Pass/fail record for three congruence facts about
-    eps_m^3 = x + y*sqrt(m) when the norm is -1: x even; 4 | x exactly when
-    m = 1 (mod 8); and y = 1 (mod 4)."""
-
-    __slots__ = ()
-
-    @property
-    def all_ok(self) -> bool:
-        return self.x_even and self.x_mod4_tracks_m_mod8 and self.y_is_1_mod4
-
-    def failed_claims(self) -> tuple[str, ...]:
-        out = []
-        if not self.x_even:
-            out.append("x-even")
-        if not self.x_mod4_tracks_m_mod8:
-            out.append("x-mod4")
-        if not self.y_is_1_mod4:
-            out.append("y-mod4")
-        return tuple(out)
-
-
-def check_unit_congruences(m: int) -> CubeCongruenceReport:
-    """Evaluate the cube congruences for odd squarefree m > 2 with norm -1."""
+def check_unit_congruences(m: int) -> tuple[str, ...]:
+    """The congruence claims about eps_m^3 = x + y*sqrt(m), for odd
+    squarefree m > 2 with norm -1, that the cube breaks, in claim order:
+    "x-even" (x is even), "x-mod4" (4 | x exactly when m = 1 (mod 8)) and
+    "y-mod4" (y = 1 (mod 4)).  Empty when all three hold."""
     if m <= 2 or m % 2 == 0 or not is_squarefree(m):
         raise DomainError(f"cube congruences need odd squarefree m > 2, got {m}")
     unit = fundamental_unit(m)
     if unit.norm != -1:
         raise DomainError(f"cube congruences need norm -1, eps_{m} has norm +1")
     x3, y3 = unit.cubed_coordinates()
-    return CubeCongruenceReport(
-        m=m,
-        x=x3,
-        y=y3,
-        x_even=(x3 % 2 == 0),
-        x_mod4_tracks_m_mod8=((x3 % 4 == 0) == (m % 8 == 1)),
-        y_is_1_mod4=(y3 % 4 == 1),
-    )
+    claims = (("x-even", x3 % 2 == 0),
+              ("x-mod4", (x3 % 4 == 0) == (m % 8 == 1)),
+              ("y-mod4", y3 % 4 == 1))
+    return tuple(name for name, holds in claims if not holds)

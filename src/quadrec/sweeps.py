@@ -3,11 +3,13 @@
 Each named check enumerates its instances up to a bound, evaluates the
 prediction and the independent oracle for every instance, and emits one
 record per instance.  A check is declared once, as a row of CHECKS: its
-name, default bound, enumerator and evaluator.  An evaluator returns
-(instance, predicted, oracle, ok), and _records alone builds the record
-from it.  Evaluators are module-level and take only the instance, a plain
-tuple, so sweeps can run in a process pool; instance order is
-deterministic either way.  Every enumerator is a generator and
+name, default bound, enumerator and evaluator.  The functions an
+evaluator calls each compute one side, a prediction or an oracle value;
+the evaluator alone sets them against each other and decides the verdict.
+It returns (instance, predicted, oracle, ok), and _records alone builds
+the record from it.  Evaluators are module-level and take only the
+instance, a plain tuple, so sweeps can run in a process pool; instance
+order is deterministic either way.  Every enumerator is a generator and
 run_checks yields each record as it is produced, so a run never holds all
 its instances or records.  Under jobs > 1 the record stream owns its pool
 and sends it every check as one ordered stream of fixed-size chunks, a
@@ -34,6 +36,7 @@ from operator import not_
 from .arith import (
     DomainError,
     gf2_kernel,
+    prime_divisors,
     primes_in_v,
     primes_up_to,
     v_symbol,
@@ -41,7 +44,8 @@ from .arith import (
 from .apps import (
     candm_check,
     candp_check,
-    kuroda_example_check,
+    kuroda_predict,
+    kuroda_q,
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
@@ -336,14 +340,14 @@ def _eval_lemma_e(args: tuple) -> tuple | None:
     """Prediction: the constant claim "congruent": for a unit of norm -1,
     eps_m^3 = x + y*sqrt(m) has x even, 4 | x exactly when m = 1 (mod 8),
     and y = 1 (mod 4).  Oracle: the cube of the continued-fraction unit,
-    with the congruences read off it (`check_unit_congruences`).  The
+    with the names of the claims it breaks read off it
+    (`check_unit_congruences`); it passes when there are none.  The
     prediction computes nothing, so the two share only m."""
     (m,) = args
     if fundamental_unit(m).norm != -1:
         return None
-    report = check_unit_congruences(m)
-    oracle = ",".join(report.failed_claims()) or "congruent"
-    return f"eps_{m}", "congruent", oracle, report.all_ok
+    broken = check_unit_congruences(m)
+    return f"eps_{m}", "congruent", ",".join(broken) or "congruent", not broken
 
 
 # --- candm ------------------------------------------------------------------
@@ -352,22 +356,31 @@ def _enum_candm(config: SweepConfig) -> Iterator[tuple]:
     yield from _nonresidue_triples(config.bound)
 
 
+def _primes_in(d: int, P) -> tuple[int, ...]:
+    """The primes of d that lie in P, ascending."""
+    return tuple(p for p in prime_divisors(d) if p in P)
+
+
 def _eval_candm(args: tuple) -> tuple | None:
     """Prediction: the general invariant of the non-residue triangle
-    p-q-r, "square" when it is 0 (`general_invariant`).  Oracle: the least
-    squarefree d over p, q, r that makes d*eps_pq*eps_qr*eps_rp a square in
-    the field of sqrt(pq), sqrt(qr), sqrt(rp), by exact square tests
-    (`mquad.find_d`); "square" when d = 1.  A record passes when d has an
-    even number of primes exactly when the invariant is 0 (`candm_check`,
-    which derives P from the pairs' Legendre symbols: {p, q, r} on a
-    non-residue triangle).  The two share only the triple, whose hypothesis
-    `_nonresidue_triples` tested, and `arith`'s Legendre symbol; no quartic
-    symbol enters the oracle and no unit the prediction."""
+    p-q-r, "square" when it is 0 (`general_invariant` of its three pairs).
+    Oracle: the least squarefree d over p, q, r that makes
+    d*eps_pq*eps_qr*eps_rp a square in the field of sqrt(pq), sqrt(qr),
+    sqrt(rp), by exact square tests, and P, the primes that are cross
+    non-residues in their pairs: {p, q, r} on a non-residue triangle
+    (`candm_check`); "square" when d = 1.  A record passes when the primes
+    of d meet P evenly exactly when the invariant is 0.  The two share only
+    the triple, whose hypothesis `_nonresidue_triples` tested, and
+    `arith`'s Legendre symbol; no quartic symbol enters the oracle and no
+    unit the prediction."""
     p, q, r = args
-    res = candm_check(((p, q), (q, r), (r, p)))
-    predicted = "square" if res.invariant.value == 0 else "nonsquare"
-    oracle = "square" if res.d == 1 else f"nonsquare(d={res.d})"
-    return f"{p},{q},{r}", predicted, oracle, res.consistent
+    pairs = ((p, q), (q, r), (r, p))
+    value = general_invariant(pairs).value
+    d, P = candm_check(pairs)
+    predicted = "square" if value == 0 else "nonsquare"
+    oracle = "square" if d == 1 else f"nonsquare(d={d})"
+    even = len(_primes_in(d, P)) % 2 == 0
+    return f"{p},{q},{r}", predicted, oracle, even == (value == 0)
 
 
 # --- candp ------------------------------------------------------------------
@@ -382,16 +395,17 @@ def _enum_candp(config: SweepConfig) -> Iterator[tuple]:
 
 def _eval_candp(args: tuple) -> tuple | None:
     """Prediction: the constant claim "even": for a unit of norm +1, the
-    primes of d meet P evenly.  Oracle: `candp_check`, which finds d by
-    exact square tests of d*eps_{m*n} (`mquad.find_d`) and P from Legendre
-    symbols, and counts the primes of d in P.  The two share the
-    continued-fraction unit, whose norm selects the instance."""
+    primes of d meet P evenly.  Oracle: d, found by exact square tests of
+    d*eps_{m*n}, and P, from Legendre symbols (`candp_check`); the primes
+    of d in P are counted here.  The two share the continued-fraction
+    unit, whose norm selects the instance."""
     m, n = args
     if fundamental_unit(m * n).norm != 1:
         return None
-    res = candp_check(m, n)
-    oracle = f"|{{{','.join(map(str, res.intersection))}}}|={len(res.intersection)}"
-    return f"m={m},n={n}", "even", f"d={res.d},{oracle}", res.parity_even
+    d, P = candp_check(m, n)
+    inter = _primes_in(d, P)
+    oracle = f"d={d},|{{{','.join(map(str, inter))}}}|={len(inter)}"
+    return f"m={m},n={n}", "even", oracle, len(inter) % 2 == 0
 
 
 # --- norm-sign --------------------------------------------------------------
@@ -459,16 +473,16 @@ def _enum_kuroda(config: SweepConfig) -> Iterator[tuple]:
 def _eval_kuroda(args: tuple) -> tuple | None:
     """Prediction: the unit index Q of Q(sqrt(p), sqrt(qr)) for a residue
     pair p, q and a non-residue pair q, r is 1 exactly when the unit of pqr
-    has norm -1 and (p/q)_4 (q/p)_4 = -1, else 2 (`kuroda_example_check`).
+    has norm -1 and (p/q)_4 (q/p)_4 = -1, else 2 (`kuroda_predict`).
     Oracle: Q counted by exact square tests (`mquad.is_square`) of the
     seven products of the units of p, qr and pqr in that field
     (`kuroda_q`).  The two share the continued-fraction unit of pqr: the
     prediction reads its norm, the oracle its coordinates; no quartic
     symbol enters the oracle."""
     p, q, r = args
-    res = kuroda_example_check(p, q, r)
-    return (f"{p},{q},{r}", f"Q={res.formula_value}", f"Q={res.computed.value}",
-            res.consistent)
+    predicted = kuroda_predict(p, q, r)
+    computed = kuroda_q(p, q * r).value
+    return f"{p},{q},{r}", f"Q={predicted}", f"Q={computed}", predicted == computed
 
 
 # name: (default bound, enumerator, evaluator), the one place a check is named

@@ -5,17 +5,19 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+from quadrec import apps, arith, invariants
 from quadrec.arith import DomainError, is_squarefree, prime_divisors
 from quadrec.apps import (
     candm_check,
     candp_check,
-    kuroda_example_check,
+    kuroda_predict,
     kuroda_q,
     norm_sign_predict,
     positive_norm_square_check,
     theorem_sq_check,
     unit_product,
 )
+from quadrec.invariants import general_invariant
 from quadrec.mquad import MQElement, MQField, field_containing, is_square
 from quadrec.pell import fundamental_unit
 from quadrec.sweeps import SweepConfig, _enum_kuroda
@@ -84,7 +86,8 @@ def test_theorem_sq_family_2_5_10():
 
 def test_theorem_sq_rejects_wrong_hypotheses():
     for moduli, message in (((2, 5, 13), "perfect square"),
-                            ((3, 5, 15), "eps_3 is \\+1")):
+                            ((3, 5, 15), "eps_3 is \\+1"),
+                            ((), "at least one modulus")):
         with pytest.raises(DomainError, match=message):
             theorem_sq_check(moduli)
 
@@ -125,31 +128,37 @@ def test_positive_norm_domain():
         positive_norm_square_check(12)
 
 
+def primes_of_d_in(d, P):
+    return tuple(sorted(set(prime_divisors(d)) & set(P)))
+
+
 def test_candm_triple_2_5_13():
-    res = candm_check(((2, 5), (5, 13), (13, 2)))
-    assert res.P == (2, 5, 13)
-    assert res.invariant.value == 0
-    assert res.d == 1
-    assert res.intersection == ()
-    assert res.consistent
+    pairs = ((2, 5), (5, 13), (13, 2))
+    d, P = candm_check(pairs)
+    assert P == (2, 5, 13)
+    assert general_invariant(pairs).value == 0
+    assert d == 1
+    assert primes_of_d_in(d, P) == ()  # even, as the invariant 0 says
 
 
 def test_candm_triple_2_5_37():
-    res = candm_check(((2, 5), (5, 37), (37, 2)))
-    assert res.P == (2, 5, 37)
-    assert res.invariant.value == 1
-    assert res.d == 2
-    assert res.intersection == (2,)
-    assert res.consistent
+    pairs = ((2, 5), (5, 37), (37, 2))
+    d, P = candm_check(pairs)
+    assert P == (2, 5, 37)
+    assert general_invariant(pairs).value == 1
+    assert d == 2
+    assert primes_of_d_in(d, P) == (2,)  # odd, as the invariant 1 says
 
 
 def test_candm_validates_inputs():
     with pytest.raises(DomainError):
         candm_check(((2, 5), (5, 13)))  # product 2*5*5*13 not square
-    # a residue pair has no cross non-residue, so P is empty: the P = {5, 29}
-    # that was refused here can no longer be passed
-    res = candm_check(((5, 29), (29, 5)))
-    assert res.P == () and res.d == 1 and res.consistent
+    # a residue pair has no cross non-residue, so P is empty; its edges 5-29
+    # cancel in the XOR of the pairs, leaving the empty edge set, of
+    # invariant 0
+    d, P = candm_check(((5, 29), (29, 5)))
+    assert P == () and d == 1 and len(primes_of_d_in(d, P)) % 2 == 0
+    assert general_invariant(()).value == 0
     with pytest.raises(DomainError, match="at least one"):
         candm_check(())
 
@@ -173,19 +182,17 @@ def test_split_hypotheses_are_one_rule(check):
 
 
 def test_candp_worked_instance():
-    res = candp_check(5, 3)
-    assert res.P == (2, 3, 5)
-    assert res.d == 6
-    assert res.intersection == (2, 3)
-    assert res.parity_even
+    d, P = candp_check(5, 3)
+    assert P == (2, 3, 5)
+    assert d == 6
+    assert primes_of_d_in(d, P) == (2, 3)  # even
 
 
 def test_candp_second_instance():
-    res = candp_check(13, 3)
-    assert res.P == (2,)
-    assert res.d == 3
-    assert res.intersection == ()
-    assert res.parity_even
+    d, P = candp_check(13, 3)
+    assert P == (2,)
+    assert d == 3
+    assert primes_of_d_in(d, P) == ()  # even
 
 
 def test_candp_validates():
@@ -222,14 +229,12 @@ def test_kuroda_q_values():
 
 
 def test_kuroda_example_instances():
-    res = kuroda_example_check(13, 17, 5)
-    assert res.formula_value == 1 and res.computed.value == 1 and res.consistent
-    res2 = kuroda_example_check(5, 29, 2)
-    assert res2.formula_value == 2 and res2.computed.value == 2 and res2.consistent
+    assert kuroda_predict(13, 17, 5) == kuroda_q(13, 85).value == 1
+    assert kuroda_predict(5, 29, 2) == kuroda_q(5, 58).value == 2
     with pytest.raises(DomainError):
-        kuroda_example_check(2, 5, 13)  # (2/5) = -1 breaks the first hypothesis
+        kuroda_predict(2, 5, 13)  # (2/5) = -1 breaks the first hypothesis
     with pytest.raises(DomainError, match="not a prime"):
-        kuroda_example_check(5, 29, 3)  # 3 is not in V
+        kuroda_predict(5, 29, 3)  # 3 is not in V
 
 
 def test_kuroda_unit_products_have_no_negative_square():
@@ -247,6 +252,23 @@ def test_kuroda_unit_products_have_no_negative_square():
                 if e >> i & 1:
                     x = x * u
             assert is_square(x * -1) is None, (p, q, r, e)
+
+
+def test_oracles_read_no_quartic_symbol(monkeypatch):
+    # every oracle here comes from units and square tests alone: with the
+    # quartic symbol raising wherever it is bound, and no triangle invariant
+    # memoised, each still returns
+    def no_quartic(m, p):
+        raise AssertionError(f"quartic({m}, {p}) read by an oracle")
+
+    for module in (arith, invariants, apps):
+        monkeypatch.setattr(module, "quartic", no_quartic)
+    invariants.triangle_invariant.cache_clear()
+    assert candm_check(((2, 5), (5, 37), (37, 2))) == (2, (2, 5, 37))
+    assert candp_check(5, 3) == (6, (2, 3, 5))
+    assert kuroda_q(13, 85).value == 1
+    assert theorem_sq_check((5, 13, 65)) is not None
+    assert positive_norm_square_check(3) is not None
 
 
 def test_field_containing_collapses_pairs():

@@ -294,6 +294,16 @@ def test_factorize_round_trip():
     assert prime_divisors(2 ** 5 * p) == (2, p)
 
 
+@pytest.mark.parametrize("n", [0, -12])
+def test_factorisations_refuse_an_integer_below_1(n):
+    # a DomainError from each entry point, not the assert in _factorize,
+    # which python -O drops: prime_divisors(0) then never returned and
+    # prime_divisors(-12) gave (2,)
+    for f in (prime_divisors, factorize, squarefree_kernel):
+        with pytest.raises(DomainError, match="positive integer"):
+            f(n)
+
+
 def test_squarefree_helpers():
     assert is_squarefree(1) and is_squarefree(30) and not is_squarefree(12)
     assert not is_squarefree(0)

@@ -206,10 +206,9 @@ def test_unit_symbol_rejects_a_prime_that_does_not_split(m, p):
 
 
 def test_check_unit_congruences_known_good():
+    # the names of the broken claims: none, for each of these m
     for m in (5, 13, 17, 29, 37, 41, 53, 61, 65, 85):
-        report = check_unit_congruences(m)
-        assert report.all_ok, (m, report.failed_claims())
-    assert check_unit_congruences(5).failed_claims() == ()
+        assert check_unit_congruences(m) == (), m
 
 
 def test_divisor_certificate_matches_factorisation():

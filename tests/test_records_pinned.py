@@ -1,14 +1,14 @@
 """The record stream of `verify --format csv` pinned by digest.
 
-Every check runs in-process at a fixed bound, and six of them also with
-two worker processes.  The sha256 covers the lines between the timestamp
-line and the summary line: the header and each record with its predicted
-and oracle strings (the d= of candp, the Q= of kuroda, ...) and verdict.
-The summary line is asserted exactly.  The units one run computes are
-pinned the same way, and so are two runs in each of the json-lines and
-human formats.  A refactor of the arithmetic
-underneath must leave these digests unchanged; a deliberate change of the
-records has to update them here.
+Every check runs in-process at its default bound, most at larger fixed
+bounds too, and six of them also with two worker processes.  The sha256
+covers the lines between the timestamp line and the summary line: the
+header and each record with its predicted and oracle strings (the d= of
+candp, the Q= of kuroda, ...) and verdict.  The summary line is asserted
+exactly.  The units one run computes are pinned the same way, and so are
+two runs in each of the json-lines and human formats.  A refactor of the
+arithmetic underneath must leave these digests unchanged; a deliberate
+change of the records has to update them here.
 """
 
 import hashlib
@@ -16,11 +16,12 @@ import hashlib
 import pytest
 
 from quadrec.cli import main
-from quadrec.sweeps import SweepConfig, run_check, summarize
+from quadrec.sweeps import CHECKS, SweepConfig, run_check, summarize
 
 PINNED = {
     ("thm-sq", 100): (106, "e17a657edcaded7c4c02f570d27966dda72088ccf016d7ddf73f5347e59eae9c"),
     ("thm-sq", 200): (373, "6d5fb7b0b33cc67c6b6539fe19fc7eedaeeb765553d58790cdc1583ae3db6d9d"),
+    ("pos-norm", 500): (231, "dad8a06c6525d637d1d51ef617f1e1d66a01a9d6f506f5b93d451352328d6311"),
     ("pos-norm", 1200): (557, "b0d6113b14f27cae3be5b949a5296a702373ac429766fbbfa739314fa942e7df"),
     # five generators, a 32-entry radicand table
     ("pos-norm", 4000): (1902, "e7b3da9e70c6abc6db2890e80618e7fb014f7b02fd455f1ed1ae5a0cc550666d"),
@@ -33,7 +34,9 @@ PINNED = {
     ("candm", 120): (74, "48bdff69d080a447e92451a9cc1cdbb663af596d9c077767c6352559aedb688b"),
     ("candm", 480): (1899, "c55e8ac0e79901e26c694f1460ad08aa109c158b5e5216583037d5a6b0bd51f6"),
     ("lemma-e", 1000): (104, "2e3a3d67b73040d320338f82191aa3af4d03ea62fb65ecf9d6d2e9a2bc0398b3"),
+    ("lemma-e", 20000): (1676, "45b40a21dd8f29f29464a8c66be110532fad7cbe617e2a059b3f6684cb413bc9"),
     ("triangles", 8): (141, "c3576b55b519ffd151194b3e4bb0365ba122394259e2ab6f8cff81096692f27a"),
+    ("triangles", 10): (734, "444f77faad5fd31b38b290c1f3b1072819fb0da5ce1c2947fe3f04dda687a4e5"),
     ("triangles", 11): (1223, "5ee1fb0cece5591bafc8095d57345eac5a9a9de72e744d74eebfbed6adc648ee"),
     ("triangles", 12): (2255, "57fd0d18a1a212ca4c510216222ac9a666eeafa2b869e162cf8639eeacc1b29f"),
     ("triangles", 14): (6484, "7f0fd1af3db97a4e256357b2a6dd8d45ca041d78b9d314b445cf4ac3e158b7bc"),
@@ -65,6 +68,10 @@ def assert_pinned(capsys, check, bound, *options):
 @pytest.mark.parametrize("check,bound", sorted(PINNED))
 def test_verify_records_match_pinned_digest(check, bound, capsys):
     assert_pinned(capsys, check, bound)
+
+
+def test_every_check_is_pinned_at_its_default_bound():
+    assert {(name, row[0]) for name, row in CHECKS.items()} <= set(PINNED)
 
 
 @pytest.mark.parametrize("check,bound", [("thm-sq", 100), ("kuroda", 60),

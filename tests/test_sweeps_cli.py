@@ -280,31 +280,41 @@ def test_duality_oracle_rejects_a_cycle_missing_an_edge(monkeypatch):
 
 
 def test_kuroda_oracle_rejects_a_flipped_index(monkeypatch):
-    right = sweeps.kuroda_example_check
-
-    def flipped(p, q, r):
-        res = right(p, q, r)
-        return res._replace(formula_value=3 - res.formula_value)
-
-    monkeypatch.setattr(sweeps, "kuroda_example_check", flipped)
+    right = sweeps.kuroda_predict
+    monkeypatch.setattr(sweeps, "kuroda_predict", lambda p, q, r: 3 - right(p, q, r))
     records = run_check("kuroda", SweepConfig())
     assert summarize(records) == {"pass": 0, "fail": 90}
 
 
 def test_candm_oracle_rejects_a_flipped_invariant(monkeypatch):
-    right = sweeps.candm_check
+    right = sweeps.general_invariant
 
     def flipped(pairs):
-        res = right(pairs)
-        return res._replace(invariant=res.invariant._replace(value=1 - res.invariant.value))
+        report = right(pairs)
+        return report._replace(value=1 - report.value)
 
     expected = {r.instance: r.predicted for r in run_check("candm", SweepConfig())}
-    monkeypatch.setattr(sweeps, "candm_check", flipped)
+    monkeypatch.setattr(sweeps, "general_invariant", flipped)
     records = run_check("candm", SweepConfig())
     assert summarize(records) == {"pass": 0, "fail": 9}
     swapped = {"square": "nonsquare", "nonsquare": "square"}
     assert {r.instance: r.predicted for r in records} == {
         i: swapped[p] for i, p in expected.items()}
+
+
+def test_candm_prediction_rejects_a_d_with_one_prime_of_p_toggled(monkeypatch):
+    right = sweeps.candm_check
+
+    def toggled(pairs):
+        d, P = right(pairs)
+        p = P[0]
+        return (d // p if d % p == 0 else d * p), P
+
+    expected = {r.instance: r.predicted for r in run_check("candm", SweepConfig())}
+    monkeypatch.setattr(sweeps, "candm_check", toggled)
+    records = run_check("candm", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 9}
+    assert {r.instance: r.predicted for r in records} == expected
 
 
 def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
@@ -360,8 +370,10 @@ def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
     right = sweeps.candp_check
 
     def one_more(m, n):
-        res = right(m, n)
-        return res._replace(intersection=res.intersection + (1,))
+        # a prime of neither d nor P: the primes of d in P grow by one
+        d, P = right(m, n)
+        q = next(p for p in primes_in_v(100) if 2 * m * n % p)
+        return d * q, P + (q,)
 
     monkeypatch.setattr(sweeps, "candp_check", one_more)
     records = run_check("candp", SweepConfig())
