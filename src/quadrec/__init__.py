@@ -40,9 +40,9 @@ from .mquad import (
 from .f2graph import (
     auxiliary_primes,
     boundary_space,
-    build_graph,
     cycle_space,
     edge,
+    nonresidue_cycles,
     triangle_decompose,
 )
 from .invariants import (

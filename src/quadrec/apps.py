@@ -6,10 +6,10 @@ evaluators in `sweeps` set the two sides against each other.  Oracles,
 from continued-fraction units and exact square detection:
 `theorem_sq_check` and `positive_norm_square_check` return a square root
 of a unit product, or None; `candm_check` and `candp_check` return the
-least d that makes a unit product times d a square, with the candidate
-prime set P; `kuroda_q` counts the unit index.  Predictions, from residue
-symbols: `norm_sign_predict` a norm sign and `kuroda_predict` a unit
-index.  Each function takes only what it cannot derive and checks its
+least d that makes a unit product times d a square, or None, with the
+candidate prime set P; `kuroda_q` counts the unit index.  Predictions,
+from residue symbols: `norm_sign_predict` a norm sign and
+`kuroda_predict` a unit index.  Each function takes only what it cannot derive and checks its
 hypotheses from that, raising DomainError when one fails.
 """
 
@@ -104,7 +104,7 @@ def _cross_nonresidues(m: int, n: int):
             if legendre(b, p) == -1)
 
 
-def candm_check(pairs) -> tuple[int, tuple[int, ...]]:
+def candm_check(pairs) -> tuple[int | None, tuple[int, ...]]:
     """Candidate narrowing's oracle for pairs (m_i, n_i) whose units have
     norm -1 and whose moduli m_i*n_i multiply to a square: (d, P).  The
     theorem: the primes of d meet P evenly exactly when the quartic
@@ -113,10 +113,11 @@ def candm_check(pairs) -> tuple[int, tuple[int, ...]]:
 
     d is the least squarefree d over the primes of the moduli that makes d
     times the product of the units of m_i*n_i a square in the field of the
-    sqrt(m_i*n_i), by exhaustive square tests; the parity of its primes in
-    P is the same for every d of its square class.  P is the sorted set of
-    primes that are cross non-residues in their pairs: a prime of m_i with
-    (n_i/p) = -1, or of n_i with (m_i/q) = -1.  A prime that is one in
+    sqrt(m_i*n_i), by exhaustive square tests, or None when no such d
+    exists; the parity of its primes in P is the same for every d of its
+    square class.  P is the sorted set of primes that are cross
+    non-residues in their pairs: a prime of m_i with (n_i/p) = -1, or of
+    n_i with (m_i/q) = -1.  A prime that is one in
     some pair and not in another admits no P, and is refused; so each prime
     has one status in all its pairs, an even number of them, and the XOR
     above always lies in the invariant group.
@@ -144,13 +145,14 @@ def candm_check(pairs) -> tuple[int, tuple[int, ...]]:
     return d, tuple(sorted(P))
 
 
-def candp_check(m: int, n: int) -> tuple[int, tuple[int, ...]]:
+def candp_check(m: int, n: int) -> tuple[int | None, tuple[int, ...]]:
     """The oracle of positive-norm candidate narrowing for a split m*n
     whose unit has norm +1, every prime of m 1 mod 4: (d, P).  d is the
     least squarefree d over the primes of m*n, and 2 when n = 3 (mod 4),
-    that makes d*eps_{m*n} a square in Q(sqrt(m*n)); P is the sorted set of
-    cross non-residue primes, plus 2 when m = 5 (mod 8) and n = 3 (mod 4).
-    The theorem: the primes of d meet P evenly."""
+    that makes d*eps_{m*n} a square in Q(sqrt(m*n)), or None when no such d
+    exists; P is the sorted set of cross non-residue primes, plus 2 when
+    m = 5 (mod 8) and n = 3 (mod 4).  The theorem: the primes of d meet P
+    evenly."""
     _require_split(m, n)
     for p in prime_divisors(m):
         if p % 4 != 1:

@@ -182,20 +182,19 @@ def sqrt_mod(m: int, p: int) -> int:
     """The canonical square root of m mod an odd prime p (the smaller of the
     two roots).
 
-    One exponentiation after the Euler test, except for p = 1 (mod 8):
-    a^((p+1)/4) for p = 3 (mod 4); Atkin's formula for p = 5 (mod 8), with
-    b = (2a)^((p-5)/8) and i = 2a*b^2 (a square root of -1), r = a*b*(i - 1);
-    Tonelli-Shanks for p = 1 (mod 8), with the per-prime constants (the
-    deterministic non-residue search included) memoised.
+    Atkin's formula for p = 5 (mod 8), one exponentiation after the Euler
+    test, with b = (2a)^((p-5)/8) and i = 2a*b^2 (a square root of -1),
+    r = a*b*(i - 1); Tonelli-Shanks otherwise, with the per-prime constants
+    (the deterministic non-residue search included) memoised.  For
+    p = 3 (mod 4), p - 1 = 2q with q odd: the start a^((q+1)/2) is
+    a^((p+1)/4), a root already, t = a^q is 1, and the loop never runs.
     """
     if p < 3 or not is_prime(p):
         raise DomainError(f"modulus {p} is not an odd prime")
     a = m % p
     if a == 0 or pow(a, (p - 1) // 2, p) != 1:
         raise DomainError(f"{m} is not a nonzero quadratic residue mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
+    if p % 8 == 5:
         b = pow(2 * a, (p - 5) // 8, p)
         r = a * b * (2 * a * b * b - 1) % p
     else:

@@ -23,9 +23,10 @@ import os
 import sys
 import time
 from contextlib import closing
+from itertools import combinations
 
-from .arith import DomainError, jacobi, legendre, quartic
-from .f2graph import build_graph, edge
+from .arith import DomainError, jacobi, legendre, quartic, v_symbol
+from .f2graph import edge
 from .invariants import general_invariant
 from .pell import unit_symbol
 from .sweeps import CHECKS, SweepConfig, run_checks
@@ -156,9 +157,9 @@ def cmd_invariant(args) -> int:
     report = general_invariant(sorted(vec))
     print(report)
     if args.show_graph:
-        residue, nonresidue = build_graph({x for e in vec for x in e})
-        for p, q in sorted(residue | nonresidue):
-            print(p, q, "R" if (p, q) in residue else "N")
+        # general_invariant has validated every vertex of the query
+        for p, q in combinations(sorted({x for e in vec for x in e}), 2):
+            print(p, q, "R" if v_symbol(p, q) == 1 else "N")
     return 0
 
 

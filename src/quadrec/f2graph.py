@@ -1,14 +1,15 @@
 """GF(2) edge-space machinery on prime residue graphs.
 
-`build_graph` splits the complete graph on a set of primes of V into its
-residue edges (symbol +1) and its non-residue edges (-1).  Edge sets are
-vectors over GF(2) under symmetric difference; this module computes boundary
-and cycle space bases, each returned as the sorted distinct edges and one
-int mask per basis vector over them (bit i is edge i), and decomposes
-non-residue cycles, given as their vertex order, into triangles, given as
-sorted vertex triples, through an auxiliary prime; `triangle_decompose`
-checks only the shape of a cycle, and `invariants.triangle_invariant` the
-residue hypotheses of each triangle.  Both bases come from `gf2_kernel`,
+`nonresidue_cycles` is the one walk over the non-residue graph of a set of
+primes of V (an edge wherever the symbol is -1): it lists its cycles of the
+given lengths.  Edge sets are vectors over GF(2) under symmetric
+difference; this module computes boundary and cycle space bases, each
+returned as the sorted distinct edges and one int mask per basis vector
+over them (bit i is edge i), and decomposes non-residue cycles, given as
+their vertex order, into triangles, given as sorted vertex triples,
+through an auxiliary prime; `triangle_decompose` checks only the shape of
+a cycle, and `invariants.triangle_invariant` the residue hypotheses of
+each triangle.  Both bases come from `gf2_kernel`,
 the one GF(2) elimination of `arith`: a vector is independent of the
 earlier ones exactly when its index is the top bit of no relation.  An
 edge's vertex vector is independent of the earlier edges' exactly when it
@@ -47,18 +48,43 @@ def edge(p: int, q: int) -> Edge:
     return (p, q) if p < q else (q, p)
 
 
-def build_graph(primes) -> tuple[frozenset, frozenset]:
-    """The residue edges and the non-residue edges of the complete graph on
-    the given distinct primes of V, each edge as a sorted pair."""
-    vs = sorted(primes)
-    if len(set(vs)) != len(vs):
-        raise DomainError("vertices must be distinct")
-    for p in vs:
-        require_v_prime(p)
-    res, non = set(), set()
+def nonresidue_cycles(vertices, lengths):
+    """Yield the non-residue cycles on the given primes of V whose lengths,
+    each at least 3, are in `lengths`; each once, as its vertex order from
+    its least vertex, with the second vertex below the last.
+
+    Each pair of the sorted vertices has its symbol read once, by
+    `v_symbol`, which refuses a repeated vertex or a prime outside V; this
+    happens at the first `next`.  The cycles come by length in the order of
+    `lengths`, then by least vertex, and each such group sorted by
+    (sorted(c), c): its vertex subsets in combinations order, each subset's
+    cycles in permutations order of the vertices after the least.  At
+    length 3 that is combinations order.  Only one group is held at a time.
+    """
+    vs = sorted(vertices)
+    nbrs = {v: set() for v in vs}
     for p, q in combinations(vs, 2):
-        (res if v_symbol(p, q) == 1 else non).add((p, q))
-    return frozenset(res), frozenset(non)
+        if v_symbol(p, q) == -1:
+            nbrs[p].add(q)
+            nbrs[q].add(p)
+
+    def walk(path, k, out):
+        last = path[-1]
+        if len(path) == k - 1:
+            # the closing vertex: a partner of both ends, above the second
+            out.extend(tuple(path) + (w,) for w in nbrs[last] & nbrs[path[0]]
+                       if w > path[1] and w not in path)
+            return
+        for w in nbrs[last]:
+            if w > path[0] and w not in path:
+                walk(path + [w], k, out)
+
+    for k in lengths:
+        for s in vs:
+            group = []
+            walk([s], k, group)
+            group.sort(key=lambda c: (sorted(c), c))
+            yield from group
 
 
 # ---------------------------------------------------------------------------

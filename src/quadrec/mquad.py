@@ -360,9 +360,10 @@ def is_square(x: MQElement) -> MQElement | None:
     return root
 
 
-def find_d(x: MQElement, allowed_primes) -> int:
+def find_d(x: MQElement, allowed_primes) -> int | None:
     """The squarefree product d of allowed_primes making x*d a square in x's
-    field (d = 1 means x itself is square).
+    field (d = 1 means x itself is square), or None when no such product
+    does.
 
     Candidates are tested once per square class of the field (two candidates
     whose ratio is a field square succeed or fail together); exactly one
@@ -390,6 +391,4 @@ def find_d(x: MQElement, allowed_primes) -> int:
             if hit is not None:
                 raise AssertionError(f"two inequivalent d values pass: {hit} and {d}")
             hit = d
-    if hit is None:
-        raise DomainError("no squarefree product of the allowed primes makes x a square")
     return hit

@@ -55,6 +55,7 @@ from .f2graph import (
     boundary_space,
     cycle_space,
     first_v_primes,
+    nonresidue_cycles,
     triangle_decompose,
 )
 from .invariants import general_invariant, scholz2_predict, scholz_predict, triangle_invariant
@@ -151,24 +152,8 @@ def _eval_scholz(args: tuple) -> tuple | None:
 
 # --- scholz2 ----------------------------------------------------------------
 
-def _nonresidue_triples(bound: int) -> Iterator[tuple[int, int, int]]:
-    """Yield the pairwise non-residue triples p < q < r of V-primes up to
-    bound, in `combinations` order.  Each pair's symbol is read once, to
-    list the non-residue partners above each prime."""
-    ps = primes_in_v(bound)
-    above = {p: [] for p in ps}
-    for p, q in combinations(ps, 2):
-        if v_symbol(p, q) == -1:
-            above[p].append(q)
-    above_set = {p: set(qs) for p, qs in above.items()}
-    for p in ps:
-        partners = above[p]
-        for j, q in enumerate(partners):
-            yield from ((p, q, r) for r in partners[j + 1:] if r in above_set[q])
-
-
 def _enum_scholz2(config: SweepConfig) -> Iterator[tuple]:
-    for p, q, r in _nonresidue_triples(config.bound):
+    for p, q, r in nonresidue_cycles(primes_in_v(config.bound), (3,)):
         yield from ((p, q, r), (p, r, q), (q, r, p))
 
 
@@ -178,7 +163,7 @@ def _eval_scholz2(args: tuple) -> tuple | None:
     Oracle: the residue symbol of the fundamental unit of a*b at c
     (`pell.unit_symbol`), from the continued-fraction unit reduced at a
     square root of a*b mod c.  The two share only the triple, whose
-    hypothesis `_nonresidue_triples` tested, and `arith`'s primality test
+    hypothesis `nonresidue_cycles` tested, and `arith`'s primality test
     and Legendre symbol; no quartic symbol enters the oracle and no unit
     the prediction.  V-primes that are non-residues against 2 are 5
     (mod 8), so at c = 2 the modulus a*b is 1 (mod 8), as the symbol
@@ -230,29 +215,7 @@ def _eval_duality(args: tuple) -> tuple | None:
 # --- triangles --------------------------------------------------------------
 
 def _enum_triangles(config: SweepConfig) -> Iterator[tuple]:
-    vs = first_v_primes(config.bound)
-    nbrs = {v: [w for w in vs if w != v and v_symbol(v, w) == -1] for v in vs}
-
-    def walk(path, k, out):
-        last = path[-1]
-        if len(path) == k:
-            if path[1] < last and path[0] in nbrs[last]:
-                out.append(tuple(path))
-            return
-        for w in nbrs[last]:
-            if w > path[0] and w not in path:
-                walk(path + [w], k, out)
-
-    # each cycle once: from its least vertex, second vertex < last vertex.
-    # By length, then least vertex; within that group vertex subsets in
-    # combinations order, then each subset's cycles in permutations order
-    # of the vertices after the least.  Only one group is held at a time.
-    for k in range(3, 7):
-        for s in vs:
-            group = []
-            walk([s], k, group)
-            group.sort(key=lambda c: (sorted(c), c))
-            yield from group
+    yield from nonresidue_cycles(first_v_primes(config.bound), range(3, 7))
 
 
 def _eval_triangles(order: tuple) -> tuple | None:
@@ -353,7 +316,7 @@ def _eval_lemma_e(args: tuple) -> tuple | None:
 # --- candm ------------------------------------------------------------------
 
 def _enum_candm(config: SweepConfig) -> Iterator[tuple]:
-    yield from _nonresidue_triples(config.bound)
+    yield from nonresidue_cycles(primes_in_v(config.bound), (3,))
 
 
 def _primes_in(d: int, P) -> tuple[int, ...]:
@@ -369,18 +332,21 @@ def _eval_candm(args: tuple) -> tuple | None:
     sqrt(rp), by exact square tests, and P, the primes that are cross
     non-residues in their pairs: {p, q, r} on a non-residue triangle
     (`candm_check`); "square" when d = 1.  A record passes when the primes
-    of d meet P evenly exactly when the invariant is 0.  The two share only
-    the triple, whose hypothesis `_nonresidue_triples` tested, and
-    `arith`'s Legendre symbol; no quartic symbol enters the oracle and no
-    unit the prediction."""
+    of d meet P evenly exactly when the invariant is 0, and fails with
+    oracle "no-d" when no d exists.  The two share only the triple, whose
+    hypothesis `nonresidue_cycles` tested, and `arith`'s Legendre symbol;
+    no quartic symbol enters the oracle and no unit the prediction."""
     p, q, r = args
     pairs = ((p, q), (q, r), (r, p))
     value = general_invariant(pairs).value
     d, P = candm_check(pairs)
+    instance = f"{p},{q},{r}"
     predicted = "square" if value == 0 else "nonsquare"
+    if d is None:
+        return instance, predicted, "no-d", False
     oracle = "square" if d == 1 else f"nonsquare(d={d})"
     even = len(_primes_in(d, P)) % 2 == 0
-    return f"{p},{q},{r}", predicted, oracle, even == (value == 0)
+    return instance, predicted, oracle, even == (value == 0)
 
 
 # --- candp ------------------------------------------------------------------
@@ -397,12 +363,15 @@ def _eval_candp(args: tuple) -> tuple | None:
     """Prediction: the constant claim "even": for a unit of norm +1, the
     primes of d meet P evenly.  Oracle: d, found by exact square tests of
     d*eps_{m*n}, and P, from Legendre symbols (`candp_check`); the primes
-    of d in P are counted here.  The two share the continued-fraction
-    unit, whose norm selects the instance."""
+    of d in P are counted here, and a record fails with oracle "no-d" when
+    no d exists.  The two share the continued-fraction unit, whose norm
+    selects the instance."""
     m, n = args
     if fundamental_unit(m * n).norm != 1:
         return None
     d, P = candp_check(m, n)
+    if d is None:
+        return f"m={m},n={n}", "even", "no-d", False
     inter = _primes_in(d, P)
     oracle = f"d={d},|{{{','.join(map(str, inter))}}}|={len(inter)}"
     return f"m={m},n={n}", "even", oracle, len(inter) % 2 == 0

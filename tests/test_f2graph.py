@@ -11,9 +11,9 @@ from quadrec.arith import DomainError, primes_in_v, v_symbol
 from quadrec.f2graph import (
     auxiliary_primes,
     boundary_space,
-    build_graph,
     cycle_space,
     edge,
+    nonresidue_cycles,
     triangle_decompose,
 )
 from quadrec.invariants import triangle_invariant
@@ -26,28 +26,17 @@ def test_edge_normalizes():
         edge(5, 5)
 
 
-def test_build_graph_examples():
-    assert build_graph([2, 5, 13]) == (frozenset(), frozenset({(2, 5), (2, 13), (5, 13)}))
-    assert build_graph([29, 5]) == (frozenset({(5, 29)}), frozenset())
-    assert build_graph([5]) == (frozenset(), frozenset())
-
-
-def test_build_graph_partitions_every_pair_by_its_symbol():
-    vs = primes_in_v(40)
-    residue, nonresidue = build_graph(reversed(vs))
-    assert not residue & nonresidue
-    assert residue | nonresidue == set(combinations(vs, 2))
-    for p, q in combinations(vs, 2):
-        assert ((p, q) in residue) == (v_symbol(p, q) == 1)
-
-
-def test_build_graph_rejects_bad_vertices():
-    with pytest.raises(DomainError, match="not a prime"):
-        build_graph([3])  # a lone vertex outside V
-    with pytest.raises(DomainError, match="not a prime"):
-        build_graph([5, 3])
-    with pytest.raises(DomainError, match="distinct"):
-        build_graph([5, 5])
+def test_nonresidue_cycles_read_the_vertices_in_sorted_order():
+    vs = primes_in_v(60)
+    shuffled = vs[:]
+    random.Random(31).shuffle(shuffled)
+    assert shuffled != vs
+    cycles = list(nonresidue_cycles(vs, range(3, 6)))
+    assert cycles and list(nonresidue_cycles(shuffled, range(3, 6))) == cycles
+    for bad in ([5, 5], [5, 3]):
+        lazy = nonresidue_cycles(bad, (3,))
+        with pytest.raises(DomainError):
+            next(lazy)
 
 
 def edge_sets(space):

@@ -9,7 +9,7 @@ from math import prod
 import pytest
 
 from quadrec.arith import DomainError, primes_in_v, quartic, v_symbol
-from quadrec.f2graph import build_graph, cycle_space, edge
+from quadrec.f2graph import cycle_space
 from quadrec.invariants import (
     edge_invariant,
     general_invariant,
@@ -99,8 +99,9 @@ def test_general_invariant_empty_set():
 def member_vectors(vertices, rng, count):
     """Random members: residue edges are free, non-residue parts come from
     the cycle space of the Gamma_N restriction."""
-    residue, nonresidue = build_graph(vertices)
-    es, masks = cycle_space(vertices, sorted(nonresidue))
+    pairs = list(combinations(sorted(vertices), 2))
+    residue = [e for e in pairs if v_symbol(*e) == 1]
+    es, masks = cycle_space(vertices, [e for e in pairs if v_symbol(*e) == -1])
     basis = [frozenset(e for i, e in enumerate(es) if m >> i & 1) for m in masks]
     out = []
     for _ in range(count):
@@ -108,7 +109,7 @@ def member_vectors(vertices, rng, count):
         for cyc in basis:
             if rng.random() < 0.5:
                 vec ^= cyc
-        for e in sorted(residue):
+        for e in residue:
             if rng.random() < 0.3:
                 vec ^= {e}
         out.append(vec)

@@ -32,6 +32,7 @@ PINNED = {
     ("candp", 1200): (889, "33221acb264dec00c070d4044c2d57168a09ae79765c44f207c2f6c5722b1907"),
     ("candm", 60): (12, "1d01e46a5838ed20139622c746da8fb50d3f947d6e7724649ba7d97c5f331d1c"),
     ("candm", 120): (74, "48bdff69d080a447e92451a9cc1cdbb663af596d9c077767c6352559aedb688b"),
+    ("candm", 240): (291, "30d59f65b7f42c020a2e52f105f60eda9792bd3834965dacc800eb15b47b44d9"),
     ("candm", 480): (1899, "c55e8ac0e79901e26c694f1460ad08aa109c158b5e5216583037d5a6b0bd51f6"),
     ("lemma-e", 1000): (104, "2e3a3d67b73040d320338f82191aa3af4d03ea62fb65ecf9d6d2e9a2bc0398b3"),
     ("lemma-e", 20000): (1676, "45b40a21dd8f29f29464a8c66be110532fad7cbe617e2a059b3f6684cb413bc9"),
@@ -44,6 +45,8 @@ PINNED = {
     ("scholz", 3000): (21981, "9a5488d1f84682386cf1307365f040ab879c3e844ad89fca253074584211e9bd"),
     ("scholz2", 100): (108, "0bce50b97c45d2643c099c8a3454f6b136818a8dab756e95f43f47fe7ba13d18"),
     ("scholz2", 200): (678, "0fece47907d24d22e7c69bc057615080baf9ed932bde27a94c5acbe79592b21d"),
+    ("scholz2", 400): (3549, "0ba64a0939deac28592759d8b2ce278b9caee7ad214bc2fae16cc006047fedba"),
+    ("scholz2", 800): (20019, "3e6d2d4d60f51f45033738e97691a98d6ba00ca2b45333d35d658b26f631c472"),
     ("norm-sign", 5000): (110, "95f1d025f39893c61fbb75373df13cd864b3d68d1a38fc7f62adb3b9adbb9541"),
     ("norm-sign", 50000): (1122, "509bd4bfede8808e683d8c024de2318e3276e40f8e752e5934f2ce34a0215fb5"),
     ("norm-sign", 200000): (4511, "cae8b0ca4e385956f37d91c71fa3753e8deed4ca60f4d8a99980c5799a53cd35"),

@@ -19,7 +19,7 @@ import pytest
 from quadrec import apps, arith, f2graph, pell, sweeps
 from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
-from quadrec.f2graph import build_graph, edge, first_v_primes
+from quadrec.f2graph import first_v_primes, nonresidue_cycles
 from quadrec.invariants import odd_nonresidue_vertices
 from quadrec.mquad import is_square
 from quadrec.pell import QuadUnit
@@ -125,7 +125,6 @@ def brute_force_triangles(bound):
     of V: each vertex subset, each order of its vertices after the least,
     one direction per cycle."""
     vs = first_v_primes(bound)
-    _, non = build_graph(vs)
     out = []
     for k in range(3, 7):
         for subset in combinations(vs, k):
@@ -133,7 +132,7 @@ def brute_force_triangles(bound):
                 if perm[0] > perm[-1]:
                     continue
                 order = (subset[0],) + perm
-                if all(edge(order[i], order[(i + 1) % k]) in non
+                if all(v_symbol(order[i], order[(i + 1) % k]) == -1
                        for i in range(k)):
                     out.append(order)
     return out
@@ -380,6 +379,21 @@ def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
     assert summarize(records) == {"pass": 0, "fail": 428}
 
 
+def test_candm_and_candp_fail_a_unit_product_that_no_d_makes_square(monkeypatch, capsys):
+    # 601 exceeds both default bounds, so no allowed prime set can absorb it
+    expected = {name: [(r.instance, r.predicted) for r in run_check(name, SweepConfig())]
+                for name in ("candm", "candp")}
+    right = apps.unit_product
+    monkeypatch.setattr(apps, "unit_product",
+                        lambda moduli, field: right(moduli, field) * 601)
+    for name, fails in (("candm", 9), ("candp", 428)):
+        assert main(["verify", "--check", name, "--format", "csv"]) == 3
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:-1]))
+        assert len(rows) == fails
+        assert [(instance, predicted) for _, instance, predicted, _, _ in rows] == expected[name]
+        assert {(oracle, verdict) for *_, oracle, verdict in rows} == {("no-d", "fail")}
+
+
 def squarefrees_by_trial_division(lo, hi):
     """The enumeration _squarefrees replaced: factorise every integer."""
     for s in range(lo, hi + 1):
@@ -482,7 +496,7 @@ def test_norm_sign_enumeration_does_not_factorize():
 def test_nonresidue_triples_match_the_combinations_filter(bound):
     brute = [(p, q, r) for p, q, r in combinations(primes_in_v(bound), 3)
              if v_symbol(p, q) == v_symbol(q, r) == v_symbol(r, p) == -1]
-    assert list(sweeps._nonresidue_triples(bound)) == brute
+    assert list(nonresidue_cycles(primes_in_v(bound), (3,))) == brute
 
 
 def test_candm_sweep_has_both_outcomes():
