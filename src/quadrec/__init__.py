@@ -61,7 +61,6 @@ from .apps import (
     kuroda_predict,
     kuroda_q,
     norm_sign_predict,
-    positive_norm_square_check,
     theorem_sq_check,
     unit_product,
 )

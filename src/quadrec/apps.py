@@ -4,13 +4,14 @@ prediction, and the biquadratic unit index.
 Each function computes one side of a theorem and no verdict; the sweep
 evaluators in `sweeps` set the two sides against each other.  Oracles,
 from continued-fraction units and exact square detection:
-`theorem_sq_check` and `positive_norm_square_check` return a square root
-of a unit product, or None; `candm_check` and `candp_check` return the
-least d that makes a unit product times d a square, or None, with the
-candidate prime set P; `kuroda_q` counts the unit index.  Predictions,
-from residue symbols: `norm_sign_predict` a norm sign and
-`kuroda_predict` a unit index.  Each function takes only what it cannot derive and checks its
-hypotheses from that, raising DomainError when one fails.
+`theorem_sq_check`, `candm_check` and `candp_check` return the least d
+over a prime set that makes a unit product times d a square in the field
+of its moduli, or None, the last two with the candidate prime set P; all
+three ask `_unit_product_d`.  `kuroda_q` counts the unit index.
+Predictions, from residue symbols: `norm_sign_predict` a norm sign and
+`kuroda_predict` a unit index.  Each function takes only what it cannot
+derive and checks its hypotheses from that, raising DomainError when one
+fails.
 """
 
 from __future__ import annotations
@@ -50,12 +51,21 @@ def unit_product(moduli, field: MQField) -> MQElement:
     return reduce(mul, map(embedded, moduli))
 
 
-def theorem_sq_check(moduli) -> MQElement | None:
+def _unit_product_d(moduli, primes) -> int | None:
+    """The least squarefree d over the primes that makes d times the
+    product of the units of the moduli a square in the field of the
+    sqrt(m_i), or None when no such d exists (`find_d`)."""
+    return find_d(unit_product(moduli, field_containing(moduli)), primes)
+
+
+def theorem_sq_check(moduli) -> int | None:
     """If the moduli are distinct squarefree integers > 1 whose product is a
     perfect square, and every unit has norm -1, the product of the units
     must be a square in the field generated by the square roots of the
-    primes of the moduli.  Returns a square root of the product there, or
-    None."""
+    primes of the moduli.  By Kummer theory (Lang, Algebra, ch. VI §8) an
+    x of the field F of the sqrt(m_i) is a square in F(sqrt(p_1), ...,
+    sqrt(p_t)) exactly when x*d is a square in F for some d over the p_i.
+    Returns the least such d for the product, or None."""
     moduli = tuple(moduli)
     if not moduli:
         raise DomainError("need at least one modulus")
@@ -71,19 +81,7 @@ def theorem_sq_check(moduli) -> MQElement | None:
     primes = sorted({p for m in moduli for p in prime_divisors(m)})
     assert all(p % 4 != 3 for p in primes), \
         "norm -1 already excludes primes = 3 mod 4"
-    return is_square(unit_product(moduli, field_containing(primes)))
-
-
-def positive_norm_square_check(m: int) -> MQElement | None:
-    """A unit of norm +1 must be a square in the field generated by the
-    square roots of its primes, widened by sqrt(2) when m = 3 mod 4.
-    Returns a square root of the unit there, or None."""
-    if fundamental_unit(m).norm != 1:
-        raise DomainError(f"norm of eps_{m} is -1; this check needs norm +1")
-    gens = set(prime_divisors(m))
-    if m % 4 == 3:
-        gens.add(2)
-    return is_square(unit_product((m,), field_containing(sorted(gens))))
+    return _unit_product_d(moduli, primes)
 
 
 def _require_split(m: int, n: int) -> None:
@@ -141,8 +139,7 @@ def candm_check(pairs) -> tuple[int | None, tuple[int, ...]]:
     if P & outside:
         raise DomainError(f"prime {min(P & outside)} is a cross non-residue in "
                           f"one pair and not in another")
-    d = find_d(unit_product(moduli, field_containing(moduli)), prime_divisors(total))
-    return d, tuple(sorted(P))
+    return _unit_product_d(moduli, prime_divisors(total)), tuple(sorted(P))
 
 
 def candp_check(m: int, n: int) -> tuple[int | None, tuple[int, ...]]:
@@ -163,8 +160,7 @@ def candp_check(m: int, n: int) -> tuple[int | None, tuple[int, ...]]:
     if m % 8 == 5 and n % 4 == 3:
         P.add(2)
     allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
-    d = find_d(unit_product((m * n,), MQField((m * n,))), allowed)
-    return d, tuple(sorted(P))
+    return _unit_product_d((m * n,), allowed), tuple(sorted(P))
 
 
 def norm_sign_predict(m: int, n: int) -> Sign | None:

@@ -9,7 +9,7 @@ their mod-8 / mod-16 extensions at p = 2.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 Sign = int  # always +1 or -1
 
@@ -129,7 +129,7 @@ def quartic(m: int, p: int) -> Sign:
     if not is_prime(p) or p % 4 != 1:
         raise DomainError(f"(m/p)_4 requires p prime with p = 1 (mod 4), got {p}")
     if m % p == 0:
-        raise DomainError(f"(m/p)_4 requires gcd(m, p) = 1")
+        raise DomainError("(m/p)_4 requires gcd(m, p) = 1")
     r = pow(m % p, (p - 1) // 4, p)
     if r == 1:
         return 1

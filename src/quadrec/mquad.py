@@ -234,22 +234,6 @@ def _reduced(r: list[int], e: int) -> tuple[list[int], int]:
     return [c // g for c in r], e // g
 
 
-def _sign(x: list[int], w) -> int:
-    """Sign of x under the embedding with every sqrt(g_i) > 0; 0 for x = 0.
-    Where a and b in x = a + b*sqrt(d) differ in sign, x has the sign of a
-    times the sign of a^2 - d*b^2 = x*(a - b*sqrt(d))."""
-    if len(x) == 1:
-        return (x[0] > 0) - (x[0] < 0)
-    h = len(x) >> 1
-    a, b = x[:h], x[h:]
-    sa, sb = _sign(a, w), _sign(b, w)
-    if sb == 0 or sa == sb:
-        return sa
-    if sa == 0:
-        return sb
-    return sa * _sign(_norm(a, b, w[h], w), w)
-
-
 def _inverse(x: list[int], w) -> tuple[list[int], int]:
     """(r, e) with x*r = e > 0, for x != 0: 1/(a + b*sqrt(d)) is
     (a - b*sqrt(d)) over the norm a^2 - d*b^2, inverted one level down."""
@@ -336,14 +320,13 @@ def _sqrt_quadratic(a: int, b: int, d: int) -> tuple[list[int], int] | None:
 
 
 def is_square(x: MQElement) -> MQElement | None:
-    """An exact square root of x in its field, or None if x is not a square
-    there.
+    """An exact square root of x in its field, up to sign, or None if x is
+    not a square there.
 
-    The root returned is the one that is positive under the embedding with
-    every sqrt(gens[i]) > 0.  The recursion of the module docstring decides
-    both ways: a root is checked by exact squaring, and None follows from a
-    chain of equivalences ending in an integer that is not a square, so no
-    answer is ever left undecided.
+    The recursion of the module docstring decides both ways: a root is
+    checked by exact squaring, and None follows from a chain of
+    equivalences ending in an integer that is not a square, so no answer is
+    ever left undecided.
     """
     if x.is_zero():
         raise DomainError("square detection needs a nonzero element")
@@ -353,8 +336,6 @@ def is_square(x: MQElement) -> MQElement | None:
     if got is None:
         return None
     r, e = got
-    if _sign(r, w) < 0:
-        r = [-c for c in r]
     root = MQElement(x.field, r, e * x.den)
     assert root * root == x
     return root

@@ -47,7 +47,6 @@ from .apps import (
     kuroda_predict,
     kuroda_q,
     norm_sign_predict,
-    positive_norm_square_check,
     theorem_sq_check,
 )
 from .f2graph import (
@@ -258,10 +257,12 @@ def _enum_thm_sq(config: SweepConfig) -> Iterator[tuple]:
 def _eval_thm_sq(args: tuple) -> tuple | None:
     """Prediction: the constant claim "square": when the units of m1, m2
     and m1*m2 all have norm -1, their product is a square in the field of
-    the roots of the primes of m1*m2 (`theorem_sq_check`).  Oracle: the
-    root `mquad.is_square` finds for that product of continued-fraction
-    units, or None.  The two share the units, whose norms select the
-    instance."""
+    the roots of the primes of m1*m2.  Oracle: the least d over those
+    primes that makes the product of continued-fraction units times d a
+    square in Q(sqrt(m1), sqrt(m2)), or None (`theorem_sq_check`); by
+    Kummer theory such a d exists exactly when the product is a square in
+    the field of the primes.  The two share the units, whose norms select
+    the instance."""
     m1, m2 = args
     moduli = (m1, m2, m1 * m2)
     # the small units first: only then does the pair pay for the unit of m1*m2
@@ -281,13 +282,15 @@ def _enum_pos_norm(config: SweepConfig) -> Iterator[tuple]:
 def _eval_pos_norm(args: tuple) -> tuple | None:
     """Prediction: the constant claim "square": a unit of norm +1 is a
     square in the field of the roots of the primes of m, with sqrt(2) when
-    m = 3 (mod 4) (`positive_norm_square_check`).  Oracle: the root
-    `mquad.is_square` finds for the continued-fraction unit in that field,
-    or None.  The two share the unit, whose norm selects the instance."""
+    m = 3 (mod 4).  Oracle: candp's d at the split (1, m), the least d over
+    exactly those primes that makes d*eps_m a square in Q(sqrt(m)), or None
+    (`candp_check`); by Kummer theory such a d exists exactly when eps_m is
+    a square in the field of the primes.  The two share the unit, whose
+    norm selects the instance."""
     (m,) = args
     if fundamental_unit(m).norm != 1:
         return None
-    ok = positive_norm_square_check(m) is not None
+    ok = candp_check(1, m)[0] is not None
     return f"eps_{m}", "square", "square" if ok else "not-square", ok
 
 

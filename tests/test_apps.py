@@ -13,14 +13,13 @@ from quadrec.apps import (
     kuroda_predict,
     kuroda_q,
     norm_sign_predict,
-    positive_norm_square_check,
     theorem_sq_check,
     unit_product,
 )
 from quadrec.invariants import general_invariant
-from quadrec.mquad import MQElement, MQField, field_containing, is_square
+from quadrec.mquad import MQElement, MQField, field_containing, find_d, is_square
 from quadrec.pell import fundamental_unit
-from quadrec.sweeps import SweepConfig, _enum_kuroda
+from quadrec.sweeps import SweepConfig, _enum_kuroda, _enum_thm_sq, _squarefrees
 
 
 def test_unit_element_embeds_the_unit():
@@ -67,20 +66,26 @@ def test_unit_family():
             theorem_sq_check(moduli)
 
 
+def up_to_sign(x):
+    return x, x * -1
+
+
 def test_theorem_sq_family_5_13_65():
-    root = theorem_sq_check((5, 13, 65))
-    f = root.field
+    assert theorem_sq_check((5, 13, 65)) == 1
+    f = field_containing((5, 13))
     assert f.gens == (5, 13)  # the basis 1, sqrt5, sqrt13, sqrt65
-    assert root == MQElement(f, [7, 5, 3, 1], 4)
+    root = MQElement(f, [7, 5, 3, 1], 4)
     assert root * root == unit_product((5, 13, 65), f)
+    assert is_square(unit_product((5, 13, 65), f)) in up_to_sign(root)
 
 
 def test_theorem_sq_family_2_5_10():
-    root = theorem_sq_check((2, 5, 10))
-    f = root.field
+    assert theorem_sq_check((2, 5, 10)) == 1
+    f = field_containing((2, 5))
     assert f.gens == (2, 5)  # the basis 1, sqrt2, sqrt5, sqrt10
     product = MQElement(f, [13, 8, 5, 4], 2)
     assert unit_product((2, 5, 10), f) == product
+    root = is_square(product)
     assert root * root == product
 
 
@@ -93,39 +98,87 @@ def test_theorem_sq_rejects_wrong_hypotheses():
 
 
 def test_positive_norm_roots():
-    r15 = positive_norm_square_check(15)
+    # pos-norm's oracle is candp's d at the split (1, m); the unit itself is
+    # a square in the field of the primes of m, with sqrt2 when m = 3 (mod 4)
+    assert [candp_check(1, m)[0] for m in (3, 7, 15, 21)] == [2, 2, 6, 3]
+    f15 = field_containing((2, 3, 5))
     # (sqrt6 + sqrt10)/2 over 1, sqrt2, sqrt3, sqrt6, sqrt5, sqrt10, sqrt15, sqrt30
-    assert r15.field.gens == (2, 3, 5)
-    assert r15 == MQElement(r15.field, [0, 0, 0, 1, 0, 1, 0, 0], 2)
-    r3 = positive_norm_square_check(3)
+    r15 = MQElement(f15, [0, 0, 0, 1, 0, 1, 0, 0], 2)
+    assert is_square(unit_product((15,), f15)) in up_to_sign(r15)
+    f3 = field_containing((2, 3))
     # (sqrt2 + sqrt6)/2 over 1, sqrt2, sqrt3, sqrt6
-    assert r3.field.gens == (2, 3)
-    assert r3 == MQElement(r3.field, [0, 1, 0, 1], 2)
-    r7 = positive_norm_square_check(7)
+    r3 = MQElement(f3, [0, 1, 0, 1], 2)
+    assert is_square(unit_product((3,), f3)) in up_to_sign(r3)
+    f7 = field_containing((2, 7))
     # (3*sqrt2 + sqrt14)/2 over 1, sqrt2, sqrt7, sqrt14
-    assert r7.field.gens == (2, 7)
-    assert r7 == MQElement(r7.field, [0, 3, 0, 1], 2)
+    r7 = MQElement(f7, [0, 3, 0, 1], 2)
+    assert is_square(unit_product((7,), f7)) in up_to_sign(r7)
     # m = 1 (mod 4) stays inside the odd-generator field
-    r21 = positive_norm_square_check(21)
-    assert r21 is not None and all(g % 2 for g in r21.field.gens)
+    assert is_square(unit_product((21,), field_containing((3, 7)))) is not None
 
 
 def test_positive_norm_five_generators():
     # 1155 = 3*5*7*11 = 3 (mod 4) adds sqrt(2): a field of degree 32
-    root = positive_norm_square_check(1155)
-    f = root.field
+    assert candp_check(1, 1155)[0] == 66
+    f = field_containing((2, 3, 5, 7, 11))
     assert len(f.gens) == 5
     # (sqrt66 + sqrt70)/2
     vec = [0] * f.degree
     vec[f.subset_with_kernel(66)] = vec[f.subset_with_kernel(70)] = 1
-    assert root == MQElement(f, vec, 2)
+    assert is_square(unit_product((1155,), f)) in up_to_sign(MQElement(f, vec, 2))
 
 
 def test_positive_norm_domain():
     with pytest.raises(DomainError):
-        positive_norm_square_check(5)  # norm -1
+        candp_check(1, 5)  # norm -1
     with pytest.raises(DomainError):
-        positive_norm_square_check(12)
+        candp_check(1, 12)
+
+
+def square_in_the_field_of(gens, moduli, q=1):
+    """The square test the d-search replaced: q times the product of the
+    units of the moduli, tested in the field of the square roots of gens."""
+    return is_square(unit_product(moduli, field_containing(gens)) * q) is not None
+
+
+def d_search(moduli, primes, q=1):
+    """The d-search of the oracles, for q times the unit product."""
+    return find_d(unit_product(moduli, field_containing(moduli)) * q, primes)
+
+
+def outside_prime(gens):
+    return next(p for p in arith.primes_up_to(100) if p not in gens)
+
+
+def test_a_d_exists_exactly_when_the_product_is_a_square_in_the_field_of_the_primes():
+    # Kummer theory: x in F is a square in F(sqrt(p_1), ..., sqrt(p_t))
+    # exactly when x*d is a square in F for some d over the p_i.  Each
+    # instance is tested as it is and times a prime outside both fields.
+    widest = 0
+    for m, ps in _squarefrees(3, 2000):
+        if fundamental_unit(m).norm != 1:
+            continue
+        gens = sorted({*ps, 2} if m % 4 == 3 else ps)
+        widest = max(widest, len(gens))
+        q = outside_prime(gens)
+        assert candp_check(1, m)[0] is not None
+        assert square_in_the_field_of(gens, (m,))
+        assert d_search((m,), gens, q) is None
+        assert not square_in_the_field_of(gens, (m,), q)
+    assert widest == 5
+    pairs = 0
+    for m1, m2 in _enum_thm_sq(SweepConfig(bound=200)):
+        moduli = (m1, m2, m1 * m2)
+        if any(fundamental_unit(m).norm != -1 for m in moduli):
+            continue
+        primes = prime_divisors(m1 * m2)
+        q = outside_prime(primes)
+        assert theorem_sq_check(moduli) is not None
+        assert square_in_the_field_of(primes, moduli)
+        assert d_search(moduli, primes, q) is None
+        assert not square_in_the_field_of(primes, moduli, q)
+        pairs += 1
+    assert pairs == 370
 
 
 def primes_of_d_in(d, P):
@@ -268,7 +321,7 @@ def test_oracles_read_no_quartic_symbol(monkeypatch):
     assert candp_check(5, 3) == (6, (2, 3, 5))
     assert kuroda_q(13, 85).value == 1
     assert theorem_sq_check((5, 13, 65)) is not None
-    assert positive_norm_square_check(3) is not None
+    assert candp_check(1, 3) == (2, ())
 
 
 def test_field_containing_collapses_pairs():

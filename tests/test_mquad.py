@@ -114,20 +114,6 @@ def test_products_take_elements_and_ints_only():
         2 * R5  # no reflected product
 
 
-def test_is_square_root_sign_is_exact():
-    # the root returned is the one positive with every sqrt(g) > 0
-    d35 = MQElement(F35, [0, -1, 1, 0], 1)  # sqrt5 - sqrt3 > 0
-    assert is_square(S35 * S35) == S35
-    assert is_square(d35 * d35) == d35
-    assert is_square((S35 * -1) * (S35 * -1)) == S35  # -sqrt3 - sqrt5 < 0
-    # mixed signs, decided by the norm one level down: 4 - 2*sqrt6 < 0 and
-    # 5 - 2*sqrt6 > 0, over the basis 1, sqrt2, sqrt3, sqrt6
-    f = MQField((2, 3))
-    for a, sign in ((4, -1), (5, 1)):
-        x = MQElement(f, [a, 0, 0, -2], 1)
-        assert is_square(x * x) == x * sign
-
-
 def test_is_square_rationals():
     assert is_square(MQElement(F35, [4, 0, 0, 0], 1)) == MQElement(F35, [2, 0, 0, 0], 1)
     assert is_square(MQElement(F35, [9, 0, 0, 0], 16)) == MQElement(F35, [3, 0, 0, 0], 4)

@@ -47,7 +47,6 @@ def identity_embedding(x) -> Decimal:
 def test_square_root_of_a_square_is_plus_or_minus_y(y):
     root = is_square(y * y)
     assert root in (y, y * -1)
-    assert identity_embedding(root) > 0
 
 
 @settings(max_examples=60, deadline=None)

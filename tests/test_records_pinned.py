@@ -21,15 +21,17 @@ from quadrec.sweeps import CHECKS, SweepConfig, run_check, summarize
 PINNED = {
     ("thm-sq", 100): (106, "e17a657edcaded7c4c02f570d27966dda72088ccf016d7ddf73f5347e59eae9c"),
     ("thm-sq", 200): (373, "6d5fb7b0b33cc67c6b6539fe19fc7eedaeeb765553d58790cdc1583ae3db6d9d"),
+    ("thm-sq", 800): (4420, "19b791712ad23982f2acdf47dd9dd8350b385c54475a5502b93cf9e518245d3a"),
     ("pos-norm", 500): (231, "dad8a06c6525d637d1d51ef617f1e1d66a01a9d6f506f5b93d451352328d6311"),
     ("pos-norm", 1200): (557, "b0d6113b14f27cae3be5b949a5296a702373ac429766fbbfa739314fa942e7df"),
-    # five generators, a 32-entry radicand table
+    # d-searches over five primes: 32 candidates in 16 square classes of Q(sqrt(m))
     ("pos-norm", 4000): (1902, "e7b3da9e70c6abc6db2890e80618e7fb014f7b02fd455f1ed1ae5a0cc550666d"),
     ("kuroda", 60): (93, "0b298429aa82f559eaa9f3db0056f59dc21665479636f6c8172d6273023fad76"),
     ("kuroda", 120): (707, "c486d521ac40183f04ad6766a89f541c338431aa23b4c108482ef921bbbe4c6b"),
     ("kuroda", 240): (3105, "822aefd5b301faba4931ddc10e9ed9a43d6ef6b9f2854eb8e9cf7d7808cf0471"),
     ("candp", 600): (431, "abe02ae87daa11b552453718d9a2e298cacf431ccf6de377c14b9ebbc4a6fa2b"),
     ("candp", 1200): (889, "33221acb264dec00c070d4044c2d57168a09ae79765c44f207c2f6c5722b1907"),
+    ("candp", 4000): (3277, "7a8f3ce0e433db4935079a187253e0afc6c27e1f149cba3e9237e021ffb54698"),
     ("candm", 60): (12, "1d01e46a5838ed20139622c746da8fb50d3f947d6e7724649ba7d97c5f331d1c"),
     ("candm", 120): (74, "48bdff69d080a447e92451a9cc1cdbb663af596d9c077767c6352559aedb688b"),
     ("candm", 240): (291, "30d59f65b7f42c020a2e52f105f60eda9792bd3834965dacc800eb15b47b44d9"),

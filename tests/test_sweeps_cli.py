@@ -21,7 +21,6 @@ from quadrec.arith import DomainError, prime_divisors, primes_in_v, v_symbol
 from quadrec.cli import main
 from quadrec.f2graph import first_v_primes, nonresidue_cycles
 from quadrec.invariants import odd_nonresidue_vertices
-from quadrec.mquad import is_square
 from quadrec.pell import QuadUnit
 from quadrec.sweeps import CHECKS, SweepConfig, SweepRecord, run_check, summarize
 
@@ -325,25 +324,6 @@ def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
     assert predicted <= {r.instance for r in records if r.verdict == "pass"}
 
 
-def times_a_prime_outside_the_field(check):
-    """`check` with the square of its root multiplied by a prime whose
-    square root is not in the field, so that no element it tests is a
-    square."""
-    def mutant(*args):
-        root = check(*args)
-        q = next(p for p in primes_in_v(100) if all(g % p for g in root.field.gens))
-        return is_square(root * root * q)
-    return mutant
-
-
-def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch):
-    monkeypatch.setattr(sweeps, "theorem_sq_check",
-                        times_a_prime_outside_the_field(sweeps.theorem_sq_check))
-    records = run_check("thm-sq", SweepConfig())
-    assert summarize(records) == {"pass": 0, "fail": 103}
-    assert {r.oracle for r in records} == {"not-square"}
-
-
 def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(computed_units):
     records = run_check("thm-sq", SweepConfig())
     assert summarize(records) == {"pass": 103, "fail": 0}
@@ -355,14 +335,6 @@ def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(computed_un
     # a product above the bound is no modulus of its own: only pairs ask for it
     unasked = {m1 * m2 for m1, m2 in pairs if m1 * m2 > bound} - both_minus
     assert unasked and computed.isdisjoint(unasked)
-
-
-def test_pos_norm_oracle_rejects_a_unit_times_an_outside_prime(monkeypatch):
-    monkeypatch.setattr(sweeps, "positive_norm_square_check",
-                        times_a_prime_outside_the_field(sweeps.positive_norm_square_check))
-    records = run_check("pos-norm", SweepConfig())
-    assert summarize(records) == {"pass": 0, "fail": 228}
-    assert {r.oracle for r in records} == {"not-square"}
 
 
 def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
@@ -380,18 +352,21 @@ def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
 
 
 def test_candm_and_candp_fail_a_unit_product_that_no_d_makes_square(monkeypatch, capsys):
-    # 601 exceeds both default bounds, so no allowed prime set can absorb it
+    # 601 exceeds every default bound, so no allowed prime set can absorb it;
+    # thm-sq and pos-norm ask the same d-search
+    checks = (("thm-sq", 103, "not-square"), ("pos-norm", 228, "not-square"),
+              ("candm", 9, "no-d"), ("candp", 428, "no-d"))
     expected = {name: [(r.instance, r.predicted) for r in run_check(name, SweepConfig())]
-                for name in ("candm", "candp")}
+                for name, _, _ in checks}
     right = apps.unit_product
     monkeypatch.setattr(apps, "unit_product",
                         lambda moduli, field: right(moduli, field) * 601)
-    for name, fails in (("candm", 9), ("candp", 428)):
+    for name, fails, no_square in checks:
         assert main(["verify", "--check", name, "--format", "csv"]) == 3
         rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:-1]))
         assert len(rows) == fails
         assert [(instance, predicted) for _, instance, predicted, _, _ in rows] == expected[name]
-        assert {(oracle, verdict) for *_, oracle, verdict in rows} == {("no-d", "fail")}
+        assert {(oracle, verdict) for *_, oracle, verdict in rows} == {(no_square, "fail")}
 
 
 def squarefrees_by_trial_division(lo, hi):
@@ -841,8 +816,9 @@ def test_cli_verify_json_lines_round_trip():
                for r in records)
 
 
-def test_cli_verify_pos_norm_past_four_generators():
-    # from m = 1155 on, some fields need five generators
+def test_cli_verify_pos_norm_past_four_primes():
+    # from m = 1155 = 3*5*7*11 = 3 (mod 4) on, some d-searches run over
+    # five primes, 2 among them
     out = run_cli("verify", "--check", "pos-norm", "--bound", "2000",
                   "--format", "csv")
     assert out.returncode == 0
