@@ -324,6 +324,26 @@ def test_norm_sign_oracle_rejects_a_prediction_made_everywhere(monkeypatch):
     assert predicted <= {r.instance for r in records if r.verdict == "pass"}
 
 
+def times_a_prime_outside_the_field(monkeypatch):
+    """Multiply every unit product by an odd prime dividing none of its
+    moduli: its square root lies in no field the d-search runs over and no
+    allowed d absorbs it, so no product is a square."""
+    right = apps.unit_product
+
+    def mutant(moduli, field):
+        q = next(p for p in primes_in_v(100) if all(2 * m % p for m in moduli))
+        return right(moduli, field) * q
+
+    monkeypatch.setattr(apps, "unit_product", mutant)
+
+
+def test_thm_sq_oracle_rejects_a_unit_product_times_an_outside_prime(monkeypatch):
+    times_a_prime_outside_the_field(monkeypatch)
+    records = run_check("thm-sq", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 103}
+    assert {r.oracle for r in records} == {"not-square"}
+
+
 def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(computed_units):
     records = run_check("thm-sq", SweepConfig())
     assert summarize(records) == {"pass": 103, "fail": 0}
@@ -335,6 +355,13 @@ def test_thm_sq_skips_the_product_unit_when_a_small_norm_is_plus_one(computed_un
     # a product above the bound is no modulus of its own: only pairs ask for it
     unasked = {m1 * m2 for m1, m2 in pairs if m1 * m2 > bound} - both_minus
     assert unasked and computed.isdisjoint(unasked)
+
+
+def test_pos_norm_oracle_rejects_a_unit_times_an_outside_prime(monkeypatch):
+    times_a_prime_outside_the_field(monkeypatch)
+    records = run_check("pos-norm", SweepConfig())
+    assert summarize(records) == {"pass": 0, "fail": 228}
+    assert {r.oracle for r in records} == {"not-square"}
 
 
 def test_candp_oracle_rejects_an_intersection_one_too_large(monkeypatch):
