@@ -3,11 +3,11 @@ prediction, and the biquadratic unit index.
 
 Each function computes one side of a theorem and no verdict; the sweep
 evaluators in `sweeps` set the two sides against each other.  Oracles,
-from continued-fraction units and exact square detection:
-`theorem_sq_check`, `candm_check` and `candp_check` return the least d
-over a prime set that makes a unit product times d a square in the field
-of its moduli, or None, the last two with the candidate prime set P; all
-three ask `_unit_product_d`.  `kuroda_q` counts the unit index.
+from continued-fraction units and exact square detection: `candm_check`
+and `candp_check` return the least d over a prime set that makes a unit
+product times d a square in the field of its moduli, or None, with the
+candidate prime set P, both by `_unit_product_d`; `theorem_sq_check` is
+`candm_check` at the pairs (m_i, 1).  `kuroda_q` counts the unit index.
 Predictions, from residue symbols: `norm_sign_predict` a norm sign and
 `kuroda_predict` a unit index.  Each function takes only what it cannot
 derive and checks its hypotheses from that, raising DomainError when one
@@ -59,29 +59,18 @@ def _unit_product_d(moduli, primes) -> int | None:
 
 
 def theorem_sq_check(moduli) -> int | None:
-    """If the moduli are distinct squarefree integers > 1 whose product is a
-    perfect square, and every unit has norm -1, the product of the units
-    must be a square in the field generated by the square roots of the
-    primes of the moduli.  By Kummer theory (Lang, Algebra, ch. VI §8) an
-    x of the field F of the sqrt(m_i) is a square in F(sqrt(p_1), ...,
-    sqrt(p_t)) exactly when x*d is a square in F for some d over the p_i.
-    Returns the least such d for the product, or None."""
+    """Theorem sq's oracle, `candm_check` at the pairs (m_i, 1): for
+    distinct squarefree moduli > 1 whose units have norm -1 and whose
+    product is a perfect square, the least d over the primes of the moduli
+    that makes d times the product of the units a square in the field of
+    the sqrt(m_i), or None.  P is empty there, so only the existence of d
+    is claimed: by Kummer theory (Lang, Algebra, ch. VI §8) an x of that
+    field F is a square in F(sqrt(p_1), ..., sqrt(p_t)) exactly when x*d
+    is a square in F for some d over the p_i."""
     moduli = tuple(moduli)
-    if not moduli:
-        raise DomainError("need at least one modulus")
-    for m in moduli:
-        if m < 2 or not is_squarefree(m):
-            raise DomainError(f"modulus {m} is not squarefree > 1")
-        if fundamental_unit(m).norm != -1:
-            raise DomainError(f"norm of eps_{m} is +1; every unit must have norm -1")
     if len(set(moduli)) != len(moduli):
         raise DomainError("moduli must be distinct")
-    if not is_perfect_square(prod(moduli)):
-        raise DomainError("the product of the moduli must be a perfect square")
-    primes = sorted({p for m in moduli for p in prime_divisors(m)})
-    assert all(p % 4 != 3 for p in primes), \
-        "norm -1 already excludes primes = 3 mod 4"
-    return _unit_product_d(moduli, primes)
+    return candm_check([(m, 1) for m in moduli])[0]
 
 
 def _require_split(m: int, n: int) -> None:
@@ -95,11 +84,14 @@ def _require_split(m: int, n: int) -> None:
         raise DomainError(f"({m},{n}): trivial product")
 
 
-def _cross_nonresidues(m: int, n: int):
-    """The primes p | m with (n/p) = -1, then the primes q | n with
-    (m/q) = -1, lazily."""
-    return (p for a, b in ((m, n), (n, m)) for p in prime_divisors(a)
-            if legendre(b, p) == -1)
+def _cross_nonresidues(m: int, n: int) -> tuple[set[int], set[int]]:
+    """The primes of a split m*n as (cross, others): the cross non-residues,
+    a p | m with (n/p) = -1 or a q | n with (m/q) = -1, and the rest."""
+    cross, others = set(), set()
+    for a, b in ((m, n), (n, m)):
+        for p in prime_divisors(a):
+            (cross if legendre(b, p) == -1 else others).add(p)
+    return cross, others
 
 
 def candm_check(pairs) -> tuple[int | None, tuple[int, ...]]:
@@ -107,7 +99,8 @@ def candm_check(pairs) -> tuple[int | None, tuple[int, ...]]:
     norm -1 and whose moduli m_i*n_i multiply to a square: (d, P).  The
     theorem: the primes of d meet P evenly exactly when the quartic
     invariant of the XOR of the complete bipartite edge sets between the
-    primes of m_i and of n_i vanishes.
+    primes of m_i and of n_i vanishes.  `theorem_sq_check` asks it at the
+    pairs (m_i, 1), where P is empty.
 
     d is the least squarefree d over the primes of the moduli that makes d
     times the product of the units of m_i*n_i a square in the field of the
@@ -115,10 +108,11 @@ def candm_check(pairs) -> tuple[int | None, tuple[int, ...]]:
     exists; the parity of its primes in P is the same for every d of its
     square class.  P is the sorted set of primes that are cross
     non-residues in their pairs: a prime of m_i with (n_i/p) = -1, or of
-    n_i with (m_i/q) = -1.  A prime that is one in
-    some pair and not in another admits no P, and is refused; so each prime
-    has one status in all its pairs, an even number of them, and the XOR
-    above always lies in the invariant group.
+    n_i with (m_i/q) = -1.  A prime that is one in some pair and not in
+    another admits no P, and is refused; so each prime has one status in
+    all its pairs, an even number of them, and the XOR above always lies in
+    the invariant group.  The prime sets of the pairs, factorised once
+    each by `_cross_nonresidues`, give both P and the primes of d.
     """
     pairs = tuple((int(m), int(n)) for m, n in pairs)
     if not pairs:
@@ -128,18 +122,17 @@ def candm_check(pairs) -> tuple[int | None, tuple[int, ...]]:
         if fundamental_unit(m * n).norm != -1:
             raise DomainError(f"norm of eps_{m * n} is +1; hypothesis needs -1")
     moduli = [m * n for m, n in pairs]
-    total = prod(moduli)
-    if not is_perfect_square(total):
+    if not is_perfect_square(prod(moduli)):
         raise DomainError("the product of all m_i*n_i must be a perfect square")
     P, outside = set(), set()
     for m, n in pairs:
-        cross = set(_cross_nonresidues(m, n))
+        cross, others = _cross_nonresidues(m, n)
         P |= cross
-        outside.update(p for p in prime_divisors(m) + prime_divisors(n) if p not in cross)
+        outside |= others
     if P & outside:
         raise DomainError(f"prime {min(P & outside)} is a cross non-residue in "
                           f"one pair and not in another")
-    return _unit_product_d(moduli, prime_divisors(total)), tuple(sorted(P))
+    return _unit_product_d(moduli, P | outside), tuple(sorted(P))
 
 
 def candp_check(m: int, n: int) -> tuple[int | None, tuple[int, ...]]:
@@ -156,10 +149,10 @@ def candp_check(m: int, n: int) -> tuple[int | None, tuple[int, ...]]:
             raise DomainError(f"prime {p} | m is not 1 mod 4")
     if fundamental_unit(m * n).norm != 1:
         raise DomainError(f"norm of eps_{m * n} is -1; hypothesis needs +1")
-    P = set(_cross_nonresidues(m, n))
+    P = _cross_nonresidues(m, n)[0]
     if m % 8 == 5 and n % 4 == 3:
         P.add(2)
-    allowed = prime_divisors(2 * m * n) if n % 4 == 3 else prime_divisors(m * n)
+    allowed = (2, *prime_divisors(m * n)) if n % 4 == 3 else prime_divisors(m * n)
     return _unit_product_d((m * n,), allowed), tuple(sorted(P))
 
 
@@ -170,7 +163,7 @@ def norm_sign_predict(m: int, n: int) -> Sign | None:
     for p in prime_divisors(m) + prime_divisors(n):
         if p % 4 == 3:
             raise DomainError(f"prime divisor {p} is 3 mod 4")
-    if next(_cross_nonresidues(m, n), None) is not None:
+    if _cross_nonresidues(m, n)[0]:
         return None
     sign = prod(quartic(n, p) for p in prime_divisors(m)) \
         * prod(quartic(m, q) for q in prime_divisors(n))

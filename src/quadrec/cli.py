@@ -26,7 +26,6 @@ from contextlib import closing
 from itertools import combinations
 
 from .arith import DomainError, jacobi, legendre, quartic, v_symbol
-from .f2graph import edge
 from .invariants import general_invariant
 from .pell import unit_symbol
 from .sweeps import CHECKS, SweepConfig, run_checks
@@ -40,14 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer option whose least value is low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
 
 
 def _edge_arg(text: str) -> tuple[int, int]:
@@ -74,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--check", action="append", metavar="NAME",
                        choices=sorted(CHECKS),
                        help="sweep to run (repeatable; default all)")
-    p_ver.add_argument("--bound", type=_positive_int, default=None,
+    p_ver.add_argument("--bound", type=_int_at_least(2), default=None,
                        help="override the per-check instance bound")
-    p_ver.add_argument("--jobs", type=_positive_int, default=1,
+    p_ver.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="worker processes, shared by every check of the run; "
                             "at most the CPUs this process may use")
     p_ver.add_argument("--format", choices=["human", "json-lines", "csv"],
@@ -151,14 +153,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    vec = set()
-    for p, q in args.edges:
-        vec.symmetric_difference_update({edge(p, q)})
-    report = general_invariant(sorted(vec))
+    report = general_invariant(args.edges)
     print(report)
     if args.show_graph:
         # general_invariant has validated every vertex of the query
-        for p, q in combinations(sorted({x for e in vec for x in e}), 2):
+        for p, q in combinations(report.P, 2):
             print(p, q, "R" if v_symbol(p, q) == 1 else "N")
     return 0
 

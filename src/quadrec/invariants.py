@@ -78,7 +78,8 @@ def triangle_invariant(p: int, q: int, r: int) -> int:
 
 
 def general_invariant(query) -> InvariantReport:
-    """Evaluate the invariant of any member edge set.
+    """Evaluate the invariant of any member edge set, read as a GF(2)
+    vector: an edge given twice cancels.
 
     The value is 0 exactly when prod over p in P of quartic(M_p, p) equals
     (-1)^k, where M_p multiplies the partners of p in the set, P is the
@@ -86,7 +87,10 @@ def general_invariant(query) -> InvariantReport:
     degrees) is recomputed, not trusted; it is what makes every quartic
     symbol in the product defined.
     """
-    vec = frozenset(edge(u, v) for u, v in query)
+    vec = set()
+    for u, v in query:
+        vec ^= {edge(u, v)}
+    vec = frozenset(vec)
     odd, partners, k = _tally(vec)
     if odd:
         raise DomainError(f"edge set is outside the invariant group: odd "

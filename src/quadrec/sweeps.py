@@ -259,7 +259,8 @@ def _eval_thm_sq(args: tuple) -> tuple | None:
     and m1*m2 all have norm -1, their product is a square in the field of
     the roots of the primes of m1*m2.  Oracle: the least d over those
     primes that makes the product of continued-fraction units times d a
-    square in Q(sqrt(m1), sqrt(m2)), or None (`theorem_sq_check`); by
+    square in Q(sqrt(m1), sqrt(m2)), or None: `theorem_sq_check`, which
+    is `candm_check` at the pairs (m1, 1), (m2, 1) and (m1*m2, 1).  By
     Kummer theory such a d exists exactly when the product is a square in
     the field of the primes.  The two share the units, whose norms select
     the instance."""

@@ -54,12 +54,13 @@ def test_unit_element_matches_the_four_operation_chain():
 
 
 def test_unit_family():
-    # the family hypotheses theorem_sq_check validates: every unit has norm
-    # -1, the moduli are squarefree > 1 and distinct, their product a square
+    # the family hypotheses theorem_sq_check validates, itself or through
+    # candm_check at the pairs (m_i, 1): every unit has norm -1, the moduli
+    # are squarefree > 1 and distinct, their product a square
     assert [fundamental_unit(m).norm for m in (5, 13, 65)] == [-1, -1, -1]
     assert theorem_sq_check((5, 13, 65)) is not None
-    for moduli, message in (((5, 13, 12), "12 is not squarefree"),
-                            ((5, 13, 1), "1 is not squarefree"),
+    for moduli, message in (((5, 13, 12), r"\(12,1\): both entries must be squarefree"),
+                            ((5, 13, 1), r"\(1,1\): trivial product"),
                             ((5, 5, 13), "distinct"),
                             ((2, 5, 13), "perfect square")):
         with pytest.raises(DomainError, match=message):
@@ -92,7 +93,7 @@ def test_theorem_sq_family_2_5_10():
 def test_theorem_sq_rejects_wrong_hypotheses():
     for moduli, message in (((2, 5, 13), "perfect square"),
                             ((3, 5, 15), "eps_3 is \\+1"),
-                            ((), "at least one modulus")):
+                            ((), "at least one")):
         with pytest.raises(DomainError, match=message):
             theorem_sq_check(moduli)
 

@@ -125,6 +125,9 @@ def test_general_invariant_is_additive():
             vb = general_invariant(b).value
             vab = general_invariant(a ^ b).value
             assert vab == (va + vb) % 2, (sorted(a), sorted(b))
+            # the query is a GF(2) vector: an edge of both a and b cancels
+            assert general_invariant([*a, *b]).value == (va + vb) % 2
+    assert general_invariant([(5, 29), (29, 5)]).query == frozenset()
 
 
 def slow_invariant(vec):

@@ -121,6 +121,16 @@ def test_frozen_textbook_units():
     assert fundamental_unit(106) == QuadUnit(106, 4005, 389, 1, -1)
 
 
+def test_a_unit_of_norm_minus_1_has_no_prime_3_mod_4():
+    # x^2 - m*y^2 = -den^2 with den 1 or 2: -1 is a square mod each odd p | m
+    count = 0
+    for m in range(2, 10 ** 4):
+        if is_squarefree(m) and fundamental_unit(m).norm == -1:
+            assert all(p % 4 != 3 for p in prime_divisors(m)), m
+            count += 1
+    assert count == 1244
+
+
 def test_quad_unit_validates():
     with pytest.raises(DomainError):
         QuadUnit(5, 3, 1, 1, -1)  # 9 - 5 != -1

@@ -396,6 +396,35 @@ def test_candm_and_candp_fail_a_unit_product_that_no_d_makes_square(monkeypatch,
         assert {(oracle, verdict) for *_, oracle, verdict in rows} == {(no_square, "fail")}
 
 
+def test_each_oracle_factorises_only_its_moduli(monkeypatch):
+    # candm takes the primes of d from the primes of its pairs, not from
+    # the square product of its moduli; candp adds 2 to the primes of m*n
+    # rather than factorise 2*m*n
+    factorised, candp_calls = [], []
+    right_divisors, right_candp = apps.prime_divisors, sweeps.candp_check
+
+    def recorded(n):
+        factorised.append(n)
+        return right_divisors(n)
+
+    def candp(m, n):
+        start = len(factorised)
+        try:
+            return right_candp(m, n)
+        finally:
+            candp_calls.append((m, n, factorised[start:]))
+
+    monkeypatch.setattr(apps, "prime_divisors", recorded)
+    monkeypatch.setattr(sweeps, "candp_check", candp)
+    for name in ("thm-sq", "candm", "candp", "pos-norm"):
+        start = len(factorised)
+        assert summarize(run_check(name, SweepConfig()))["fail"] == 0
+        assert len(factorised) > start, name
+    assert [n for n in factorised if n > 1 and arith.is_perfect_square(n)] == []
+    assert candp_calls
+    assert [(m, n) for m, n, args in candp_calls if 2 * m * n in args] == []
+
+
 def squarefrees_by_trial_division(lo, hi):
     """The enumeration _squarefrees replaced: factorise every integer."""
     for s in range(lo, hi + 1):
@@ -428,7 +457,7 @@ def norm_sign_splits_by_filtering(bound):
         for bits in range(1, (1 << len(ps)) - 1):
             m = prod(p for i, p in enumerate(ps) if bits >> i & 1)
             n = s // m
-            if m < n and next(apps._cross_nonresidues(m, n), None) is None:
+            if m < n and not apps._cross_nonresidues(m, n)[0]:
                 yield m, n
 
 
@@ -782,6 +811,8 @@ def test_cli_usage_errors_are_exit_1():
     assert run_cli("verify", "--check", "nonsense").returncode == 1
     assert run_cli("verify", "--format", "xml").returncode == 1
     assert run_cli("verify", "--precision", "64").returncode == 1
+    assert run_cli("verify", "--bound", "0").returncode == 1
+    assert run_cli("verify", "--bound", "1").returncode == 1
     assert run_cli("invariant").returncode == 1
     assert run_cli("invariant", "five-29").returncode == 1
 
