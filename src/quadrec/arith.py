@@ -19,9 +19,12 @@ class DomainError(ValueError):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# Deterministic Miller-Rabin witness set, valid for n < 3.317e24 (far past
-# anything the sweeps touch; larger inputs get a strong probable-prime answer).
+# Deterministic Miller-Rabin witness sets: the first four primes for
+# n < 3,215,031,751, the least strong pseudoprime to all of them (Jaeschke,
+# Math. Comp. 61, 1993), and all twelve for n < 3.317e24 (far past anything
+# the sweeps touch; larger inputs get a strong probable-prime answer).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_FOUR_BELOW = 3_215_031_751
 
 
 @lru_cache(maxsize=1 << 16)
@@ -31,12 +34,19 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    return _strong_probable_prime(
+        n, _MR_WITNESSES[:4] if n < _MR_FOUR_BELOW else _MR_WITNESSES)
+
+
+def _strong_probable_prime(n: int, witnesses) -> bool:
+    """Whether the odd n > 2 passes the Miller-Rabin test to every base in
+    `witnesses`."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -10,9 +10,13 @@ error, 3 at least one sweep failure, 141 stdout closed by its reader
 line, and ends with a summary line counted while writing, so it never holds
 a run's records.  A domain error in an instance stops the run with exit 2:
 the records before it are already written, and no summary line follows
-them.  However a run stops, no ``--jobs`` worker outlives ``main``.  Each
-record is a named tuple: csv writes it as a row, json-lines by field name,
-and json is imported only for that format.
+them.  ``--jobs N`` forks N workers before the first record; each walks the
+whole instance stream and evaluates every N-th chunk of it, with the unit
+memo this process held at the fork, and ``verify`` writes the records it
+reads back from their pipes in order.  A full pipe holds its worker back,
+so the run stays in bounded memory.  However a run stops, no worker
+outlives ``main``.  Each record is a named tuple: csv writes it as a row,
+json-lines by field name, and json is imported only for that format.
 """
 
 from __future__ import annotations
@@ -79,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--bound", type=_int_at_least(2), default=None,
                        help="override the per-check instance bound")
     p_ver.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="worker processes, shared by every check of the run; "
-                            "at most the CPUs this process may use")
+                       help="forked worker processes, shared by every check of the "
+                            "run, each walking the whole instance stream and "
+                            "evaluating every JOBS-th chunk; at most the CPUs this "
+                            "process may use")
     p_ver.add_argument("--format", choices=["human", "json-lines", "csv"],
                        default="human")
     p_ver.add_argument("--seed", type=int, default=0,

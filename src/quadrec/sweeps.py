@@ -7,29 +7,30 @@ name, default bound, enumerator and evaluator.  The functions an
 evaluator calls each compute one side, a prediction or an oracle value;
 the evaluator alone sets them against each other and decides the verdict.
 It returns (instance, predicted, oracle, ok), and _records alone builds
-the record from it.  Evaluators are module-level and take only the
-instance, a plain tuple, so sweeps can run in a process pool; instance
-order is deterministic either way.  Every enumerator is a generator and
-run_checks yields each record as it is produced, so a run never holds all
-its instances or records.  Under jobs > 1 the record stream owns its pool
-and sends it every check as one ordered stream of fixed-size chunks, a
-fixed window in flight.  A DomainError stops the stream where it is raised:
-the records before it are already out.  An instance whose hypotheses fail
-is skipped (its evaluator returns None), never silently weakened.
-SweepConfig and SweepRecord are named tuples that check their fields in
-__new__, so a record pickled back from a worker is checked again as the
-parent loads it.
+the record from it.  Every enumerator is a generator, deterministic for a
+config, and run_checks yields each record as it is produced, so a run
+never holds all its instances or records.  Under jobs > 1 the record
+stream forks its own workers before it reads an item; each walks the
+whole instance stream in fixed-size chunks and evaluates every jobs-th
+chunk, and this process reads the chunks back in order, one pipe after
+another.  Only records cross the pipes, and a worker runs ahead of the
+reader by what its pipe holds.  A DomainError stops the stream where it
+is raised: the records before it are already out.  An instance whose
+hypotheses fail is skipped (its evaluator returns None), never silently
+weakened.  SweepConfig and SweepRecord are named tuples that check their
+fields in __new__, so a record pickled back from a worker is checked
+again as the parent loads it.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import random
 from array import array
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations, compress, islice, permutations
+from itertools import combinations, compress, cycle, islice, permutations
 from math import gcd, isqrt, prod
 from operator import not_
 
@@ -71,8 +72,10 @@ class SweepConfig(namedtuple("SweepConfig", "bound jobs seed")):
             raise DomainError("bound must be at least 2")
         if jobs < 1:
             raise DomainError("jobs must be positive")
-        # a fork pool starts every worker at its first submit, so refuse
-        # more workers than usable CPUs before a pool exists
+        # jobs > 1 forks every worker before the first record, so refuse it
+        # here, where fork is missing or the usable CPUs are fewer than jobs
+        if jobs > 1 and not hasattr(os, "fork"):
+            raise DomainError("jobs above 1 need os.fork, which this platform lacks")
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         if jobs > cpus:
@@ -474,9 +477,8 @@ CHECKS = {
 }
 
 
-# instances per chunk under jobs > 1, and chunks in flight per worker
+# instances per chunk under jobs > 1
 _CHUNK_SIZE = 256
-_CHUNKS_PER_WORKER = 8
 
 
 def _records(items) -> Iterator[SweepRecord]:
@@ -490,29 +492,92 @@ def _records(items) -> Iterator[SweepRecord]:
             yield SweepRecord(name, instance, predicted, oracle, "pass" if ok else "fail")
 
 
-def _evaluate_chunk(items: list[tuple]) -> list[SweepRecord]:
-    """The records of one chunk of items, in a pool worker."""
-    return list(_records(items))
+def _work(items: Iterator[tuple], k: int, jobs: int, fd: int, inherited) -> None:
+    """Worker k of `jobs`, in a forked child: close the `inherited` read ends
+    of the pipes, walk `items` in chunks of _CHUNK_SIZE, and write to the
+    pipe `fd`, pickled, the record list of each chunk i with i % jobs == k,
+    then None, the end marker.  An exception from the walk or from an
+    evaluator is written in place of the chunk, and ends the stream.  Each
+    message is pickled whole before any of it is written.  The child never
+    returns: it leaves through os._exit, so it never runs its parent's
+    cleanup or flushes the stdout buffer it inherited."""
+    code = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        with open(fd, "wb") as out:
+            def send(message):
+                out.write(pickle.dumps(message))
+                out.flush()
+
+            try:
+                i = 0
+                while chunk := list(islice(items, _CHUNK_SIZE)):
+                    if i % jobs == k:
+                        send(list(_records(chunk)))
+                    i += 1
+                send(None)
+                code = 0
+            except Exception as exc:
+                send(exc)
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe, k: int) -> list[SweepRecord] | None:
+    """The next message of worker k: a record list, or None at the end of its
+    stream.  A pickled exception is raised here; a stream cut off before its
+    end marker means a dead worker."""
+    try:
+        message = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(f"sweep worker {k} died before the end of its stream") from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
 
 
 def _pooled(items: Iterator[tuple], jobs: int) -> Iterator[SweepRecord]:
-    """The records of the iterator `items` from a pool of `jobs` workers that
-    this stream owns, in order: chunks of _CHUNK_SIZE items, at most
-    _CHUNKS_PER_WORKER per worker unfinished, read back in submission order.
-    However the stream stops, queued chunks are cancelled and workers joined."""
-    window = jobs * _CHUNKS_PER_WORKER
-    pending = deque()
-    with ProcessPoolExecutor(max_workers=jobs) as workers:
-        try:
-            while chunk := list(islice(items, _CHUNK_SIZE)):
-                done = pending.popleft().result() if len(pending) == window else ()
-                pending.append(workers.submit(_evaluate_chunk, chunk))
-                yield from done
-            while pending:
-                yield from pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    """The records of the iterator `items` from `jobs` forked workers that this
+    stream owns, in order.  All workers are forked before any item is read,
+    and each walks the whole of `items` and evaluates its own chunks
+    (`_work`); this process reads the chunks back round-robin over the
+    pipes and only unpickles records.  A worker runs ahead of the reader by
+    what its pipe holds.  However the stream stops, the pipes are closed
+    and every worker is reaped; one that is still running is killed."""
+    pids, pipes = [], []
+    complete = False
+    try:
+        for k in range(jobs):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(items, k, jobs, w, pipes)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        for k in cycle(range(jobs)):
+            chunk = _receive(pipes[k], k)
+            if chunk is None:
+                break
+            yield from chunk
+        # the stream's last chunk is out: every other worker ends its stream too
+        for j in range(jobs):
+            if j != k and _receive(pipes[j], j) is not None:
+                raise RuntimeError(f"sweep worker {j} walked past the end of the stream")
+        complete = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not complete:
+            from signal import SIGKILL
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"sweep workers exited with {codes}")
 
 
 def run_checks(names, config: SweepConfig) -> Iterator[SweepRecord]:
@@ -521,14 +586,17 @@ def run_checks(names, config: SweepConfig) -> Iterator[SweepRecord]:
     it and those before it are done.
 
     An unknown name raises DomainError here, before anything is enumerated or
-    a pool is opened.  Every check is enumerated lazily, when the stream
+    a worker is forked.  Every check is enumerated lazily, when the stream
     reaches it, by its CHECKS enumerator, with the check's default bound in
     place of a bound of None.  Under jobs == 1 each instance is evaluated in
-    this process; under jobs > 1 the iterator owns its pool (_pooled), whose
-    forked workers inherit this process's unit memo.  A chunk may span two checks, and no
-    check waits for the one before it.  A DomainError from an instance ends
-    the stream: the records before it have been yielded, later ones are never
-    produced.  Closing the iterator early joins the workers.
+    this process.  Under jobs > 1 the iterator forks its own workers
+    (_pooled) at its first next(); each inherits this process's unit memo as
+    it stands then, walks the whole stream and evaluates its share of the
+    chunks, and this process only reads records.  A chunk may span two
+    checks, and no check waits for the one before it.  A DomainError from an
+    instance ends the stream: the records before it have been yielded, later
+    ones are never produced.  Closing the iterator early kills and reaps the
+    workers.
     """
     for name in names:
         if name not in CHECKS:

@@ -190,6 +190,20 @@ def test_is_prime_against_sieve():
     assert not is_prime(2 ** 67 - 1)  # composite Mersenne (Cole)
 
 
+def test_is_prime_with_four_witnesses_below_jaeschkes_bound():
+    sieve = bytearray(2 * 10**5 + 1)
+    for p in primes_up_to(2 * 10**5):
+        sieve[p] = 1
+    assert all(is_prime(n) == sieve[n] for n in range(2 * 10**5 + 1))
+    # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2, 3, 5, 7
+    for n, bases in [(2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4)]:
+        assert arith._strong_probable_prime(n, arith._MR_WITNESSES[:bases])
+        assert not arith._strong_probable_prime(n, arith._MR_WITNESSES[:bases + 1])
+        assert not is_prime(n)
+    # 3215031751 passes the four witnesses, so from it on is_prime asks all twelve
+    assert arith._MR_FOUR_BELOW == 3215031751
+
+
 def test_sqrt_mod_brute():
     for p in primes_up_to(200):
         if p == 2:

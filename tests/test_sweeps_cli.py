@@ -3,16 +3,14 @@
 import csv
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from itertools import combinations, islice, permutations
-from math import ceil, prod
+from math import prod
 
 import pytest
 
@@ -38,7 +36,7 @@ def test_config_validation():
         SweepConfig(jobs=0)
 
 
-def test_jobs_above_the_available_cpus_is_refused_before_any_pool(counting_pool, capsys):
+def test_jobs_above_the_available_cpus_is_refused_before_any_pool(forks, capsys):
     # one more than the CPUs, so a mistake here starts one process at most
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     SweepConfig(jobs=cpus)
@@ -46,7 +44,7 @@ def test_jobs_above_the_available_cpus_is_refused_before_any_pool(counting_pool,
         SweepConfig(jobs=cpus + 1)
     assert main(["verify", "--check", "scholz", "--jobs", str(cpus + 1)]) == 2
     assert f"at most {cpus}" in capsys.readouterr().err
-    assert counting_pool == []
+    assert forks == []
 
 
 def test_default_bounds_cover_all_checks():
@@ -546,7 +544,7 @@ def test_parallel_matches_sequential():
 
 def stamp_pid(monkeypatch, name):
     """Make the records of check `name` carry, as their prediction, the id
-    of the process that evaluated them.  Pool workers are forked, so they
+    of the process that evaluated them.  The workers are forked, so they
     inherit the patch."""
     default, enum, evaluate = sweeps.CHECKS[name]
 
@@ -575,50 +573,39 @@ def test_one_pool_serves_check_after_check(monkeypatch):
     assert str(os.getpid()) not in pids
 
 
-class CountingPool(ProcessPoolExecutor):
-    """A ProcessPoolExecutor that logs each pool built, the futures it
-    is given, the most of them unfinished at once and how it is shut down."""
-
-    built = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.futures, self.shutdowns = [], []
-        self.peak_unfinished = 0
-        CountingPool.built.append(self)
-
-    def submit(self, *args, **kwargs):
-        future = super().submit(*args, **kwargs)
-        self.futures.append(future)
-        self.peak_unfinished = max(self.peak_unfinished,
-                                   sum(not f.done() for f in self.futures))
-        return future
-
-    def shutdown(self, *args, **kwargs):
-        self.shutdowns.append(kwargs)
-        super().shutdown(*args, **kwargs)
-
-
 @pytest.fixture
-def counting_pool(monkeypatch):
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(CountingPool, "built", [])
-    return CountingPool.built
+def forks(monkeypatch):
+    """Log the id of each child that os.fork makes, as the parent sees it."""
+    fork, pids = os.fork, []
+
+    def logged():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged)
+    return pids
 
 
-def test_verify_under_jobs_builds_one_pool_per_run(counting_pool, capsys):
+def assert_no_child_left():
+    """No child of this process is running or waiting to be reaped:
+    os.waitpid finds none, where a live child would give (0, 0)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_under_jobs_builds_one_pool_per_run(forks, capsys):
     checks = ["--check", "scholz", "--check", "candm", "--check", "lemma-e"]
     assert main(["verify", "--jobs", "2", *checks]) == 0
-    assert len(counting_pool) == 1
-    assert len(counting_pool[0].shutdowns) == 1
-    assert multiprocessing.active_children() == []
-    counting_pool.clear()
+    assert len(forks) == 2
+    assert_no_child_left()
+    forks.clear()
     assert main(["verify", "--jobs", "1", *checks]) == 0
-    assert counting_pool == []
+    assert forks == []
 
 
-def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_pool,
-                                                          capsys):
+def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, forks, capsys):
     assert main(["verify", "--check", "candm"]) == 0
     candm_records = capsys.readouterr().out.splitlines()[1:-1]
     assert len(candm_records) == 9
@@ -628,7 +615,7 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
     def broken(args):
         if args == first:
             raise DomainError(f"no instance {args}")
-        time.sleep(0.005)  # the other chunks are still pending when it raises
+        time.sleep(0.005)  # the other worker is still evaluating when it raises
 
     later = []
     duality_default, duality_enum, duality_eval = sweeps.CHECKS["duality"]
@@ -637,9 +624,9 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
                         (duality_default,
                          lambda config: later.append(config) or duality_enum(config),
                          duality_eval))
-    # the run's 852 items in 14 chunks, all within the window: more than
-    # the two workers and the executor's call queue take, so some are queued
-    monkeypatch.setattr(sweeps, "_CHUNK_SIZE", 64)
+    # chunks of 4 items: candm's 9 fill chunks 0 and 1 and open chunk 2,
+    # whose second item is candp's first
+    monkeypatch.setattr(sweeps, "_CHUNK_SIZE", 4)
     errors, enumerated, records = {}, {}, {}
     for jobs in ("1", "2"):
         argv = ["verify", "--jobs", jobs, "--check", "candm", "--check", "candp",
@@ -654,40 +641,91 @@ def test_domain_error_under_the_shared_pool_stops_the_run(monkeypatch, counting_
         later.clear()
     assert errors["2"] == errors["1"] == f"error: no instance {first}\n"
     # the records before the failing instance are out, and no summary line:
-    # --jobs 1 writes every candm record, --jobs 2 those of the chunks read
-    # back before the failing one
+    # --jobs 1 writes every candm record, --jobs 2 those of the chunks before
+    # the failing one
     assert records["1"] == candm_records
-    assert records["2"] == candm_records[:len(records["2"])]
-    # --jobs 1 stops before it reaches duality; --jobs 2 fills its window of
-    # chunks, duality's included, before it reads the first
-    assert enumerated == {"1": 0, "2": 1}
-    (pool,) = counting_pool
-    assert len(pool.shutdowns) == 1
-    assert all(f.done() for f in pool.futures)
-    assert any(f.cancelled() for f in pool.futures)
-    assert multiprocessing.active_children() == []
+    assert records["2"] == candm_records[:8]
+    # --jobs 1 stops before it reaches duality; under --jobs 2 only the
+    # workers walk the stream, so this process enumerates nothing
+    assert enumerated == {"1": 0, "2": 0}
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
-def test_closing_the_record_stream_early_joins_its_workers(counting_pool):
+def test_an_enumerator_error_under_jobs2_exits_2_as_under_jobs1(monkeypatch, forks, capsys):
+    default, enum, evaluate = sweeps.CHECKS["candp"]
+
+    def broken(config):
+        # past the first 256-item chunk, so that chunk's records are written
+        yield from islice(enum(config), 300)
+        raise DomainError("candp enumeration broke")
+
+    monkeypatch.setitem(sweeps.CHECKS, "candp", (default, broken, evaluate))
+    outs = {}
+    for jobs in ("1", "2"):
+        argv = ["verify", "--jobs", jobs, "--check", "candp", "--check", "lemma-e",
+                "--format", "csv"]
+        assert main(argv) == 2
+        outs[jobs] = capsys.readouterr()
+    assert outs["2"].err == outs["1"].err == "error: candp enumeration broke\n"
+    lines = {jobs: out.out.splitlines()[1:] for jobs, out in outs.items()}
+    # the header and the records of the first chunk, a part of --jobs 1's
+    # records of the 300 instances, and no summary line after them
+    assert 1 < len(lines["2"]) < len(lines["1"])
+    assert lines["2"] == lines["1"][:len(lines["2"])]
+    assert not any(line.startswith("# summary") for line in lines["1"] + lines["2"])
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_fails_the_stream_and_is_reaped(monkeypatch, forks):
+    parent = os.getpid()
+    default, enum, evaluate = sweeps.CHECKS["candm"]
+
+    def dying(args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return evaluate(args)
+
+    monkeypatch.setitem(sweeps.CHECKS, "candm", (default, enum, dying))
+    records = sweeps.run_checks(["scholz", "candm"], SweepConfig(jobs=2))
+    with pytest.raises(RuntimeError, match="died before the end of its stream"):
+        list(records)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_jobs_above_1_is_refused_where_fork_is_missing(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    SweepConfig(jobs=1)
+    with pytest.raises(DomainError, match="os.fork"):
+        SweepConfig(jobs=2)
+    assert main(["verify", "--check", "candm", "--jobs", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "os.fork" in out.err
+
+
+def test_closing_the_record_stream_early_joins_its_workers(forks):
     records = sweeps.run_checks(["scholz"], SweepConfig(bound=3000, jobs=2))
     with closing(records):
         assert next(records).check == "scholz"
-    # the queued chunks are cancelled, the running ones finish, and the
-    # workers are joined before close() returns
-    assert multiprocessing.active_children() == []
-    (pool,) = counting_pool
-    assert len(pool.shutdowns) == 1
-    assert all(f.done() for f in pool.futures)
-    assert any(f.cancelled() for f in pool.futures)
+    # both workers, still walking the stream, are killed and reaped before
+    # close() returns
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_into_a_closed_pipe_exits_141_quietly(jobs):
-    # the run exits 99 instead if a worker is still alive when main returns
-    code = ("import multiprocessing, sys\n"
+    # the run exits 99 instead if a child of main is running or unreaped
+    code = ("import os, sys\n"
             "from quadrec.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "sys.exit(99 if multiprocessing.active_children() else rc)\n")
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(rc)\n"
+            "sys.exit(99)\n")
     argv = ["verify", "--check", "scholz", "--bound", "3000", "--jobs", jobs]
     proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
@@ -719,20 +757,20 @@ def test_verify_writes_each_record_before_the_last_instance_is_evaluated(monkeyp
     assert before == "".join(lines[:10])
 
 
-def test_verify_jobs2_sends_about_8_chunks_per_worker_for_the_whole_run(counting_pool,
-                                                                        capsys):
-    assert main(["verify", "--jobs", "2"]) == 0
-    (pool,) = counting_pool
-    assert 0 < len(pool.futures) <= 2 * 8
-
-
-def test_verify_jobs2_keeps_a_fixed_window_of_chunks_in_flight(counting_pool, capsys):
-    assert main(["verify", "--jobs", "2", "--check", "scholz", "--bound", "3000",
-                 "--format", "csv"]) == 0
-    (pool,) = counting_pool
-    # 21,978 instances in 256-item chunks, never more than 8 per worker unfinished
-    assert len(pool.futures) == ceil(21_978 / 256) == 86
-    assert 0 < pool.peak_unfinished <= 2 * 8
+def traced_peak_mb(*argv) -> float:
+    """The tracemalloc peak, in MB, of `verify --format csv *argv` in a fresh
+    process, its records written to devnull."""
+    code = (
+        "import contextlib, os, sys, tracemalloc\n"
+        "from quadrec.cli import main\n"
+        "tracemalloc.start()\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    assert main(['verify', '--format', 'csv', *sys.argv[1:]]) == 0\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout) / 2**20
 
 
 # on CPython 3.11 scholz 3000 peaks at 0.8 MB and scholz2 800 at 2.4 MB; a
@@ -740,19 +778,30 @@ def test_verify_jobs2_keeps_a_fixed_window_of_chunks_in_flight(counting_pool, ca
 # 65,536-entry quartic memo at 4.8 and 5.6 MB
 @pytest.mark.parametrize("check,bound,ceiling_mb", [("scholz", 3000, 8), ("scholz2", 800, 4)])
 def test_scholz_3000_holds_a_bounded_number_of_records(check, bound, ceiling_mb):
-    code = (
-        "import contextlib, os, sys, tracemalloc\n"
-        "from quadrec.cli import main\n"
-        "tracemalloc.start()\n"
-        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
-        "    assert main(['verify', '--check', sys.argv[1], '--bound', sys.argv[2],"
-        " '--format', 'csv']) == 0\n"
-        "print(tracemalloc.get_traced_memory()[1])\n")
-    out = subprocess.run([sys.executable, "-c", code, check, str(bound)],
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    peak_mb = int(out.stdout) / 2**20
+    peak_mb = traced_peak_mb("--check", check, "--bound", str(bound))
     assert peak_mb < ceiling_mb, peak_mb
+
+
+def test_verify_jobs2_parent_holds_a_bounded_number_of_records():
+    # the workers are at most a pipe's capacity ahead of the reader, so the
+    # parent holds about one chunk of records: 0.5 MB on CPython 3.11, where
+    # reading all 86 chunks of scholz 3000 ahead would hold 11.9 MB
+    peak_mb = traced_peak_mb("--check", "scholz", "--bound", "3000", "--jobs", "2")
+    assert peak_mb < 2, peak_mb
+
+
+def test_importing_the_cli_loads_no_pool_or_thread_module():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import quadrec.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    loaded = out.stdout.split()
+    assert "quadrec.sweeps" in loaded
+    assert [m for m in loaded
+            if m.split(".")[0] in ("concurrent", "multiprocessing", "threading")] == []
 
 
 def test_run_checks_chunks_span_checks_and_keep_their_order():
@@ -764,10 +813,10 @@ def test_run_checks_chunks_span_checks_and_keep_their_order():
     assert list(sweeps.run_checks(["kuroda"], SweepConfig(bound=2, jobs=2))) == []
 
 
-def test_run_checks_rejects_an_unknown_name_before_opening_a_pool(counting_pool):
+def test_run_checks_rejects_an_unknown_name_before_opening_a_pool(forks):
     with pytest.raises(DomainError, match="made-up"):
         sweeps.run_checks(["candm", "made-up"], SweepConfig(jobs=2))
-    assert counting_pool == []
+    assert forks == []
 
 
 def test_verify_jobs2_records_equal_jobs1_over_all_checks():
